@@ -1,9 +1,8 @@
 // Extensions bench — the paper's §7 future-work items, implemented and
 // measured:
-//   1. decision-tree base learner added to the ensemble,
-//   2. adaptive prediction-window selection,
-//   3. location-scoped ("where") prediction,
-//   4. flat ensemble vs mixture-of-experts precedence.
+//   1. adaptive prediction-window selection,
+//   2. location-scoped ("where") prediction,
+//   3. flat ensemble vs mixture-of-experts precedence.
 #include <cstdio>
 #include <iostream>
 #include <map>
@@ -16,38 +15,8 @@ namespace {
 
 using namespace dml;
 
-void classifier_study(const logio::EventStore& store) {
-  std::printf("\n--- 1. §7 base learners: decision tree and neural net ---\n");
-  online::TablePrinter table({"ensemble", "precision", "recall",
-                              "DT recall share", "NN recall share"});
-  struct Config {
-    const char* label;
-    bool tree, net;
-  };
-  for (const Config& c : {Config{"AR+SR+PD (paper)", false, false},
-                          Config{"AR+SR+DT+PD", true, false},
-                          Config{"AR+SR+NN+PD", false, true},
-                          Config{"AR+SR+DT+NN+PD", true, true}}) {
-    online::DriverConfig config;
-    config.learner.enable_decision_tree = c.tree;
-    config.learner.enable_neural_net = c.net;
-    const auto result = online::DynamicDriver(config).run(store);
-    const auto per_source = result.total_per_source();
-    const auto& dt =
-        per_source[static_cast<int>(learners::RuleSource::kDecisionTree)];
-    const auto& nn =
-        per_source[static_cast<int>(learners::RuleSource::kNeuralNet)];
-    table.add_row({c.label,
-                   online::TablePrinter::fmt(result.overall_precision()),
-                   online::TablePrinter::fmt(result.overall_recall()),
-                   online::TablePrinter::fmt(stats::recall(dt)),
-                   online::TablePrinter::fmt(stats::recall(nn))});
-  }
-  table.print(std::cout);
-}
-
 void adaptive_window_study(const logio::EventStore& store) {
-  std::printf("\n--- 2. adaptive prediction window (paper: 'automatically "
+  std::printf("\n--- 1. adaptive prediction window (paper: 'automatically "
               "tune its size') ---\n");
   online::DriverConfig fixed;
   const auto fixed_result = online::DynamicDriver(fixed).run(store);
@@ -75,7 +44,7 @@ void adaptive_window_study(const logio::EventStore& store) {
 }
 
 void location_study(const logio::EventStore& store) {
-  std::printf("\n--- 3. location-scoped prediction ('when and where', "
+  std::printf("\n--- 2. location-scoped prediction ('when and where', "
               "paper §1.1) ---\n");
   online::TablePrinter table({"scope", "precision", "recall"});
   for (const bool scoped : {false, true}) {
@@ -93,7 +62,7 @@ void location_study(const logio::EventStore& store) {
 }
 
 void precedence_study(const logio::EventStore& store) {
-  std::printf("\n--- 4. mixture-of-experts precedence vs flat ensemble ---\n");
+  std::printf("\n--- 3. mixture-of-experts precedence vs flat ensemble ---\n");
   online::TablePrinter table({"dispatch", "precision", "recall", "warnings"});
   for (const bool mixture : {true, false}) {
     online::DriverConfig config;
@@ -115,10 +84,8 @@ void precedence_study(const logio::EventStore& store) {
 
 int main() {
   bench::print_header("Extensions: the paper's §7 future-work items",
-                      "decision tree, adaptive window, location scoping, "
-                      "ensemble dispatch");
+                      "adaptive window, location scoping, ensemble dispatch");
   const auto& store = bench::sdsc_store();
-  classifier_study(store);
   adaptive_window_study(store);
   location_study(store);
   precedence_study(store);

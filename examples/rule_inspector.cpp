@@ -1,5 +1,5 @@
-// Rule inspector: trains the full ensemble (including the §7 extension
-// learners), prints the resulting rule book with the reviser's per-rule
+// Rule inspector: trains the full ensemble (including the correlation
+// expert), prints the resulting rule book with the reviser's per-rule
 // statistics, and reports operational quality on a held-out span —
 // warning lead times and per-failure-category coverage.
 //
@@ -33,8 +33,7 @@ int main(int argc, char** argv) {
   const auto test = store.between(split, store.last_time() + 1);
 
   meta::MetaLearnerConfig config;
-  config.enable_decision_tree = true;
-  config.enable_neural_net = true;
+  config.enable_correlation = true;
   meta::MetaLearner learner{config};
   auto repository = learner.learn(training, window);
   const auto report = predict::revise(repository, training, window);
@@ -44,8 +43,7 @@ int main(int argc, char** argv) {
               training.size(), repository.size(), report.removed);
 
   // The rule book, grouped by source, best training-ROC first.
-  for (int s = 0; s < static_cast<int>(learners::kNumRuleSources); ++s) {
-    const auto source = static_cast<learners::RuleSource>(s);
+  for (const auto source : learners::kRuleSources) {
     std::vector<const meta::StoredRule*> rules;
     for (const auto& stored : repository.rules()) {
       if (stored.rule.source() == source) rules.push_back(&stored);

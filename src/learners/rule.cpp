@@ -10,8 +10,6 @@ std::string_view to_string(RuleSource source) {
     case RuleSource::kAssociation: return "association";
     case RuleSource::kStatistical: return "statistical";
     case RuleSource::kDistribution: return "distribution";
-    case RuleSource::kDecisionTree: return "decision-tree";
-    case RuleSource::kNeuralNet: return "neural-net";
     case RuleSource::kCorrelation: return "correlation";
   }
   return "unknown";
@@ -27,12 +25,6 @@ RuleSource Rule::source() const {
     }
     RuleSource operator()(const DistributionRule&) const {
       return RuleSource::kDistribution;
-    }
-    RuleSource operator()(const DecisionTreeRule&) const {
-      return RuleSource::kDecisionTree;
-    }
-    RuleSource operator()(const NeuralNetRule&) const {
-      return RuleSource::kNeuralNet;
     }
     RuleSource operator()(const CorrelationChainRule&) const {
       return RuleSource::kCorrelation;
@@ -61,15 +53,6 @@ std::string Rule::identity() const {
       // behaviour count as the same rule.
       return std::string("PD:") + std::string(r.model.family_name()) + ":h" +
              std::to_string(r.elapsed_trigger / kSecondsPerHour);
-    }
-    std::string operator()(const DecisionTreeRule& r) const {
-      // Coarse structural identity: refits with the same shape count as
-      // the same rule for churn accounting.
-      return "DT:n" + std::to_string(r.tree.node_count()) + ":d" +
-             std::to_string(r.tree.depth());
-    }
-    std::string operator()(const NeuralNetRule& r) const {
-      return "NN:h" + std::to_string(r.net.hidden_units());
     }
     std::string operator()(const CorrelationChainRule& r) const {
       // Order matters: the same stage set in a different order is a
@@ -115,22 +98,6 @@ std::string Rule::describe(const bgl::Taxonomy& taxonomy) const {
                     std::string(r.model.family_name()).c_str(),
                     r.cdf_threshold,
                     static_cast<long long>(r.elapsed_trigger));
-      return buf;
-    }
-    std::string operator()(const DecisionTreeRule& r) const {
-      char buf[128];
-      std::snprintf(buf, sizeof(buf),
-                    "decision tree (%zu nodes, depth %d), p >= %.2f -> "
-                    "failure",
-                    r.tree.node_count(), r.tree.depth(),
-                    r.probability_threshold);
-      return buf;
-    }
-    std::string operator()(const NeuralNetRule& r) const {
-      char buf[128];
-      std::snprintf(buf, sizeof(buf),
-                    "neural net (%zu hidden units), p >= %.2f -> failure",
-                    r.net.hidden_units(), r.probability_threshold);
       return buf;
     }
     std::string operator()(const CorrelationChainRule& r) const {

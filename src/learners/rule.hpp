@@ -6,15 +6,12 @@
 //  * statistical rules  "k failures within Wp => another"  [SR]
 //  * distribution rules "elapsed since last failure beyond
 //    the fitted CDF threshold => failure ahead"             [PD]
-//  * decision-tree rules: classifier over window features   [DT]
-//  * neural-network rules: MLP over the same features       [NN]
-//    (DT and NN are the paper's §7 future-work learners, disabled by
-//    default so the headline reproduction runs the paper's trio)
 //  * correlation-chain rules: ordered multi-stage precursor
 //    chains mined from the event-correlation graph            [CC]
 //    (LogMaster-style, arXiv:1003.0951; DESIGN.md §14)
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <string>
 #include <variant>
@@ -22,8 +19,6 @@
 
 #include "bgl/taxonomy.hpp"
 #include "common/types.hpp"
-#include "learners/decision_tree.hpp"
-#include "learners/neural_net.hpp"
 #include "stats/distributions.hpp"
 
 namespace dml::learners {
@@ -32,14 +27,20 @@ enum class RuleSource : std::uint8_t {
   kAssociation = 0,
   kStatistical = 1,
   kDistribution = 2,
-  kDecisionTree = 3,
-  kNeuralNet = 4,
-  // Appended (not renumbered) so per-source arrays, coverage bitmasks
-  // and serialized rule files from earlier versions keep their meaning.
+  // 3 and 4 named the retired decision-tree and neural-net experts.
+  // They stay unassigned: sources are appended, never renumbered, so
+  // per-source arrays, coverage bitmasks and the wire's source byte
+  // keep their meaning across versions.
   kCorrelation = 5,
 };
 
+/// Bound for per-source arrays indexed by the enum value.
 inline constexpr std::size_t kNumRuleSources = 6;
+
+/// Every assigned source, in enumerator order.
+inline constexpr std::array<RuleSource, 4> kRuleSources = {
+    RuleSource::kAssociation, RuleSource::kStatistical,
+    RuleSource::kDistribution, RuleSource::kCorrelation};
 
 std::string_view to_string(RuleSource source);
 
@@ -68,18 +69,6 @@ struct DistributionRule {
   DurationSec elapsed_trigger = 0;
 };
 
-struct DecisionTreeRule {
-  DecisionTree tree;
-  /// Warn when the tree's leaf probability reaches this.
-  double probability_threshold = 0.5;
-};
-
-struct NeuralNetRule {
-  NeuralNet net;
-  /// Warn when the network's output probability reaches this.
-  double probability_threshold = 0.5;
-};
-
 struct CorrelationChainRule {
   /// Ordered non-fatal stages (order-significant, unlike an association
   /// antecedent): the predictor fires only when the stages occurred in
@@ -102,8 +91,7 @@ struct CorrelationChainRule {
 class Rule {
  public:
   using Body = std::variant<AssociationRule, StatisticalRule,
-                            DistributionRule, DecisionTreeRule,
-                            NeuralNetRule, CorrelationChainRule>;
+                            DistributionRule, CorrelationChainRule>;
 
   Rule() : body_(StatisticalRule{}) {}
   explicit Rule(Body body) : body_(std::move(body)) {}
@@ -119,12 +107,6 @@ class Rule {
   }
   const DistributionRule* as_distribution() const {
     return std::get_if<DistributionRule>(&body_);
-  }
-  const DecisionTreeRule* as_decision_tree() const {
-    return std::get_if<DecisionTreeRule>(&body_);
-  }
-  const NeuralNetRule* as_neural_net() const {
-    return std::get_if<NeuralNetRule>(&body_);
   }
   const CorrelationChainRule* as_correlation() const {
     return std::get_if<CorrelationChainRule>(&body_);

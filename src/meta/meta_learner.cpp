@@ -3,6 +3,7 @@
 #include <chrono>
 #include <future>
 
+#include "common/check.hpp"
 #include "common/thread_pool.hpp"
 
 namespace dml::meta {
@@ -21,9 +22,10 @@ MetaLearner::MetaLearner(MetaLearnerConfig config)
       association_(config.association),
       statistical_(config.statistical),
       distribution_(config.distribution),
-      decision_tree_(config.decision_tree),
-      neural_net_(config.neural_net),
-      correlation_(config.correlation) {}
+      correlation_(config.correlation) {
+  DML_CHECK_MSG(!config.enable_decision_tree && !config.enable_neural_net,
+                "the decision-tree and neural-net experts are retired");
+}
 
 KnowledgeRepository MetaLearner::learn(std::span<const bgl::Event> training,
                                        DurationSec window,
@@ -51,18 +53,14 @@ KnowledgeRepository MetaLearner::learn(std::span<const bgl::Event> training,
   std::vector<learners::Rule> association_rules;
   std::vector<learners::Rule> statistical_rules;
   std::vector<learners::Rule> distribution_rules;
-  std::vector<learners::Rule> tree_rules;
-  std::vector<learners::Rule> net_rules;
   std::vector<learners::Rule> chain_rules;
 
   if (config_.parallel_training && ThreadPool::shared().size() > 1) {
-    // Statistical, distribution, tree, net, and correlation learning go
-    // to the pool; association mining (the expensive stage) runs on the
-    // calling thread.
+    // Statistical, distribution and correlation learning go to the
+    // pool; association mining (the expensive stage) runs on the calling
+    // thread.
     std::future<std::vector<learners::Rule>> stat_future;
     std::future<std::vector<learners::Rule>> dist_future;
-    std::future<std::vector<learners::Rule>> tree_future;
-    std::future<std::vector<learners::Rule>> net_future;
     std::future<std::vector<learners::Rule>> chain_future;
     if (config_.enable_statistical) {
       stat_future = ThreadPool::shared().submit([&] {
@@ -72,16 +70,6 @@ KnowledgeRepository MetaLearner::learn(std::span<const bgl::Event> training,
     if (config_.enable_distribution) {
       dist_future = ThreadPool::shared().submit([&] {
         return run_learner(distribution_, &local.distribution_seconds);
-      });
-    }
-    if (config_.enable_decision_tree) {
-      tree_future = ThreadPool::shared().submit([&] {
-        return run_learner(decision_tree_, &local.decision_tree_seconds);
-      });
-    }
-    if (config_.enable_neural_net) {
-      net_future = ThreadPool::shared().submit([&] {
-        return run_learner(neural_net_, &local.neural_net_seconds);
       });
     }
     if (config_.enable_correlation) {
@@ -94,8 +82,6 @@ KnowledgeRepository MetaLearner::learn(std::span<const bgl::Event> training,
     }
     if (stat_future.valid()) statistical_rules = stat_future.get();
     if (dist_future.valid()) distribution_rules = dist_future.get();
-    if (tree_future.valid()) tree_rules = tree_future.get();
-    if (net_future.valid()) net_rules = net_future.get();
     if (chain_future.valid()) chain_rules = chain_future.get();
   } else {
     if (config_.enable_association) {
@@ -108,12 +94,6 @@ KnowledgeRepository MetaLearner::learn(std::span<const bgl::Event> training,
       distribution_rules =
           run_learner(distribution_, &local.distribution_seconds);
     }
-    if (config_.enable_decision_tree) {
-      tree_rules = run_learner(decision_tree_, &local.decision_tree_seconds);
-    }
-    if (config_.enable_neural_net) {
-      net_rules = run_learner(neural_net_, &local.neural_net_seconds);
-    }
     if (config_.enable_correlation) {
       chain_rules = run_learner(correlation_, &local.correlation_seconds);
     }
@@ -124,13 +104,10 @@ KnowledgeRepository MetaLearner::learn(std::span<const bgl::Event> training,
   // Insertion order encodes the mixture-of-experts precedence:
   // association, then the correlation chains (a pattern expert like
   // association, but over ordered cross-window cascades), then
-  // statistical, then decision tree, then probability distribution as
-  // the fallback expert.
+  // statistical, then probability distribution as the fallback expert.
   for (auto& rule : association_rules) repository.add(std::move(rule));
   for (auto& rule : chain_rules) repository.add(std::move(rule));
   for (auto& rule : statistical_rules) repository.add(std::move(rule));
-  for (auto& rule : tree_rules) repository.add(std::move(rule));
-  for (auto& rule : net_rules) repository.add(std::move(rule));
   for (auto& rule : distribution_rules) repository.add(std::move(rule));
   local.ensemble_seconds = seconds_since(ensemble_start);
 

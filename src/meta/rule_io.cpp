@@ -111,18 +111,6 @@ std::optional<learners::Rule> parse_distribution(
 }
 #pragma GCC diagnostic pop
 
-std::optional<learners::Rule> parse_decision_tree(
-    const std::vector<std::string_view>& fields) {
-  if (fields.size() != 3) return std::nullopt;
-  const auto threshold = parse_double(fields[1]);
-  auto tree = learners::DecisionTree::deserialize(fields[2]);
-  if (!threshold || !tree) return std::nullopt;
-  learners::DecisionTreeRule rule;
-  rule.tree = std::move(*tree);
-  rule.probability_threshold = *threshold;
-  return learners::Rule{learners::Rule::Body(std::move(rule))};
-}
-
 std::optional<learners::Rule> parse_correlation(
     const std::vector<std::string_view>& fields,
     const bgl::Taxonomy& taxonomy) {
@@ -148,18 +136,6 @@ std::optional<learners::Rule> parse_correlation(
   }
   // Unlike the AR antecedent, the chain is ordered — no sort.
   if (rule.chain.empty()) return std::nullopt;
-  return learners::Rule{learners::Rule::Body(std::move(rule))};
-}
-
-std::optional<learners::Rule> parse_neural_net(
-    const std::vector<std::string_view>& fields) {
-  if (fields.size() != 3) return std::nullopt;
-  const auto threshold = parse_double(fields[1]);
-  auto net = learners::NeuralNet::deserialize(fields[2]);
-  if (!threshold || !net) return std::nullopt;
-  learners::NeuralNetRule rule;
-  rule.net = std::move(*net);
-  rule.probability_threshold = *threshold;
   return learners::Rule{learners::Rule::Body(std::move(rule))};
 }
 
@@ -207,14 +183,6 @@ std::string rule_to_line(const learners::Rule& rule,
              format_double(r.cdf_threshold) + '|' +
              std::to_string(r.elapsed_trigger);
     }
-    std::string operator()(const learners::DecisionTreeRule& r) const {
-      return "DT|" + format_double(r.probability_threshold) + '|' +
-             r.tree.serialize();
-    }
-    std::string operator()(const learners::NeuralNetRule& r) const {
-      return "NN|" + format_double(r.probability_threshold) + '|' +
-             r.net.serialize();
-    }
     std::string operator()(const learners::CorrelationChainRule& r) const {
       std::string line = "CC|" + format_double(r.confidence) + '|' +
                          format_double(r.support) + '|' +
@@ -237,9 +205,9 @@ std::optional<learners::Rule> rule_from_line(std::string_view line,
   if (fields[0] == "AR") return parse_association(fields, taxonomy);
   if (fields[0] == "SR") return parse_statistical(fields);
   if (fields[0] == "PD") return parse_distribution(fields);
-  if (fields[0] == "DT") return parse_decision_tree(fields);
-  if (fields[0] == "NN") return parse_neural_net(fields);
   if (fields[0] == "CC") return parse_correlation(fields, taxonomy);
+  // Anything else is malformed, including the DT and NN lines of the
+  // retired classifier experts that older v1/v2 files may carry.
   return std::nullopt;
 }
 

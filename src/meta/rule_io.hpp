@@ -13,7 +13,8 @@
 // with a header line `# DML-RULES v2` and '#' comments allowed.
 // Version history: v1 lacked the CC line type; v1 files still read back
 // (the reader accepts either header), and writers always emit the
-// current version.
+// current version.  DT and NN lines, written by the retired classifier
+// experts, are rejected as malformed under either header.
 #pragma once
 
 #include <istream>

@@ -1,5 +1,7 @@
 #include "net/wire.hpp"
 
+#include <algorithm>
+
 #include "common/check.hpp"
 #include "common/crc32.hpp"
 #include "logio/binary_format.hpp"
@@ -432,7 +434,12 @@ std::optional<WarningMsg> decode_warning(
   if ((flags & ~(kWarnHasCategory | kWarnHasLocation)) != 0) {
     return std::nullopt;
   }
-  if (source >= learners::kNumRuleSources) return std::nullopt;
+  // Only assigned sources decode: 3 and 4 are below kNumRuleSources but
+  // name the retired classifier experts.
+  const auto rule_source = static_cast<learners::RuleSource>(source);
+  if (std::ranges::count(learners::kRuleSources, rule_source) == 0) {
+    return std::nullopt;
+  }
   if ((flags & kWarnHasCategory) != 0) {
     if (category > 0xFFFF) return std::nullopt;
     msg.warning.category = static_cast<CategoryId>(category);
@@ -440,7 +447,7 @@ std::optional<WarningMsg> decode_warning(
   if ((flags & kWarnHasLocation) != 0) {
     msg.warning.location = bgl::Location::from_packed(location);
   }
-  msg.warning.source = static_cast<learners::RuleSource>(source);
+  msg.warning.source = rule_source;
   return msg;
 }
 

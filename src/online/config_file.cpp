@@ -144,14 +144,6 @@ const std::map<std::string, Setter, std::less<>>& setters() {
          return set_double(v, 0.0, 0.999,
                            &c.learner.distribution.cdf_threshold);
        }},
-      {"enable_decision_tree",
-       [](DriverConfig& c, std::string_view v) {
-         return set_bool(v, &c.learner.enable_decision_tree);
-       }},
-      {"enable_neural_net",
-       [](DriverConfig& c, std::string_view v) {
-         return set_bool(v, &c.learner.enable_neural_net);
-       }},
       {"enable_correlation",
        [](DriverConfig& c, std::string_view v) {
          return set_bool(v, &c.learner.enable_correlation);
@@ -238,8 +230,6 @@ std::string render_driver_config(const DriverConfig& config) {
       "min_antecedent = %zu\n"
       "statistical_threshold = %g\n"
       "distribution_threshold = %g\n"
-      "enable_decision_tree = %s\n"
-      "enable_neural_net = %s\n"
       "enable_correlation = %s\n"
       "correlation_window = %lld\n"
       "correlation_min_edge_confidence = %g\n"
@@ -254,8 +244,6 @@ std::string render_driver_config(const DriverConfig& config) {
       config.learner.association.min_antecedent,
       config.learner.statistical.min_probability,
       config.learner.distribution.cdf_threshold,
-      config.learner.enable_decision_tree ? "true" : "false",
-      config.learner.enable_neural_net ? "true" : "false",
       config.learner.enable_correlation ? "true" : "false",
       static_cast<long long>(config.learner.correlation.graph.window),
       config.learner.correlation.miner.min_edge_confidence,

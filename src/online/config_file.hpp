@@ -16,8 +16,6 @@
 //   min_antecedent      = 2
 //   statistical_threshold   = 0.8
 //   distribution_threshold  = 0.6
-//   enable_decision_tree    = false
-//   enable_neural_net       = false
 //   pd_horizon_factor   = 6.0
 //   location_scoped     = false
 //   adaptive_window     = false

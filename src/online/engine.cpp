@@ -17,9 +17,7 @@ std::string_view to_string(DegradationEvent::Kind kind) {
   return "unknown";
 }
 
-namespace {
-
-RetrainPolicy make_policy(const OnlineEngineConfig& config) {
+RetrainPolicy make_retrain_policy(const OnlineEngineConfig& config) {
   RetrainPolicy policy;
   policy.prediction_window = config.prediction_window;
   policy.retrain_interval = config.retrain_interval;
@@ -39,6 +37,8 @@ RetrainPolicy make_policy(const OnlineEngineConfig& config) {
   return policy;
 }
 
+namespace {
+
 ServingCore::Options make_serving_options(const OnlineEngineConfig& config) {
   ServingCore::Options options;
   options.clock_tick = config.clock_tick;
@@ -57,7 +57,7 @@ OnlineEngine::OnlineEngine(OnlineEngineConfig config,
     : config_(std::move(config)),
       on_warning_(std::move(on_warning)),
       pipeline_(config_.filter_threshold),
-      scheduler_(make_policy(config_)),
+      scheduler_(make_retrain_policy(config_)),
       serving_(make_serving_options(config_)) {}
 
 OnlineEngine::~OnlineEngine() = default;

@@ -97,6 +97,11 @@ struct OnlineEngineConfig {
   bool profile = false;
 };
 
+/// The retraining policy an engine config asks for: the fields the two
+/// share, copied one for one.  ShardedEngine applies its overrides on
+/// top of this.
+RetrainPolicy make_retrain_policy(const OnlineEngineConfig& config);
+
 class OnlineEngine {
  public:
   using WarningCallback = std::function<void(const predict::Warning&)>;

@@ -168,6 +168,7 @@ class RetrainScheduler {
   std::optional<SnapshotBuild> join(TimeSec t);
 
   bool build_in_flight() const;
+  const RetrainPolicy& policy() const { return policy_; }
   std::size_t history_size() const { return history_.size(); }
   const std::deque<bgl::Event>& history() const { return history_; }
   /// Prediction window currently in force (moves in adaptive mode).

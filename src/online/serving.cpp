@@ -1,6 +1,5 @@
 #include "online/serving.hpp"
 
-#include "common/annotations.hpp"
 #include "common/failpoint.hpp"
 
 namespace dml::online {
@@ -102,25 +101,9 @@ void ServingCore::observe(const bgl::Event& event,
   }
 }
 
-void DML_HOT ServingCore::observe_batch(
-    std::span<const bgl::Event> events,
+void ServingCore::observe_batch(std::span<const bgl::Event> events,
                                 std::vector<predict::Warning>& out) {
-  if (predictor_ == nullptr || options_.warm_retention > 0) {
-    // Cold core or warm-buffer upkeep in play: the per-event path
-    // already does the minimum work.
-    for (const bgl::Event& event : events) observe(event, out);
-    return;
-  }
-  const bool interval_anchor =
-      options_.tick_anchor == TickAnchor::kInterval && tick_interval() > 0;
-  for (const bgl::Event& event : events) {
-    common::failpoint(common::failpoints::kServingObserve);
-    advance(event.time, out);
-    if (interval_anchor && !next_tick_) {
-      next_tick_ = event.time + tick_interval();
-    }
-    predictor_->observe_into(event, out);
-  }
+  for (const bgl::Event& event : events) observe(event, out);
 }
 
 void ServingCore::flush(TimeSec end, std::vector<predict::Warning>& out) {

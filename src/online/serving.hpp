@@ -73,12 +73,8 @@ class ServingCore {
   /// advance(event.time) + predictor observation + warm-buffer upkeep.
   void observe(const bgl::Event& event, std::vector<predict::Warning>& out);
 
-  /// Batch form of observe(): bit-identical warning stream (the
-  /// `serving.observe` failpoint still fires once per event, so chaos
-  /// schedules line up), with the predictor/warm-buffer branches hoisted
-  /// out of the per-event loop.  A throw mid-batch leaves the events
-  /// before the faulting one fully served, exactly as the serial loop
-  /// would (DESIGN.md §13).
+  /// observe() for each event in order.  A throw mid-batch leaves the
+  /// events before the faulting one fully served.
   void observe_batch(std::span<const bgl::Event> events,
                      std::vector<predict::Warning>& out);
 

@@ -199,40 +199,20 @@ struct ShardedEngine::Shard {
 namespace {
 
 RetrainPolicy sharded_policy(const OnlineEngineConfig& config) {
-  RetrainPolicy policy;
-  policy.prediction_window = config.prediction_window;
-  policy.retrain_interval = config.retrain_interval;
-  policy.initial_training_delay = config.initial_training_delay;
-  policy.training_span = config.training_span;
-  policy.min_training_events = config.min_training_events;
-  policy.mode = config.mode;
-  policy.use_reviser = config.use_reviser;
-  policy.reviser = config.reviser;
-  policy.learner = config.learner;
-  policy.predictor = config.predictor;
-  policy.adaptive_window = config.adaptive_window;
-  policy.window_candidates = config.window_candidates;
-  policy.validation_fraction = config.validation_fraction;
-  policy.async = config.async_retrain;
+  RetrainPolicy policy = make_retrain_policy(config);
   // Deterministic adoption: with no explicit lag, adopt one prediction
   // window after the boundary — enough slack for a build to finish in
   // the background at realistic event rates.
-  policy.adoption_lag = config.adoption_lag > 0 ? config.adoption_lag
-                                                : config.prediction_window;
-  // The tree/net experts build features over the whole machine's recent
-  // stream, which does not decompose by midplane; drop them so sharded
-  // and single-shard runs see the same rule space.
-  policy.learner.enable_decision_tree = false;
-  policy.learner.enable_neural_net = false;
+  if (policy.adoption_lag <= 0) policy.adoption_lag = config.prediction_window;
   policy.predictor.location_scoped = true;
   policy.predictor.per_scope_state = true;
   return policy;
 }
 
-ServingCore::Options sharded_serving_options(const OnlineEngineConfig& config,
+ServingCore::Options sharded_serving_options(DurationSec clock_tick,
                                              const RetrainPolicy& policy) {
   ServingCore::Options options;
-  options.clock_tick = config.clock_tick;
+  options.clock_tick = clock_tick;
   options.predictor = policy.predictor;
   // Absolute grid: every shard ticks at the same instants regardless of
   // which events it happens to receive.
@@ -257,7 +237,9 @@ ShardedEngine::ShardedEngine(ShardedEngineConfig config,
     : config_(std::move(config)),
       on_warning_(std::move(on_warning)),
       pipeline_(config_.engine.filter_threshold),
-      scheduler_(sharded_policy(config_.engine)) {
+      scheduler_(sharded_policy(config_.engine)),
+      shard_options_(sharded_serving_options(config_.engine.clock_tick,
+                                             scheduler_.policy())) {
   std::size_t n = config_.shards;
   if (n == 0) n = std::max(1u, std::thread::hardware_concurrency());
   merger_ = std::make_unique<WarningMerger>(
@@ -455,8 +437,7 @@ void ShardedEngine::note_quarantine(std::size_t index, TimeSec at,
 
 void ShardedEngine::worker(std::size_t index) {
   Shard& shard = *shards_[index];
-  ServingCore core(
-      sharded_serving_options(config_.engine, sharded_policy(config_.engine)));
+  ServingCore core(shard_options_);
   std::vector<Message> batch;
   std::vector<predict::Warning> out;
   TimeSec watermark = std::numeric_limits<TimeSec>::min();

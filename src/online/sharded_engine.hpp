@@ -52,11 +52,9 @@ struct ShardedEngineConfig {
   bool rethrow_worker_errors = true;
   /// Retraining/serving knobs.  per-scope prediction and asynchronous
   /// snapshot builds are forced (per_scope_state, location_scoped,
-  /// absolute ticks); the classifier experts (decision tree/neural net)
-  /// are disabled because their whole-machine feature window does not
-  /// decompose by midplane.  async_retrain defaults on here; adoption
-  /// happens at boundary + adoption_lag (default: prediction_window) so
-  /// replays stay deterministic.
+  /// absolute ticks).  async_retrain defaults on here; adoption happens
+  /// at boundary + adoption_lag (default: prediction_window) so replays
+  /// stay deterministic.
   OnlineEngineConfig engine;
 };
 
@@ -148,6 +146,8 @@ class ShardedEngine {
 
   preprocess::StreamingPipeline pipeline_;
   RetrainScheduler scheduler_;
+  /// Every shard's ServingCore options, derived once from the policy.
+  const ServingCore::Options shard_options_;
   meta::SnapshotPublisher publisher_;
 
   std::vector<std::unique_ptr<Shard>> shards_;

@@ -49,10 +49,6 @@ bool rule_eligible(const learners::Rule& rule, const FatalEvent& fatal) {
       return fatal.preceding_in_window >= rule.as_statistical()->k;
     case learners::RuleSource::kDistribution:
       return fatal.gap_before >= rule.as_distribution()->elapsed_trigger;
-    case learners::RuleSource::kDecisionTree:
-    case learners::RuleSource::kNeuralNet:
-      // The classifiers observe every instant: all failures in scope.
-      return true;
     case learners::RuleSource::kCorrelation:
       // Like association: the chain predicts one specific category.
       return rule.as_correlation()->consequent == fatal.category;

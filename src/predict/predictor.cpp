@@ -37,12 +37,6 @@ Predictor::Predictor(const meta::KnowledgeRepository& repository,
       case learners::RuleSource::kDistribution:
         distribution_rules_.push_back(&stored);
         break;
-      case learners::RuleSource::kDecisionTree:
-        tree_rules_.push_back(&stored);
-        break;
-      case learners::RuleSource::kNeuralNet:
-        net_rules_.push_back(&stored);
-        break;
       case learners::RuleSource::kCorrelation: {
         const auto* chain = stored.rule.as_correlation();
         if (chain->chain.empty()) break;
@@ -66,9 +60,6 @@ Predictor::Predictor(const meta::KnowledgeRepository& repository,
         break;
       }
     }
-  }
-  if (!tree_rules_.empty() || !net_rules_.empty()) {
-    feature_tracker_.emplace(window_);
   }
   if (!options_.per_scope_state) {
     std::uint64_t max_id = 0;
@@ -334,7 +325,6 @@ void DML_HOT Predictor::observe_impl(const bgl::Event& event,
                              std::vector<Warning>& out) {
   const TimeSec now = event.time;
   expire<kScoped>(now);
-  if (feature_tracker_) feature_tracker_->observe(event);
 
   // Plain mode never reads the midplane — skip the location decode.
   const std::uint32_t midplane = kScoped ? midplane_of(event) : 0;
@@ -428,26 +418,6 @@ void DML_HOT Predictor::observe_impl(const bgl::Event& event,
     }
   }
 
-  // Classifier experts (optional §7 extensions): the decision tree and
-  // the neural net classify the window features on every event.
-  if (feature_tracker_) {
-    const auto features = feature_tracker_->features();
-    for (const meta::StoredRule* stored : tree_rules_) {
-      const auto* rule = stored->rule.as_decision_tree();
-      if (rule->tree.predict(features) >= rule->probability_threshold) {
-        matched = true;
-        try_issue(out, now, *stored, std::nullopt, now + window_);
-      }
-    }
-    for (const meta::StoredRule* stored : net_rules_) {
-      const auto* rule = stored->rule.as_neural_net();
-      if (rule->net.predict(features) >= rule->probability_threshold) {
-        matched = true;
-        try_issue(out, now, *stored, std::nullopt, now + window_);
-      }
-    }
-  }
-
   // Mixture-of-experts fallback: the probability-distribution expert
   // speaks only when no pattern rule matched (or always, in the flat
   // ensemble ablation).  In per-scope mode an event speaks for its own
@@ -475,12 +445,6 @@ void DML_HOT Predictor::observe_impl(const bgl::Event& event,
     // association rules whose consequent is this category, so the next
     // prediction cycle isn't muted by a stale active-warning entry.
     for (const meta::StoredRule* stored : distribution_rules_) {
-      erase_active(stored->id, midplane);
-    }
-    for (const meta::StoredRule* stored : tree_rules_) {
-      erase_active(stored->id, midplane);
-    }
-    for (const meta::StoredRule* stored : net_rules_) {
       erase_active(stored->id, midplane);
     }
     if (event.category < by_consequent_.size()) {
@@ -525,22 +489,17 @@ void DML_HOT Predictor::observe_batch(std::span<const bgl::Event> events,
   // before the horizon.  Deferring expire() is sound because pops are
   // monotone in `now` and every state read (antecedent walk, fatal
   // count, distribution check) re-runs expire first, so the serial and
-  // batched paths stay bit-identical (DESIGN.md §13).  The classifier
-  // experts track every event, so their presence disables the skip.
-  if (!feature_tracker_.has_value()) {
-    const std::uint8_t* has_rules = category_has_rules_.data();
-    const std::size_t n_categories = category_has_rules_.size();
-    for (const bgl::Event& event : events) {
-      if (!event.fatal &&
-          (event.category >= n_categories || !has_rules[event.category]) &&
-          (!last_fatal_.has_value() || event.time <= pd_quiet_until_)) {
-        continue;
-      }
-      observe_impl<false>(event, out);
+  // batched paths stay bit-identical (DESIGN.md §13).
+  const std::uint8_t* has_rules = category_has_rules_.data();
+  const std::size_t n_categories = category_has_rules_.size();
+  for (const bgl::Event& event : events) {
+    if (!event.fatal &&
+        (event.category >= n_categories || !has_rules[event.category]) &&
+        (!last_fatal_.has_value() || event.time <= pd_quiet_until_)) {
+      continue;
     }
-    return;
+    observe_impl<false>(event, out);
   }
-  for (const bgl::Event& event : events) observe_impl<false>(event, out);
 }
 
 void DML_HOT Predictor::tick_into(TimeSec now, std::vector<Warning>& out) {

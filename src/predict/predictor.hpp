@@ -29,7 +29,6 @@
 #include "common/flat_map.hpp"
 #include "common/ring_queue.hpp"
 #include "common/types.hpp"
-#include "learners/features.hpp"
 #include "meta/knowledge_repository.hpp"
 
 namespace dml::predict {
@@ -38,7 +37,7 @@ struct Warning {
   TimeSec issued_at = 0;
   /// The failure is predicted to occur in (issued_at, deadline].
   TimeSec deadline = 0;
-  /// Predicted fatal category; nullopt = "a failure" (SR/PD/DT rules).
+  /// Predicted fatal category; nullopt = "a failure" (SR/PD rules).
   std::optional<CategoryId> category;
   /// Predicted midplane (location-scoped mode only); nullopt = anywhere.
   std::optional<bgl::Location> location;
@@ -77,10 +76,7 @@ struct PredictorOptions {
   /// stream decomposes exactly by midplane — feeding each midplane's
   /// events to a separate Predictor yields the same warning multiset as
   /// one Predictor seeing everything — which is the invariant
-  /// online::ShardedEngine relies on.  Implies location_scoped.  The
-  /// classifier experts (decision tree / neural net) aggregate features
-  /// across the whole machine and do not decompose; keep them disabled
-  /// when sharding.
+  /// online::ShardedEngine relies on.  Implies location_scoped.
   bool per_scope_state = false;
 };
 
@@ -172,8 +168,6 @@ class Predictor {
   std::vector<std::vector<const meta::StoredRule*>> by_consequent_;
   std::vector<const meta::StoredRule*> statistical_rules_;
   std::vector<const meta::StoredRule*> distribution_rules_;
-  std::vector<const meta::StoredRule*> tree_rules_;
-  std::vector<const meta::StoredRule*> net_rules_;
   /// Correlation-chain rules indexed by their *final* stage (dense like
   /// the E-List): a chain is checked only when its last stage arrives.
   std::vector<std::vector<const meta::StoredRule*>> chain_by_last_;
@@ -185,9 +179,6 @@ class Predictor {
   /// (stages - 1) * stage_window.  0 = no chain rules (all chain code
   /// paths dormant).
   DurationSec chain_lookback_ = 0;
-  /// Window features for the classifier experts (only maintained when
-  /// tree or net rules exist).
-  std::optional<learners::FeatureTracker> feature_tracker_;
 
   struct RecentEvent {
     TimeSec time;

@@ -29,8 +29,7 @@ TEST(Determinism, DriverRunsAreIdentical) {
 TEST(Determinism, DriverIsDeterministicWithAllExtensionsOn) {
   online::DriverConfig config;
   config.training_weeks = 12;
-  config.learner.enable_decision_tree = true;
-  config.learner.enable_neural_net = true;
+  config.learner.enable_correlation = true;
   config.adaptive_window = true;
   config.predictor.location_scoped = true;
   const auto& store = testing::shared_store();

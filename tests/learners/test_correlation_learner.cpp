@@ -173,8 +173,6 @@ TEST(CorrelationLearnerTest, BuildFailpointThrows) {
 TEST(CorrelationLearnerTest, MetaLearnerIntegration) {
   meta::MetaLearnerConfig config;
   config.enable_correlation = true;
-  config.enable_decision_tree = false;
-  config.enable_neural_net = false;
   const meta::MetaLearner meta(config);
   const auto trace = cascade_trace(20, 400);
   meta::TrainTimes times;

@@ -93,26 +93,30 @@ TEST(RuleIo, RejectsMalformedLines) {
   EXPECT_FALSE(rule_from_line("PD|weibull|1|2|0.6").has_value());  // short
 }
 
-TEST(RuleIo, DecisionTreeRoundTrip) {
-  // Build a small real tree from generated data and ship it through the
-  // text format.
-  std::vector<learners::LabelledSample> samples;
-  for (int i = 0; i < 200; ++i) {
-    learners::LabelledSample s;
-    s.features[learners::kWarningCount] = static_cast<double>(i % 10);
-    s.positive = (i % 10) > 6;
-    samples.push_back(s);
+TEST(RuleIo, RetiredClassifierLinesAreRejected) {
+  // Lines the retired decision-tree and neural-net experts wrote: a
+  // one-leaf tree, and a one-hidden-unit net over 14 window features
+  // (hidden; 14 means; 14 stdevs; 14 input weights; b1; w2; b2; loss).
+  std::string net = "NN|0.5|1";
+  for (int i = 0; i < 14; ++i) net += ";0";
+  for (int i = 0; i < 14; ++i) net += ";1";
+  for (int i = 0; i < 14; ++i) net += ";0.25";
+  net += ";0;1;-0.5;0.3";
+  const std::string tree = "DT|0.5|-1:0:-1:-1:0.25:40";
+  for (const char* header : {"# DML-RULES v1", "# DML-RULES v2"}) {
+    for (const std::string& line : {tree, net}) {
+      EXPECT_FALSE(rule_from_line(line).has_value()) << line;
+      std::stringstream stream(std::string(header) + "\nSR|2|0.9\n" + line);
+      try {
+        read_rules(stream);
+        ADD_FAILURE() << header << " accepted " << line.substr(0, 2);
+      } catch (const std::runtime_error& e) {
+        EXPECT_NE(std::string(e.what()).find("malformed rule at line 3"),
+                  std::string::npos)
+            << e.what();
+      }
+    }
   }
-  learners::DecisionTreeRule rule;
-  rule.tree = learners::DecisionTree::fit(samples);
-  rule.probability_threshold = 0.5;
-  const learners::Rule original{learners::Rule::Body(std::move(rule))};
-  const auto parsed = rule_from_line(rule_to_line(original));
-  ASSERT_TRUE(parsed.has_value());
-  const auto* dt = parsed->as_decision_tree();
-  ASSERT_NE(dt, nullptr);
-  EXPECT_EQ(dt->tree, original.as_decision_tree()->tree);
-  EXPECT_DOUBLE_EQ(dt->probability_threshold, 0.5);
 }
 
 learners::Rule sample_cc() {

@@ -198,8 +198,8 @@ predict::Warning random_warning(Rng& rng) {
         static_cast<int>(rng.uniform_index(2)));
   }
   w.rule_id = rng.next_u64();
-  w.source = static_cast<learners::RuleSource>(
-      rng.uniform_index(learners::kNumRuleSources));
+  const std::size_t source = rng.uniform_index(learners::kRuleSources.size());
+  w.source = learners::kRuleSources[source];
   return w;
 }
 
@@ -447,7 +447,8 @@ TEST(WireRejectionTest, MessageDecodersRejectSemanticGarbage) {
   put_u16(empty_name, 0);
   EXPECT_FALSE(decode_open_stream(empty_name).has_value());
 
-  // WARNING: a rule source beyond the enum must not round-trip.
+  // WARNING: a rule source beyond the enum must not round-trip, nor may
+  // 3 and 4, the unassigned values of the retired classifier experts.
   std::vector<unsigned char> warning_frame;
   append_warning(warning_frame, WarningMsg{1, golden_warning()});
   const DecodedFrame frame =
@@ -455,10 +456,12 @@ TEST(WireRejectionTest, MessageDecodersRejectSemanticGarbage) {
   ASSERT_EQ(frame.status, DecodeStatus::kFrame);
   std::vector<unsigned char> warning_payload(frame.payload.begin(),
                                              frame.payload.end());
-  // Last payload byte is the source enum.
-  warning_payload.back() =
-      static_cast<unsigned char>(learners::kNumRuleSources);
-  EXPECT_FALSE(decode_warning(warning_payload).has_value());
+  const std::size_t past_end = learners::kNumRuleSources;
+  for (const std::size_t source : {std::size_t{3}, std::size_t{4}, past_end}) {
+    // Last payload byte is the source enum.
+    warning_payload.back() = static_cast<unsigned char>(source);
+    EXPECT_FALSE(decode_warning(warning_payload).has_value()) << source;
+  }
 
   // INGEST_EVENTS: count that disagrees with the byte count, and a
   // flipped bit inside an embedded record's own CRC region.

@@ -46,8 +46,7 @@ TEST(ConfigFile, ParsesEveryKey) {
       "min_antecedent = 1\n"
       "statistical_threshold = 0.75\n"
       "distribution_threshold = 0.5\n"
-      "enable_decision_tree = true\n"
-      "enable_neural_net = true\n"
+      "enable_correlation = true\n"
       "pd_horizon_factor = 2.5\n"
       "location_scoped = true\n"
       "adaptive_window = true\n");
@@ -63,8 +62,7 @@ TEST(ConfigFile, ParsesEveryKey) {
   EXPECT_EQ(config.learner.association.min_antecedent, 1u);
   EXPECT_DOUBLE_EQ(config.learner.statistical.min_probability, 0.75);
   EXPECT_DOUBLE_EQ(config.learner.distribution.cdf_threshold, 0.5);
-  EXPECT_TRUE(config.learner.enable_decision_tree);
-  EXPECT_TRUE(config.learner.enable_neural_net);
+  EXPECT_TRUE(config.learner.enable_correlation);
   EXPECT_DOUBLE_EQ(config.predictor.pd_horizon_factor, 2.5);
   EXPECT_TRUE(config.predictor.location_scoped);
   EXPECT_TRUE(config.adaptive_window);
@@ -79,9 +77,15 @@ TEST(ConfigFile, CommentsAndBlanksIgnored) {
 }
 
 TEST(ConfigFile, UnknownKeyIsAnErrorWithLineNumber) {
-  const auto error = must_fail("retrain_weeks = 4\nretrian_weeks = 2\n");
-  EXPECT_EQ(error.line, 2u);
-  EXPECT_NE(error.message.find("retrian_weeks"), std::string::npos);
+  // A typo, and the keys of the retired classifier experts.
+  for (const std::string key :
+       {"retrian_weeks", "enable_decision_tree", "enable_neural_net"}) {
+    const auto error = must_fail("retrain_weeks = 4\n" + key + " = 2\n");
+    EXPECT_EQ(error.line, 2u) << key;
+    EXPECT_NE(error.message.find("unknown key '" + key + "'"),
+              std::string::npos)
+        << error.message;
+  }
 }
 
 TEST(ConfigFile, MalformedLineIsAnError) {
@@ -102,7 +106,7 @@ TEST(ConfigFile, RenderParseRoundTrip) {
   config.clock_tick = 1800;
   config.retrain_weeks = 2;
   config.mode = TrainingMode::kStatic;
-  config.learner.enable_neural_net = true;
+  config.learner.enable_correlation = true;
   config.predictor.location_scoped = true;
 
   std::stringstream stream(render_driver_config(config));
@@ -112,7 +116,7 @@ TEST(ConfigFile, RenderParseRoundTrip) {
   EXPECT_EQ(parsed.prediction_window, 1800);
   EXPECT_EQ(parsed.retrain_weeks, 2);
   EXPECT_EQ(parsed.mode, TrainingMode::kStatic);
-  EXPECT_TRUE(parsed.learner.enable_neural_net);
+  EXPECT_TRUE(parsed.learner.enable_correlation);
   EXPECT_TRUE(parsed.predictor.location_scoped);
 }
 

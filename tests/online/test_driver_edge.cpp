@@ -62,20 +62,17 @@ TEST(DriverEdge, IntervalAccountingIsConsistent) {
 TEST(DriverEdge, AllLearnersEnabledRunsEndToEnd) {
   DriverConfig config;
   config.training_weeks = 12;
-  config.learner.enable_decision_tree = true;
-  config.learner.enable_neural_net = true;
+  config.learner.enable_correlation = true;
   config.predictor.location_scoped = false;
   const auto result = DynamicDriver(config).run(testing::shared_store());
   ASSERT_FALSE(result.intervals.empty());
   EXPECT_GT(result.overall_recall(), 0.4);
-  // The classifier learners contribute timings.
-  bool saw_tree_time = false, saw_net_time = false;
+  // The correlation learner contributes timings.
+  bool saw_correlation_time = false;
   for (const auto& interval : result.intervals) {
-    saw_tree_time |= interval.train_times.decision_tree_seconds > 0.0;
-    saw_net_time |= interval.train_times.neural_net_seconds > 0.0;
+    saw_correlation_time |= interval.train_times.correlation_seconds > 0.0;
   }
-  EXPECT_TRUE(saw_tree_time);
-  EXPECT_TRUE(saw_net_time);
+  EXPECT_TRUE(saw_correlation_time);
 }
 
 TEST(DriverEdge, LocationScopedDriverRuns) {

@@ -66,16 +66,13 @@ TEST(PredictorEdge, AllRuleTypesCoexist) {
   // triggers each kind.
   const auto& store = testing::shared_store();
   meta::MetaLearnerConfig config;
-  config.enable_decision_tree = true;
-  config.enable_neural_net = true;
+  config.enable_correlation = true;
   meta::MetaLearner learner{config};
   const auto repo =
       learner.learn(testing::weeks_of(store, 0, 26), testing::kWp);
-  ASSERT_GE(repo.count_by_source(learners::RuleSource::kAssociation), 1u);
-  ASSERT_GE(repo.count_by_source(learners::RuleSource::kStatistical), 1u);
-  ASSERT_GE(repo.count_by_source(learners::RuleSource::kDistribution), 1u);
-  ASSERT_GE(repo.count_by_source(learners::RuleSource::kDecisionTree), 1u);
-  ASSERT_GE(repo.count_by_source(learners::RuleSource::kNeuralNet), 1u);
+  for (const auto source : learners::kRuleSources) {
+    ASSERT_GE(repo.count_by_source(source), 1u) << to_string(source);
+  }
 
   Predictor predictor(repo, testing::kWp);
   const auto warnings =

@@ -150,12 +150,6 @@ ReferencePredictor::ReferencePredictor(
       case learners::RuleSource::kDistribution:
         distribution_rules_.push_back(&stored);
         break;
-      case learners::RuleSource::kDecisionTree:
-        tree_rules_.push_back(&stored);
-        break;
-      case learners::RuleSource::kNeuralNet:
-        net_rules_.push_back(&stored);
-        break;
       case learners::RuleSource::kCorrelation: {
         const auto* chain = stored.rule.as_correlation();
         if (chain->chain.empty()) break;
@@ -170,9 +164,6 @@ ReferencePredictor::ReferencePredictor(
         break;
       }
     }
-  }
-  if (!tree_rules_.empty() || !net_rules_.empty()) {
-    feature_tracker_.emplace(window_);
   }
 }
 
@@ -347,7 +338,6 @@ std::vector<ReferencePredictor::Warning> ReferencePredictor::observe(
   std::vector<Warning> out;
   const TimeSec now = event.time;
   expire(now);
-  if (feature_tracker_) feature_tracker_->observe(event);
 
   const std::uint32_t midplane = midplane_of(event);
   const std::optional<bgl::Location> scope =
@@ -415,24 +405,6 @@ std::vector<ReferencePredictor::Warning> ReferencePredictor::observe(
     }
   }
 
-  if (feature_tracker_) {
-    const auto features = feature_tracker_->features();
-    for (const meta::StoredRule* stored : tree_rules_) {
-      const auto* rule = stored->rule.as_decision_tree();
-      if (rule->tree.predict(features) >= rule->probability_threshold) {
-        matched = true;
-        try_issue(out, now, *stored, std::nullopt, now + window_);
-      }
-    }
-    for (const meta::StoredRule* stored : net_rules_) {
-      const auto* rule = stored->rule.as_neural_net();
-      if (rule->net.predict(features) >= rule->probability_threshold) {
-        matched = true;
-        try_issue(out, now, *stored, std::nullopt, now + window_);
-      }
-    }
-  }
-
   if (!matched || !options_.mixture_precedence) {
     if (options_.per_scope_state) {
       const auto it = last_fatal_by_scope_.find(midplane);
@@ -448,12 +420,6 @@ std::vector<ReferencePredictor::Warning> ReferencePredictor::observe(
     last_fatal_ = now;
     if (options_.per_scope_state) last_fatal_by_scope_[midplane] = now;
     for (const meta::StoredRule* stored : distribution_rules_) {
-      erase_active(stored->id, midplane);
-    }
-    for (const meta::StoredRule* stored : tree_rules_) {
-      erase_active(stored->id, midplane);
-    }
-    for (const meta::StoredRule* stored : net_rules_) {
       erase_active(stored->id, midplane);
     }
     const auto it = by_consequent_.find(event.category);

@@ -22,7 +22,6 @@
 #include "bgl/record.hpp"
 #include "common/types.hpp"
 #include "learners/apriori.hpp"
-#include "learners/features.hpp"
 #include "meta/knowledge_repository.hpp"
 #include "predict/predictor.hpp"
 
@@ -81,9 +80,6 @@ class ReferencePredictor {
       by_consequent_;
   std::vector<const meta::StoredRule*> statistical_rules_;
   std::vector<const meta::StoredRule*> distribution_rules_;
-  std::vector<const meta::StoredRule*> tree_rules_;
-  std::vector<const meta::StoredRule*> net_rules_;
-  std::optional<learners::FeatureTracker> feature_tracker_;
 
   struct RecentEvent {
     TimeSec time;

@@ -152,8 +152,6 @@ void add_retrain_build_rows(online::TablePrinter& table,
   add_profile_row(table, "  correlation", t.correlation_seconds, -1.0);
   add_profile_row(table, "  statistical", t.statistical_seconds, -1.0);
   add_profile_row(table, "  distribution", t.distribution_seconds, -1.0);
-  add_profile_row(table, "  decision-tree", t.decision_tree_seconds, -1.0);
-  add_profile_row(table, "  neural-net", t.neural_net_seconds, -1.0);
   add_profile_row(table, "  ensemble", t.ensemble_seconds, -1.0);
   add_profile_row(table, "  revision", stats.retrain_revise_seconds, -1.0);
 }
