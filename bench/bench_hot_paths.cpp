@@ -5,7 +5,7 @@
 //     forced-scalar vs dispatched-SIMD at million-transaction scale.
 //   - Transaction building: sliding-window negative sampler vs the
 //     per-stride rescan reference.
-//   - Serving: the allocation-lean Predictor (observe_into/observe_batch)
+//   - Serving: the allocation-lean Predictor (observe/observe_batch)
 //     vs the hash-map reference predictor, at paper scale and on a
 //     ten-million-event tiled stream (--scale).
 //   - Raw kernels (--scale): and_popcount / subset_count per compiled
@@ -685,7 +685,7 @@ bool run_scale_stages(bool quick, double target, int max_reps,
       bench::min_of_reps(
           [&, out = std::vector<predict::Warning>()]() mutable {
             // One reused buffer across reps — the documented serving
-            // pattern (observe_into appends; callers own the buffer).
+            // pattern (observe_batch appends; callers own the buffer).
             out.clear();
             predict::Predictor predictor(repository, window, options);
             predictor.observe_batch(corpus.serving, out);

@@ -88,7 +88,7 @@
 /// (check hot-alloc) flags `new`, malloc-family calls, and allocating
 /// container mutations lexically inside the marked definition.  Place
 /// between the return type and the name of the *definition*:
-///   void DML_HOT Predictor::observe_into(...) { ... }
+///   void DML_HOT Predictor::observe_batch(...) { ... }
 #define DML_HOT DML_LINT_ANNOTATION("dml::hot")
 
 /// Runs on a net::Reactor event-loop thread: the body must never block.

@@ -64,6 +64,19 @@ ShardedEngineConfig sharded_config_from_driver(const DriverConfig& config,
   return sharded;
 }
 
+TimeSec resume_boundary(const DriverConfig& config, TimeSec origin) {
+  if (config.resume_week <= 0) return origin;
+  const TimeSec resume_time =
+      origin + static_cast<DurationSec>(config.resume_week) * kSecondsPerWeek;
+  const DurationSec retrain_span =
+      static_cast<DurationSec>(config.retrain_weeks) * kSecondsPerWeek;
+  TimeSec boundary =
+      origin +
+      static_cast<DurationSec>(config.training_weeks) * kSecondsPerWeek;
+  while (boundary < resume_time && retrain_span > 0) boundary += retrain_span;
+  return boundary;
+}
+
 stats::ConfusionCounts DriverResult::total_counts() const {
   stats::ConfusionCounts total;
   for (const auto& interval : intervals) total += interval.counts;
@@ -104,11 +117,16 @@ DriverResult DynamicDriver::run(const storage::EventRepository& repo) const {
   const DurationSec initial_span =
       static_cast<DurationSec>(config_.training_weeks) * kSecondsPerWeek;
 
+  // A resumed run replays from the log's first event like any other;
+  // only what it reports starts at the resume boundary.
+  const TimeSec serve_from = resume_boundary(config_, origin);
+
   std::vector<predict::Warning> warnings;
   OnlineEngine engine(engine_config(config_, initial_span, retrain_span),
                       [&](const predict::Warning& w) {
                         warnings.push_back(w);
-                        if (config_.warning_observer) {
+                        if (config_.warning_observer &&
+                            w.issued_at >= serve_from) {
                           config_.warning_observer(w);
                         }
                       });
@@ -125,40 +143,16 @@ DriverResult DynamicDriver::run(const storage::EventRepository& repo) const {
     }
   };
 
-  // Resume: cold-start the engine at the first interval boundary at or
-  // after the requested week, keeping full-run interval numbering.
-  int index = 0;
-  if (config_.resume_week > 0) {
-    const TimeSec resume_time =
-        origin +
-        static_cast<DurationSec>(config_.resume_week) * kSecondsPerWeek;
-    while (origin + initial_span +
-               static_cast<DurationSec>(index) * retrain_span <
-           resume_time) {
-      ++index;
-    }
-  }
-  const TimeSec first_test =
-      origin + initial_span + static_cast<DurationSec>(index) * retrain_span;
-  if (index > 0 && first_test < log_end) {
-    engine.cold_start(repo, first_test);
-  }
-
   // The engine anchors its boundary schedule at the first event it sees;
   // feed it the initial training span up front so boundary k lands
   // exactly at origin + initial_span + k * retrain_span.
-  std::size_t adopted = engine.retrain_log().size();
-  TimeSec fed_until = index > 0 ? first_test : origin;
-  for (TimeSec test_begin = first_test; test_begin < log_end;
+  std::size_t adopted = 0;
+  TimeSec fed_until = origin;
+  int index = 0;
+  for (TimeSec test_begin = origin + initial_span; test_begin < log_end;
        test_begin += retrain_span, ++index) {
     const TimeSec test_end = std::min<TimeSec>(test_begin + retrain_span,
                                                log_end + 1);
-    IntervalResult interval;
-    interval.index = index;
-    interval.week = static_cast<int>(week_index(test_begin, origin));
-    interval.test_begin = test_begin;
-    interval.test_end = test_end;
-
     feed(fed_until, test_begin);
     fed_until = test_begin;
 
@@ -169,9 +163,19 @@ DriverResult DynamicDriver::run(const storage::EventRepository& repo) const {
     warnings.clear();  // nothing before the boundary is scored
 
     const auto& log = engine.retrain_log();
-    if (log.size() > adopted) {
+    const bool retrained = log.size() > adopted;
+    adopted = log.size();
+    // Before the resume boundary an interval is served but not scored;
+    // the next feed() streams its events.
+    if (test_begin < serve_from) continue;
+
+    IntervalResult interval;
+    interval.index = index;
+    interval.week = static_cast<int>(week_index(test_begin, origin));
+    interval.test_begin = test_begin;
+    interval.test_end = test_end;
+    if (retrained) {
       const SnapshotBuild& build = log.back();
-      adopted = log.size();
       interval.rules_from_meta = build.rules_from_meta;
       interval.churn_meta = build.churn_meta;
       interval.churn = build.churn;
@@ -200,6 +204,8 @@ DriverResult DynamicDriver::run(const storage::EventRepository& repo) const {
     interval.per_source = evaluation.per_source;
     interval.fatal_count = evaluation.total_fatals;
     interval.warning_count = evaluation.total_warnings;
+    result.warnings.insert(result.warnings.end(), warnings.begin(),
+                           warnings.end());
 
     result.intervals.push_back(std::move(interval));
   }

@@ -10,7 +10,10 @@
 // (interval-parity tick anchoring, synchronous retraining, boundaries
 // pinned at its interval edges via advance_to), streams the log through
 // it, and scores each interval's warnings — so the train/predict/retrain
-// loop lives in the engine and nowhere else.
+// loop lives in the engine and nowhere else.  A resumed run is the same
+// replay with the intervals before the resume point left unscored, and
+// the report reads the scored warnings from DriverResult instead of
+// predicting again.
 #pragma once
 
 #include <array>
@@ -55,12 +58,13 @@ struct DriverConfig {
   /// Time the serving path inside the engine (per-event observation);
   /// surfaced as DriverResult::engine_stats.serving_seconds.
   bool profile = false;
-  /// Restartable replay: skip serving (and scoring) before this week of
-  /// the log.  The engine is cold-started at the first interval boundary
-  /// at or after it — training state is rebuilt from the repository
-  /// without per-event serving — and DriverResult then holds only the
-  /// intervals from that boundary on, with index/week numbering matching
-  /// a full run.  0 = replay everything (the default).
+  /// Restartable replay: report only from the first interval boundary at
+  /// or after this week of the log (resume_boundary).  The engine still
+  /// replays the log from its start, so everything from that boundary on
+  /// is what an uninterrupted run produces; DriverResult holds only the
+  /// intervals from the boundary on, with index/week numbering matching
+  /// a full run, and warning_observer sees only the warnings issued from
+  /// it on.  0 = report everything (the default).
   int resume_week = 0;
   /// Observer invoked for every warning the engine emits during the
   /// replay, in emission order, independent of interval scoring.
@@ -110,6 +114,9 @@ struct IntervalResult {
 
 struct DriverResult {
   std::vector<IntervalResult> intervals;
+  /// Every warning the intervals scored, in emission order (the
+  /// concatenation of each interval's test-span warnings).
+  std::vector<predict::Warning> warnings;
 
   /// Whole-replay engine accounting (records, warnings, retrain-build
   /// and — under DriverConfig::profile — serving wall time).
@@ -133,6 +140,13 @@ struct ShardedEngineConfig;  // online/sharded_engine.hpp
 ShardedEngineConfig sharded_config_from_driver(const DriverConfig& config,
                                                std::size_t shards,
                                                bool profile = false);
+
+/// Where a run resumed at `config.resume_week` starts serving: the first
+/// retraining boundary (origin + training_weeks + k * retrain_weeks) at
+/// or after that week; `origin` itself, the log's first event time, when
+/// resume_week is 0.  The one resume rule for the driver and for `dmlfp
+/// run --threads N`.
+TimeSec resume_boundary(const DriverConfig& config, TimeSec origin);
 
 class DynamicDriver {
  public:

@@ -39,14 +39,14 @@ RetrainPolicy make_retrain_policy(const OnlineEngineConfig& config) {
 
 namespace {
 
-ServingCore::Options make_serving_options(const OnlineEngineConfig& config) {
+ServingCore::Options make_serving_options(DurationSec clock_tick,
+                                          const RetrainPolicy& policy) {
   ServingCore::Options options;
-  options.clock_tick = config.clock_tick;
-  options.predictor = config.predictor;
-  options.tick_anchor = config.absolute_ticks
-                            ? ServingCore::TickAnchor::kAbsolute
-                            : ServingCore::TickAnchor::kInterval;
-  options.tick_follows_window = config.adaptive_window;
+  options.clock_tick = clock_tick;
+  options.predictor = policy.predictor;
+  options.tick_anchor = ServingCore::TickAnchor::kInterval;
+  options.tick_follows_window = policy.adaptive_window;
+  options.warm_retention = max_adoptable_window(policy);
   return options;
 }
 
@@ -58,7 +58,7 @@ OnlineEngine::OnlineEngine(OnlineEngineConfig config,
       on_warning_(std::move(on_warning)),
       pipeline_(config_.filter_threshold),
       scheduler_(make_retrain_policy(config_)),
-      serving_(make_serving_options(config_)) {}
+      serving_(make_serving_options(config_.clock_tick, scheduler_.policy())) {}
 
 OnlineEngine::~OnlineEngine() = default;
 
@@ -81,85 +81,12 @@ void OnlineEngine::consume_batch(std::span<const bgl::Event> events) {
 
 void OnlineEngine::advance_to(TimeSec t) { step(t); }
 
-void OnlineEngine::cold_start(const storage::EventRepository& repo,
-                              TimeSec serve_from) {
-  // Restart is only exact with deterministic inline builds: an async
-  // build's adoption depends on wall time unless adoption_lag pins it,
-  // and a fresh replay has no way to reproduce the race.
-  DML_CHECK(!config_.async_retrain);
-  DML_CHECK(session_.records_consumed == 0 &&
-            session_.events_after_filtering == 0);
-  if (repo.empty() || serve_from <= repo.first_time()) return;
-
-  // Event time of the last adopt/refresh — serving state older than
-  // this was discarded by the rebuild, so only the tail needs
-  // re-observing.  No rebuild => predictor never existed => no tail.
-  std::optional<TimeSec> last_rebuild;
-  const auto silent_step = [&](TimeSec t) {
-    now_ = std::max(now_, t);
-    if (const auto boundary = scheduler_.boundary_due(t)) {
-      const auto action = scheduler_.fire(*boundary);
-      if (action == RetrainScheduler::BoundaryAction::kRefresh) {
-        const auto warm = warm_tail(*boundary, serving_.window());
-        serving_.refresh(*boundary, warm, scratch_);
-        last_rebuild = *boundary;
-      }
-    }
-    if (auto build = scheduler_.poll(now_)) {
-      last_rebuild = build->activate_at;
-      adopt(std::move(*build));
-    }
-    scratch_.clear();  // nothing before serve_from is ever emitted
-  };
-
-  auto cursor = repo.scan(repo.first_time(), serve_from);
-  std::vector<bgl::Event> batch;
-  while (true) {
-    batch.clear();
-    if (cursor->next(batch, storage::kDefaultScanBatch) == 0) break;
-    for (const bgl::Event& event : batch) {
-      silent_step(event.time);
-      scheduler_.observe(event);
-      ++session_.cold_start_events;
-    }
-  }
-  // Fire boundaries strictly before serve_from; one exactly at
-  // serve_from belongs to the resumed session (advance_to will run it).
-  silent_step(serve_from - 1);
-
-  // Re-observe the serving tail from the scheduler's history so the
-  // predictor's window state, dedup memory and tick cursor match a
-  // live engine at serve_from.  Interleaving advance+observe mirrors
-  // the live step()/observe() order; warnings are discarded.
-  if (last_rebuild.has_value()) {
-    for (const auto& event : scheduler_.history()) {
-      if (event.time < *last_rebuild) continue;
-      serving_.advance(event.time, scratch_);
-      serving_.observe(event, scratch_);
-      scratch_.clear();
-    }
-  }
-}
-
-std::vector<bgl::Event> OnlineEngine::warm_tail(TimeSec at,
-                                                DurationSec window) const {
-  const auto& history = scheduler_.history();
-  std::vector<bgl::Event> warm;
-  for (auto it = history.rbegin(); it != history.rend(); ++it) {
-    if (it->time < at - window) break;
-    warm.push_back(*it);
-  }
-  std::reverse(warm.begin(), warm.end());
-  return warm;
-}
-
 void OnlineEngine::adopt(SnapshotBuild build) {
   // Snapshot epoch ordering: adoptions land in nondecreasing event
   // time, so the retrain log reads as the serving timeline.
   DML_DCHECK(retrain_log_.empty() ||
              retrain_log_.back().activate_at <= build.activate_at);
-  const auto warm = warm_tail(build.activate_at, build.window);
-  serving_.adopt(build, warm, scratch_);
+  serving_.adopt(build, scratch_);
   retrain_log_.push_back(std::move(build));
 }
 
@@ -168,8 +95,7 @@ void OnlineEngine::step(TimeSec t) {
   if (const auto boundary = scheduler_.boundary_due(t)) {
     const auto action = scheduler_.fire(*boundary);
     if (action == RetrainScheduler::BoundaryAction::kRefresh) {
-      const auto warm = warm_tail(*boundary, serving_.window());
-      serving_.refresh(*boundary, warm, scratch_);
+      serving_.refresh(*boundary, scratch_);
     }
   }
   if (auto build = scheduler_.poll(now_)) adopt(std::move(*build));
@@ -198,8 +124,7 @@ void OnlineEngine::retrain_now() {
   if (!scheduler_.build_in_flight()) {
     const auto action = scheduler_.fire(now_);
     if (action == RetrainScheduler::BoundaryAction::kRefresh) {
-      const auto warm = warm_tail(now_, serving_.window());
-      serving_.refresh(now_, warm, scratch_);
+      serving_.refresh(now_, scratch_);
     }
   }
   if (auto build = scheduler_.join(now_)) adopt(std::move(*build));

@@ -12,7 +12,9 @@
 //   while (auto record = reader.next()) engine.consume(*record);
 //
 // DynamicDriver::run() replays a whole log through this same object, so
-// the train/predict/retrain loop exists exactly once.
+// the train/predict/retrain loop exists exactly once.  A resumed replay
+// runs the same loop from the start of the log and discards what it
+// served before the resume point (DriverConfig::resume_week).
 #pragma once
 
 #include <functional>
@@ -22,7 +24,6 @@
 #include "online/retraining.hpp"
 #include "online/serving.hpp"
 #include "preprocess/streaming_pipeline.hpp"
-#include "storage/event_repository.hpp"
 
 namespace dml::online {
 
@@ -89,9 +90,6 @@ struct OnlineEngineConfig {
   /// Event-time lag from boundary to adoption in async mode; see
   /// RetrainPolicy::adoption_lag.
   DurationSec adoption_lag = 0;
-  /// Tick on the absolute grid first-adoption + k * clock_tick instead
-  /// of re-anchoring per adoption; see ServingCore::TickAnchor.
-  bool absolute_ticks = false;
   /// Time the serving path (SessionStats::serving_seconds).  Off by
   /// default: the per-event clock reads are cheap but not free.
   bool profile = false;
@@ -125,24 +123,6 @@ class OnlineEngine {
   /// consumed (DESIGN.md §13).  Replay loops use this to cross the
   /// engine boundary once per buffer instead of once per event.
   void consume_batch(std::span<const bgl::Event> events);
-
-  /// Restart path: brings a freshly constructed engine to the exact
-  /// state a live engine would hold just before serving event time
-  /// `serve_from`, reading history straight from the repository.
-  ///
-  /// Events in [repo.first_time(), serve_from) are replayed through the
-  /// retraining schedule only — every boundary fires and every snapshot
-  /// is adopted just as live, but per-event serving is skipped, which is
-  /// sound because adoption/refresh rebuilds the predictor from scratch.
-  /// The serving tail since the last rebuild is then re-observed from
-  /// the scheduler's history (its warnings discarded), so predictor
-  /// window state, deduplication and tick grid all match a live engine.
-  /// Warnings emitted from serve_from on are byte-identical to an
-  /// uninterrupted replay.
-  ///
-  /// Must be called on a fresh engine (nothing consumed) with
-  /// synchronous retraining; categorized-event repositories only.
-  void cold_start(const storage::EventRepository& repo, TimeSec serve_from);
 
   /// Advances the engine clock without an event: fires any due
   /// retraining boundary, adopts finished builds, and runs ticks due
@@ -206,8 +186,9 @@ class OnlineEngine {
     /// observation).  Only measured when OnlineEngineConfig::profile is
     /// set; 0 otherwise.
     double serving_seconds = 0.0;
-    /// Events replayed without serving by cold_start() before the
-    /// session began (not counted in records_consumed).
+    /// Events ShardedEngine::cold_start() replayed with their warnings
+    /// suppressed before the session began (not counted in
+    /// records_consumed); always 0 for OnlineEngine.
     std::uint64_t cold_start_events = 0;
     /// Log-I/O accounting of the backing EventRepository, filled by
     /// owners that replay from one (DynamicDriver::run, `dmlfp run
@@ -229,7 +210,6 @@ class OnlineEngine {
   void step(TimeSec t);
   void observe(const bgl::Event& event);
   void adopt(SnapshotBuild build);
-  std::vector<bgl::Event> warm_tail(TimeSec at, DurationSec window) const;
   void emit();
 
   OnlineEngineConfig config_;

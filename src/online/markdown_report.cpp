@@ -5,11 +5,8 @@
 #include <vector>
 
 #include "common/civil_time.hpp"
-#include "meta/meta_learner.hpp"
 #include "online/report.hpp"
 #include "predict/analysis.hpp"
-#include "predict/predictor.hpp"
-#include "predict/reviser.hpp"
 #include "stats/bootstrap.hpp"
 
 namespace dml::online {
@@ -31,12 +28,14 @@ std::string f2(double value) {
 
 void write_markdown_report(std::ostream& out, const DriverConfig& config,
                            const DriverResult& result,
-                           const logio::EventStore& store,
+                           const storage::EventRepository& repo,
                            const ReportOptions& options) {
+  const std::size_t failures =
+      repo.fatal_count_between(repo.first_time(), repo.last_time() + 1);
   out << "# " << options.title << "\n\n";
-  out << "- log span: " << format_timestamp(store.first_time()) << " to "
-      << format_timestamp(store.last_time()) << " (" << store.size()
-      << " events, " << store.fatal_times().size() << " failures)\n";
+  out << "- log span: " << format_timestamp(repo.first_time()) << " to "
+      << format_timestamp(repo.last_time()) << " (" << repo.size()
+      << " events, " << failures << " failures)\n";
   out << "- mode: " << to_string(config.mode) << ", training "
       << config.training_weeks << " wk, retrain every "
       << config.retrain_weeks << " wk, window " << config.prediction_window
@@ -91,45 +90,13 @@ void write_markdown_report(std::ostream& out, const DriverConfig& config,
 
   if (!options.include_lead_times) return;
 
-  // Operational analysis over the whole test span: retrain per interval,
-  // replay, and pool warnings — mirrors what the driver did.
+  // Operational analysis of the warnings the driver scored, over the
+  // whole test span.
   out << "## Operational analysis (test span replay)\n\n";
-  const meta::MetaLearner learner(config.learner);
-  std::vector<predict::Warning> warnings;
-  const TimeSec origin = store.first_time();
-  for (const auto& interval : result.intervals) {
-    TimeSec train_begin = origin;
-    TimeSec train_end = interval.test_begin;
-    if (config.mode == TrainingMode::kSlidingWindow) {
-      train_begin = std::max<TimeSec>(
-          origin, interval.test_begin -
-                      static_cast<DurationSec>(config.training_weeks) *
-                          kSecondsPerWeek);
-    } else if (config.mode == TrainingMode::kStatic) {
-      train_end = origin + static_cast<DurationSec>(config.training_weeks) *
-                               kSecondsPerWeek;
-    }
-    const DurationSec window = interval.window_used > 0
-                                   ? interval.window_used
-                                   : config.prediction_window;
-    auto repository =
-        learner.learn(store.between(train_begin, train_end), window);
-    if (config.use_reviser) {
-      predict::revise(repository, store.between(train_begin, train_end),
-                      window, config.reviser);
-    }
-    predict::Predictor predictor(repository, window, config.predictor);
-    for (const auto& event :
-         store.between(interval.test_begin - window, interval.test_begin)) {
-      predictor.observe(event);
-    }
-    auto issued = predictor.run(
-        store.between(interval.test_begin, interval.test_end), window);
-    warnings.insert(warnings.end(), issued.begin(), issued.end());
-  }
-  const auto test_events = store.between(result.intervals.front().test_begin,
-                                         result.intervals.back().test_end);
-  const auto leads = predict::lead_time_stats(test_events, warnings,
+  const TimeSec test_begin = result.intervals.front().test_begin;
+  const TimeSec test_end = result.intervals.back().test_end;
+  const auto test_events = storage::materialize(repo, test_begin, test_end);
+  const auto leads = predict::lead_time_stats(test_events, result.warnings,
                                               config.prediction_window);
   out << "- covered failures: " << leads.matched_warnings << "\n";
   char lead_line[160];
@@ -141,7 +108,7 @@ void write_markdown_report(std::ostream& out, const DriverConfig& config,
   out << lead_line;
 
   const auto accuracy = predict::per_category_accuracy(
-      test_events, warnings, config.prediction_window);
+      test_events, result.warnings, config.prediction_window);
   out << "\n| failure category | failures | recall |\n|---|---|---|\n";
   const std::size_t top = std::min(options.top_categories, accuracy.size());
   for (std::size_t i = 0; i < top; ++i) {

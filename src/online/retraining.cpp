@@ -100,6 +100,16 @@ std::string_view to_string(TrainingMode mode) {
   return "unknown";
 }
 
+DurationSec max_adoptable_window(const RetrainPolicy& policy) {
+  DurationSec window = policy.prediction_window;
+  if (policy.adaptive_window) {
+    for (const DurationSec candidate : policy.window_candidates) {
+      window = std::max(window, candidate);
+    }
+  }
+  return window;
+}
+
 RetrainScheduler::RetrainScheduler(RetrainPolicy policy)
     : policy_(std::move(policy)),
       window_(policy_.prediction_window),

@@ -1,5 +1,6 @@
 // Retraining scheduling and snapshot building — the "learn" half of the
-// serving core, shared by OnlineEngine, ShardedEngine and DynamicDriver.
+// serving core, shared by OnlineEngine and ShardedEngine (DynamicDriver
+// replays through OnlineEngine).
 //
 // The scheduler owns the bounded event history, decides *when* a
 // retraining boundary is due (event time, anchored at the first observed
@@ -9,7 +10,8 @@
 // (paper Table 5, Observation #8).  Adoption of an asynchronous build is
 // still expressed in *event* time (`adoption_lag`), which keeps a replay
 // bit-for-bit reproducible even though the build itself raced the
-// stream.
+// stream.  The history is training input only: the serving side warms
+// each fresh predictor from its own trailing buffer (ServingCore).
 #pragma once
 
 #include <deque>
@@ -80,6 +82,12 @@ struct RetrainPolicy {
   /// Wall-clock backoff before each retry, doubling per attempt.
   std::uint32_t retry_backoff_ms = 10;
 };
+
+/// The largest prediction window a build under `policy` can adopt: the
+/// configured window, or the largest candidate in adaptive mode.  The
+/// serving side keeps this much trailing history to warm every fresh
+/// predictor (ServingCore::Options::warm_retention).
+DurationSec max_adoptable_window(const RetrainPolicy& policy);
 
 /// One finished retraining: the frozen rule set plus the bookkeeping the
 /// driver reports per interval (Figure 12 churn, Table 5 timings).
@@ -170,7 +178,6 @@ class RetrainScheduler {
   bool build_in_flight() const;
   const RetrainPolicy& policy() const { return policy_; }
   std::size_t history_size() const { return history_.size(); }
-  const std::deque<bgl::Event>& history() const { return history_; }
   /// Prediction window currently in force (moves in adaptive mode).
   DurationSec current_window() const { return window_; }
   /// Number of trainings actually scheduled/run (gate passes).

@@ -9,23 +9,23 @@ ServingCore::ServingCore(Options options)
       snapshot_(meta::empty_snapshot()),
       window_(300) {}
 
-void ServingCore::rebuild_predictor(TimeSec at,
-                                    std::span<const bgl::Event> warm) {
+void ServingCore::rebuild_predictor(TimeSec at) {
   predictor_ = std::make_unique<predict::Predictor>(*snapshot_, window_,
                                                     options_.predictor);
   // Warm the fresh predictor's window state on the trailing history so
   // in-flight patterns survive the swap; warm-up warnings are discarded.
-  discard_.clear();
-  for (const auto& event : warm) {
+  warm_scratch_.clear();
+  for (const bgl::Event& event : warm_buffer_) {
     if (event.time >= at - window_ && event.time < at) {
-      predictor_->observe_into(event, discard_);
+      warm_scratch_.push_back(event);
     }
   }
+  discard_.clear();
+  predictor_->observe_batch(warm_scratch_, discard_);
   discard_.clear();
 }
 
 void ServingCore::adopt(const SnapshotBuild& build,
-                        std::span<const bgl::Event> warm_override,
                         std::vector<predict::Warning>& out) {
   if (options_.tick_anchor == TickAnchor::kAbsolute) {
     // Ticks due before the activation instant fire on the old rules; a
@@ -38,37 +38,24 @@ void ServingCore::adopt(const SnapshotBuild& build,
   }
   snapshot_ = build.repository;
   window_ = build.window;
-  rebuild_predictor(build.activate_at, warm_override);
+  rebuild_predictor(build.activate_at);
   if (options_.tick_anchor == TickAnchor::kAbsolute && !next_tick_ &&
       tick_interval() > 0) {
     next_tick_ = build.activate_at + tick_interval();
   }
 }
 
-void ServingCore::adopt(const SnapshotBuild& build,
-                        std::vector<predict::Warning>& out) {
-  warm_scratch_.assign(warm_buffer_.begin(), warm_buffer_.end());
-  adopt(build, warm_scratch_, out);
-}
-
-void ServingCore::refresh(TimeSec at,
-                          std::span<const bgl::Event> warm_override,
-                          std::vector<predict::Warning>& out) {
+void ServingCore::refresh(TimeSec at, std::vector<predict::Warning>& out) {
   if (options_.tick_anchor == TickAnchor::kAbsolute) {
     advance(at, out);
   } else {
     next_tick_.reset();
   }
-  rebuild_predictor(at, warm_override);
+  rebuild_predictor(at);
   if (options_.tick_anchor == TickAnchor::kAbsolute && !next_tick_ &&
       tick_interval() > 0) {
     next_tick_ = at + tick_interval();
   }
-}
-
-void ServingCore::refresh(TimeSec at, std::vector<predict::Warning>& out) {
-  warm_scratch_.assign(warm_buffer_.begin(), warm_buffer_.end());
-  refresh(at, warm_scratch_, out);
 }
 
 void ServingCore::advance(TimeSec t, std::vector<predict::Warning>& out) {
@@ -90,7 +77,7 @@ void ServingCore::observe(const bgl::Event& event,
     next_tick_ = event.time + tick_interval();
   }
   if (predictor_) {
-    predictor_->observe_into(event, out);
+    predictor_->observe_batch({&event, 1}, out);
   }
   if (options_.warm_retention > 0) {
     warm_buffer_.push_back(event);

@@ -3,7 +3,9 @@
 // RetrainScheduler, and drives the PD expert's clock ticks.  This is the
 // single implementation of the per-event serving loop; OnlineEngine runs
 // one, ShardedEngine runs one per shard, and DynamicDriver replays
-// through OnlineEngine.
+// through OnlineEngine.  It keeps its own trailing buffer of the events
+// it observed and warms every fresh predictor from it, so an owner only
+// sizes the buffer (max_adoptable_window) and never supplies history.
 //
 // Two tick-anchoring disciplines are supported:
 //  - kInterval (replay parity): ticks re-anchor at the first event after
@@ -39,32 +41,27 @@ class ServingCore {
     /// Ticks fire every `window` of the adopted snapshot instead of
     /// clock_tick (the adaptive-window driver's replay semantics).
     bool tick_follows_window = false;
-    /// Trailing event-time span buffered internally for warming fresh
-    /// predictors at adoption.  0 = no internal buffer; the owner must
-    /// provide warm history via adopt()'s `warm` argument instead.
+    /// Trailing event-time span of observed events kept for warming fresh
+    /// predictors; must cover the largest window a build can adopt
+    /// (max_adoptable_window).  0 keeps nothing: fresh predictors start
+    /// cold.
     DurationSec warm_retention = 0;
   };
 
   explicit ServingCore(Options options);
 
   /// Adopts a finished build at build.activate_at: publishes the
-  /// snapshot, rebuilds the predictor, warms its window state on `warm`
-  /// (events in [activate_at - window, activate_at), oldest first;
-  /// warm-up warnings are discarded) and re-anchors or preserves the
-  /// tick grid per the anchoring discipline.  In kAbsolute mode, ticks
-  /// still pending before the activation instant fire first (into
-  /// `out`).
-  void adopt(const SnapshotBuild& build,
-             std::span<const bgl::Event> warm_override,
-             std::vector<predict::Warning>& out);
-  /// Same, warming from the internal warm_retention buffer.
+  /// snapshot, rebuilds the predictor, warms its window state on the
+  /// buffered events in [activate_at - window, activate_at) (warm-up
+  /// warnings are discarded) and re-anchors or preserves the tick grid
+  /// per the anchoring discipline.  In kAbsolute mode, ticks still
+  /// pending before the activation instant fire first (into `out`).
   void adopt(const SnapshotBuild& build, std::vector<predict::Warning>& out);
 
   /// Static-mode boundary: same rules, fresh predictor (window state
-  /// rebuilt, deduplication cleared, ticks re-anchored) — the batch
-  /// driver's fresh-Predictor-per-interval semantics.
-  void refresh(TimeSec at, std::span<const bgl::Event> warm_override,
-               std::vector<predict::Warning>& out);
+  /// rebuilt and warmed as in adopt(), deduplication cleared, ticks
+  /// re-anchored) — the batch driver's fresh-Predictor-per-interval
+  /// semantics.
   void refresh(TimeSec at, std::vector<predict::Warning>& out);
 
   /// Fires every tick due strictly before event time t.
@@ -89,7 +86,7 @@ class ServingCore {
   DurationSec window() const { return window_; }
 
  private:
-  void rebuild_predictor(TimeSec at, std::span<const bgl::Event> warm);
+  void rebuild_predictor(TimeSec at);
   DurationSec tick_interval() const {
     return options_.tick_follows_window ? window_ : options_.clock_tick;
   }
@@ -99,11 +96,11 @@ class ServingCore {
   DurationSec window_;
   std::unique_ptr<predict::Predictor> predictor_;
   std::optional<TimeSec> next_tick_;
-  /// Scratch for adoption warm-up (events copied from the caller's span
-  /// or the internal buffer) and for its discarded warm-up warnings.
+  /// Scratch for adoption warm-up: the buffered events inside the new
+  /// predictor's window, and its discarded warm-up warnings.
   std::vector<bgl::Event> warm_scratch_;
   std::vector<predict::Warning> discard_;
-  /// Internal trailing-event buffer (warm_retention > 0).
+  /// Observed events of the last warm_retention seconds, oldest first.
   std::deque<bgl::Event> warm_buffer_;
 };
 

@@ -20,13 +20,12 @@ namespace dml::online {
 namespace {
 
 /// Messages flowing producer -> shard worker, in time order per shard.
-struct EventMsg {
-  bgl::Event event;
-};
-/// A time-ordered run of events for one shard — feed_batch()'s
-/// amortization: one queue handoff (one lock/notify) per run instead of
-/// per event.  Workers serve the run event by event, so failpoint and
-/// quarantine behaviour are indistinguishable from a run of EventMsg.
+///
+/// A time-ordered run of events for one shard: one queue handoff (one
+/// lock/notify) per run — a whole consume_batch() slice, or the single
+/// event of a consume() call.  Workers serve the run event by event, so
+/// failpoint and quarantine behaviour do not depend on how the stream
+/// was cut into runs.
 struct EventBatchMsg {
   std::vector<bgl::Event> events;
 };
@@ -42,8 +41,7 @@ struct FlushMsg {
   /// to it (heartbeat / end of stream).
   TimeSec to = 0;
 };
-using Message =
-    std::variant<EventMsg, EventBatchMsg, AdoptMsg, RefreshMsg, FlushMsg>;
+using Message = std::variant<EventBatchMsg, AdoptMsg, RefreshMsg, FlushMsg>;
 
 /// Single-producer single-consumer bounded queue.  push() blocks when
 /// full — that is the backpressure contract: a slow shard throttles the
@@ -218,15 +216,7 @@ ServingCore::Options sharded_serving_options(DurationSec clock_tick,
   // which events it happens to receive.
   options.tick_anchor = ServingCore::TickAnchor::kAbsolute;
   options.tick_follows_window = false;
-  // Each shard warms fresh predictors from its own trailing buffer; keep
-  // the largest window a build could adopt.
-  DurationSec retention = policy.prediction_window;
-  if (policy.adaptive_window) {
-    for (const auto candidate : policy.window_candidates) {
-      retention = std::max(retention, candidate);
-    }
-  }
-  options.warm_retention = retention;
+  options.warm_retention = max_adoptable_window(policy);
   return options;
 }
 
@@ -275,7 +265,7 @@ std::size_t ShardedEngine::shard_of(const bgl::Event& event) const {
 
 void ShardedEngine::consume(const bgl::RasRecord& record) {
   ++records_consumed_;
-  if (auto event = pipeline_.push(record)) feed(*event);
+  if (auto event = pipeline_.push(record)) feed_batch({&*event, 1});
 }
 
 void ShardedEngine::cold_start(const storage::EventRepository& repo,
@@ -295,7 +285,7 @@ void ShardedEngine::cold_start(const storage::EventRepository& repo,
 
 void ShardedEngine::consume(const bgl::Event& event) {
   ++records_consumed_;
-  feed(event);
+  feed_batch({&event, 1});
 }
 
 void ShardedEngine::consume_batch(std::span<const bgl::Event> events) {
@@ -319,9 +309,10 @@ void DML_HOT ShardedEngine::feed_batch(std::span<const bgl::Event> events) {
   }
   try {
     for (const bgl::Event& event : events) {
-      // Same per-event sequence as feed(): the `engine.feed` failpoint
-      // fires once per event, and schedule decisions happen at the same
-      // stream positions.  Only the final queue handoff is batched.
+      // Fault injection, once per event: `engine.feed` drop/corrupt
+      // discards the event before it reaches the scheduler or any shard
+      // (a counted skip); throw propagates to the producer, delay stalls
+      // it.  Only the queue handoff is per run.
       switch (common::failpoint(common::failpoints::kEngineFeed)) {
         case common::FailAction::kDrop:
         case common::FailAction::kCorrupt:
@@ -331,11 +322,13 @@ void DML_HOT ShardedEngine::feed_batch(std::span<const bgl::Event> events) {
           break;
       }
       const TimeSec t = event.time;
+      // Boundary/adoption decisions happen on the producer so every shard
+      // sees them at the same position in its event sequence.
       if (const auto boundary = scheduler_.boundary_due(t)) {
         const auto action = scheduler_.fire(*boundary);
         if (action == RetrainScheduler::BoundaryAction::kRefresh) {
           // Control messages follow the events that preceded them in
-          // every shard's queue, exactly as the serial path orders them.
+          // every shard's queue.
           flush_feed_runs();
           for (auto& shard : shards_) {
             DML_ALLOW_ALLOC("control-plane handoff at a retrain boundary "
@@ -364,13 +357,14 @@ void DML_HOT ShardedEngine::feed_batch(std::span<const bgl::Event> events) {
       }
       scheduler_.observe(event);
       last_event_time_ = std::max(last_event_time_, t);
-      DML_ALLOW_ALLOC("run buffers retain capacity across batches; the "
-                      "append is amortized O(1) with no steady-state growth");
+      DML_ALLOW_ALLOC("a run's buffer moves into its queue message: one "
+                      "allocation per run (per event for consume()), "
+                      "amortized O(1) appends within it");
       feed_runs_[shard_of(event)].push_back(event);
     }
   } catch (...) {
-    // A throw (engine.feed failpoint) must leave the prefix fed, as the
-    // serial path would: hand over what is buffered, then propagate.
+    // A throw (engine.feed failpoint) leaves exactly the prefix before
+    // it fed: hand over what is buffered, then propagate.
     flush_feed_runs();
     throw;
   }
@@ -391,42 +385,6 @@ void ShardedEngine::broadcast_heartbeats(TimeSec t) {
   }
 }
 
-void ShardedEngine::feed(const bgl::Event& event) {
-  // Fault injection: `engine.feed` drop/corrupt discards the event
-  // before it reaches the scheduler or any shard (a counted skip);
-  // throw propagates to the producer, delay stalls it.
-  switch (common::failpoint(common::failpoints::kEngineFeed)) {
-    case common::FailAction::kDrop:
-    case common::FailAction::kCorrupt:
-      ++feed_rejected_;
-      return;
-    default:
-      break;
-  }
-  const TimeSec t = event.time;
-  // Boundary/adoption decisions happen on the producer so every shard
-  // sees them at the same position in its event sequence.
-  if (const auto boundary = scheduler_.boundary_due(t)) {
-    const auto action = scheduler_.fire(*boundary);
-    if (action == RetrainScheduler::BoundaryAction::kRefresh) {
-      for (auto& shard : shards_) shard->queue.push(RefreshMsg{*boundary});
-    }
-  }
-  if (auto build = scheduler_.poll(t)) {
-    auto shared = std::make_shared<const SnapshotBuild>(std::move(*build));
-    retrain_build_seconds_ +=
-        shared->train_times.total_seconds() + shared->revise_seconds;
-    retrain_train_times_ += shared->train_times;
-    retrain_revise_seconds_ += shared->revise_seconds;
-    publisher_.store(shared->repository);
-    for (auto& shard : shards_) shard->queue.push(AdoptMsg{shared});
-  }
-  broadcast_heartbeats(t);
-  scheduler_.observe(event);
-  last_event_time_ = std::max(last_event_time_, t);
-  shards_[shard_of(event)]->queue.push(EventMsg{event});
-}
-
 void ShardedEngine::note_quarantine(std::size_t index, TimeSec at,
                                     std::string what) {
   common::MutexLock lock(quarantine_mutex_);
@@ -441,19 +399,22 @@ void ShardedEngine::worker(std::size_t index) {
   std::vector<Message> batch;
   std::vector<predict::Warning> out;
   TimeSec watermark = std::numeric_limits<TimeSec>::min();
-  // Advances the watermark without serving — the quarantine drain: the
+  // The quarantine drain advances the watermark without serving: the
   // merged stream (and the producer, via backpressure relief) must keep
-  // moving even when this shard has stopped serving.
-  const auto drain = [&](const Message& message) {
-    if (const auto* msg = std::get_if<EventMsg>(&message)) {
-      watermark = std::max(watermark, msg->event.time);
-      shard.rejected.fetch_add(1, std::memory_order_relaxed);
-    } else if (const auto* flush = std::get_if<FlushMsg>(&message)) {
+  // moving even when this shard has stopped serving.  Drained events
+  // count as rejected; of the control messages only a flush moves the
+  // watermark.
+  const auto drain_event = [&](const bgl::Event& event) {
+    watermark = std::max(watermark, event.time);
+    shard.rejected.fetch_add(1, std::memory_order_relaxed);
+  };
+  const auto drain_control = [&](const Message& message) {
+    if (const auto* flush = std::get_if<FlushMsg>(&message)) {
       watermark = std::max(watermark, flush->to);
     }
   };
-  // One event of an EventMsg or EventBatchMsg, exactly the per-event
-  // sequence: failpoint, then serve, then counters and watermark.
+  // One event of a run, exactly the per-event sequence: failpoint, then
+  // serve, then counters and watermark.
   const auto serve_event = [&](const bgl::Event& event) {
     // Fault injection: throw quarantines this shard, delay stalls
     // its queue (backpressure), drop skips the event (counted).
@@ -471,21 +432,17 @@ void ShardedEngine::worker(std::size_t index) {
     }
     watermark = std::max(watermark, event.time);
   };
-  const auto drain_event = [&](const bgl::Event& event) {
-    watermark = std::max(watermark, event.time);
-    shard.rejected.fetch_add(1, std::memory_order_relaxed);
-  };
   // Quarantine bookkeeping happens after the faulting unit is drained,
-  // so the recorded watermark covers it (matching the serial path).
+  // so the recorded watermark covers it.
   const auto quarantine = [&](const std::string& what) {
     note_quarantine(index, watermark, what);
   };
   while (shard.queue.pop_all(batch)) {
     const auto start = std::chrono::steady_clock::now();
     for (auto& message : batch) {
-      // A batched run is served event by event so a throw mid-run
-      // quarantines at the faulting event and drains only the rest —
-      // indistinguishable from the same run of single EventMsg.
+      // A run is served event by event, so a throw mid-run quarantines
+      // at the faulting event and drains only the rest — however the
+      // stream was cut into runs.
       if (auto* run = std::get_if<EventBatchMsg>(&message)) {
         for (const bgl::Event& event : run->events) {
           if (shard.error) {
@@ -509,13 +466,11 @@ void ShardedEngine::worker(std::size_t index) {
         continue;
       }
       if (shard.error) {
-        drain(message);
+        drain_control(message);
         continue;
       }
       try {
-        if (auto* msg = std::get_if<EventMsg>(&message)) {
-          serve_event(msg->event);
-        } else if (auto* adopt = std::get_if<AdoptMsg>(&message)) {
+        if (auto* adopt = std::get_if<AdoptMsg>(&message)) {
           core.adopt(*adopt->build, out);
         } else if (auto* refresh = std::get_if<RefreshMsg>(&message)) {
           core.refresh(refresh->at, out);
@@ -526,12 +481,12 @@ void ShardedEngine::worker(std::size_t index) {
       } catch (const std::exception& e) {
         shard.error = std::current_exception();
         out.clear();
-        drain(message);
+        drain_control(message);
         quarantine(e.what());
       } catch (...) {
         shard.error = std::current_exception();
         out.clear();
-        drain(message);
+        drain_control(message);
         quarantine("unknown exception");
       }
     }

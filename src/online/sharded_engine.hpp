@@ -29,6 +29,7 @@
 #include "common/annotations.hpp"
 #include "meta/snapshot.hpp"
 #include "online/engine.hpp"
+#include "storage/event_repository.hpp"
 
 namespace dml::online {
 
@@ -73,21 +74,25 @@ class ShardedEngine {
 
   /// Producer side; records must arrive in time order.  Blocks only on
   /// shard backpressure (and, in deterministic-adoption mode, when the
-  /// stream reaches an adoption point before the build finished).
+  /// stream reaches an adoption point before the build finished).  An
+  /// event that survives preprocessing reaches its shard as a run of
+  /// one: consume_batch() of a single event.
   void consume(const bgl::RasRecord& record);
   void consume(const bgl::Event& event);
 
   /// Feeds a time-ordered run of categorized events with per-shard
-  /// queue handoffs amortized: each shard receives its events as one
-  /// batch message per run instead of one message per event.  The
-  /// merged warning multiset, schedule decisions, failpoint evaluation
-  /// sequence and backpressure contract are identical to consuming the
-  /// events one by one (DESIGN.md §13).
+  /// queue handoffs amortized: each shard receives its part of the run
+  /// as one message instead of one message per event.  The merged
+  /// warning multiset, schedule decisions, failpoint evaluation sequence
+  /// and backpressure contract are identical to consuming the events one
+  /// by one (DESIGN.md §13).
   void consume_batch(std::span<const bgl::Event> events);
 
-  /// Restart path: replays [repo.first_time(), serve_from) through the
-  /// normal concurrent pipeline — same schedule, same shard state — with
-  /// every warning issued before serve_from suppressed at the merger.
+  /// Restart path — the only cold start (the single-threaded driver
+  /// resumes by replaying from the start instead): replays
+  /// [repo.first_time(), serve_from) through the normal concurrent
+  /// pipeline — same schedule, same shard state — with every warning
+  /// issued before serve_from suppressed at the merger.
   /// After it returns, keep consuming from serve_from; the post-resume
   /// warning multiset matches an uninterrupted run (the shard-count
   /// invariance argument, applied to a time-split of one stream).
@@ -131,7 +136,8 @@ class ShardedEngine {
   class WarningMerger;
 
   SessionStats collect_stats() const;
-  void feed(const bgl::Event& event);
+  /// The one producer path: every consume() call hands its events here
+  /// (a run of one for the single-event forms).
   void feed_batch(std::span<const bgl::Event> events);
   /// Hands every buffered per-shard run to its queue (feed_batch).
   void flush_feed_runs();

@@ -455,18 +455,9 @@ void DML_HOT Predictor::observe_impl(const bgl::Event& event,
   }
 }
 
-void DML_HOT Predictor::observe_into(const bgl::Event& event,
-                             std::vector<Warning>& out) {
-  if (scoped()) {
-    observe_impl<true>(event, out);
-  } else {
-    observe_impl<false>(event, out);
-  }
-}
-
 std::vector<Warning> Predictor::observe(const bgl::Event& event) {
   std::vector<Warning> out;
-  observe_into(event, out);
+  observe_batch({&event, 1}, out);
   return out;
 }
 
@@ -488,8 +479,8 @@ void DML_HOT Predictor::observe_batch(std::span<const bgl::Event> events,
   // ignores its category, and the distribution expert cannot fire
   // before the horizon.  Deferring expire() is sound because pops are
   // monotone in `now` and every state read (antecedent walk, fatal
-  // count, distribution check) re-runs expire first, so the serial and
-  // batched paths stay bit-identical (DESIGN.md §13).
+  // count, distribution check) re-runs expire first, so every split of a
+  // stream into batches stays bit-identical (DESIGN.md §13).
   const std::uint8_t* has_rules = category_has_rules_.data();
   const std::size_t n_categories = category_has_rules_.size();
   for (const bgl::Event& event : events) {
@@ -524,7 +515,7 @@ std::vector<Warning> Predictor::run(std::span<const bgl::Event> events,
         *next_tick += tick_interval;
       }
     }
-    observe_into(event, all);
+    observe_batch({&event, 1}, all);
   }
   return all;
 }

@@ -16,7 +16,7 @@
 // counts / active-warning deadlines live in open-addressing flat maps
 // (common/flat_map.hpp), per-midplane fatal counts are maintained
 // incrementally instead of re-scanning the fatal window on every
-// failure, and observe_into() appends to a caller-owned warning buffer
+// failure, and observe_batch() appends to a caller-owned warning buffer
 // so a serving loop allocates nothing per event.
 #pragma once
 
@@ -86,25 +86,22 @@ class Predictor {
   Predictor(const meta::KnowledgeRepository& repository, DurationSec window,
             PredictorOptions options = {});
 
-  /// Feeds one event (events must arrive in non-decreasing time order);
-  /// appends the warnings it triggered to `out` (which is NOT cleared —
-  /// serving loops reuse one buffer across events).
-  void observe_into(const bgl::Event& event, std::vector<Warning>& out);
-
-  /// Batch form of observe_into: feeds every event in order and appends
-  /// the concatenated warnings.  Bit-identical to calling observe_into
-  /// per event — the batch exists so replay/serving loops make one call
-  /// per buffer instead of one per event (DESIGN.md §13).
+  /// Feeds every event in order (events must arrive in non-decreasing
+  /// time order) and appends the warnings they triggered to `out`, which
+  /// is NOT cleared — serving loops reuse one buffer across calls.  The
+  /// one observe entry point: a single event is a batch of one, and any
+  /// split of a stream into batches yields the same warnings
+  /// (DESIGN.md §13).
   void observe_batch(std::span<const bgl::Event> events,
                      std::vector<Warning>& out);
 
-  /// Convenience wrapper: observe_into with a fresh vector per call.
+  /// Convenience wrapper: observe_batch of one event into a fresh vector.
   std::vector<Warning> observe(const bgl::Event& event);
 
   /// Clock tick: the online monitor's periodic self-check.  Runs only
   /// the distribution expert (elapsed-time check) — no window state is
   /// touched, so ticks and events may interleave freely as long as time
-  /// never goes backwards.  Appends to `out` like observe_into.
+  /// never goes backwards.  Appends to `out` like observe_batch.
   void tick_into(TimeSec now, std::vector<Warning>& out);
 
   std::vector<Warning> tick(TimeSec now);
@@ -125,9 +122,9 @@ class Predictor {
   }
   template <bool kScoped>
   void expire(TimeSec now);
-  /// observe_into's body, specialized at compile time on scoped-ness so
-  /// the plain serving loop carries no per-event scope branches and
-  /// skips the midplane decode entirely (DESIGN.md §13).
+  /// observe_batch's per-event body, specialized at compile time on
+  /// scoped-ness so the plain serving loop carries no per-event scope
+  /// branches and skips the midplane decode entirely (DESIGN.md §13).
   template <bool kScoped>
   void observe_impl(const bgl::Event& event, std::vector<Warning>& out);
   /// True when the chain's earlier stages occurred in order within

@@ -126,7 +126,9 @@ TEST(BatchEquivalence, PredictorObserveBatchMatchesSerial) {
 
   predict::Predictor serial(repo, testing::kWp);
   std::vector<predict::Warning> serial_out;
-  for (const auto& event : events) serial.observe_into(event, serial_out);
+  for (const auto& event : events) {
+    serial.observe_batch({&event, 1}, serial_out);
+  }
 
   predict::Predictor batched(repo, testing::kWp);
   std::vector<predict::Warning> batch_out;
@@ -233,9 +235,9 @@ TEST_F(BatchEquivalenceFaultTest, EngineFeedDropsMatchSerial) {
 
 TEST_F(BatchEquivalenceFaultTest, SingleShardWorkerDropsMatchSerial) {
   // With one shard the worker's failpoint stream is single-threaded, so
-  // the full ordered warning stream must match — this pins the
-  // EventBatchMsg path to the exact per-event failpoint/serve/counter
-  // sequence of EventMsg.
+  // the full ordered warning stream must match — this pins a run of many
+  // events to the exact per-event failpoint/serve/counter sequence of the
+  // one-event runs consume() hands over.
   const auto events = testing::weeks_of(testing::shared_store(), 0, 8);
 
   const auto run = [&](bool batch_mode) {

@@ -1,7 +1,7 @@
-// Restartable replay: an engine cold-started from the repository at
-// time T must serve exactly what an uninterrupted replay serves from T
-// on — byte-identical for the single-threaded engine and driver,
-// multiset-identical for the sharded engine.
+// Restartable replay: a run resumed at time T must serve exactly what an
+// uninterrupted replay serves from T on — byte-identical for the driver
+// (which replays from the start and reports from T), multiset-identical
+// for the sharded engine's cold start.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -10,7 +10,6 @@
 #include <vector>
 
 #include "online/driver.hpp"
-#include "online/engine.hpp"
 #include "online/sharded_engine.hpp"
 #include "support/test_fixtures.hpp"
 
@@ -45,69 +44,6 @@ std::vector<std::string> keys_of(
   return keys;
 }
 
-OnlineEngineConfig engine_config() {
-  OnlineEngineConfig config;
-  config.retrain_interval = 4 * kSecondsPerWeek;
-  config.initial_training_delay = 12 * kSecondsPerWeek;
-  config.training_span = 12 * kSecondsPerWeek;
-  return config;
-}
-
-TEST(EngineColdStart, MatchesUninterruptedReplayFromArbitraryOffset) {
-  const auto& store = testing::shared_store();
-  // Mid-corpus, deliberately not on a boundary or an event timestamp.
-  const TimeSec serve_from =
-      store.first_time() + 20 * kSecondsPerWeek + 12345;
-
-  std::vector<predict::Warning> full;
-  {
-    OnlineEngine engine(engine_config(),
-                        [&](const predict::Warning& w) { full.push_back(w); });
-    for (const auto& event : store.all()) engine.consume(event);
-    engine.finish();
-  }
-  std::vector<std::string> full_tail;
-  for (const auto& w : full) {
-    if (w.issued_at >= serve_from) full_tail.push_back(warning_key(w));
-  }
-  ASSERT_GT(full_tail.size(), 10u);
-
-  std::vector<predict::Warning> resumed;
-  OnlineEngine engine(engine_config(), [&](const predict::Warning& w) {
-    resumed.push_back(w);
-  });
-  engine.cold_start(store, serve_from);
-  EXPECT_GT(engine.stats().cold_start_events, 0u);
-  const auto tail = store.between(serve_from, store.last_time() + 1);
-  for (const auto& event : tail) engine.consume(event);
-  engine.finish();
-
-  EXPECT_EQ(keys_of(resumed), full_tail);
-  // Cold start replays the schedule, so the adopted-snapshot history
-  // before serve_from exists too.
-  EXPECT_GT(engine.retrain_log().size(), 1u);
-}
-
-TEST(EngineColdStart, ServeFromBeforeFirstEventIsAFullReplay) {
-  const auto& store = testing::shared_store();
-  std::vector<predict::Warning> full;
-  {
-    OnlineEngine engine(engine_config(),
-                        [&](const predict::Warning& w) { full.push_back(w); });
-    for (const auto& event : store.all()) engine.consume(event);
-    engine.finish();
-  }
-  std::vector<predict::Warning> resumed;
-  OnlineEngine engine(engine_config(), [&](const predict::Warning& w) {
-    resumed.push_back(w);
-  });
-  engine.cold_start(store, store.first_time());  // no-op by contract
-  EXPECT_EQ(engine.stats().cold_start_events, 0u);
-  for (const auto& event : store.all()) engine.consume(event);
-  engine.finish();
-  EXPECT_EQ(keys_of(resumed), keys_of(full));
-}
-
 class DriverResume : public ::testing::TestWithParam<TrainingMode> {
  protected:
   static DriverConfig base_config(TrainingMode mode) {
@@ -130,8 +66,8 @@ TEST_P(DriverResume, ResumedIntervalsMatchTheFullRunTail) {
   const auto full = DynamicDriver(full_config).run(store);
   ASSERT_GE(full.intervals.size(), 4u);
 
-  // Resume at week 20: boundaries sit at 12, 16, 20, ... so the engine
-  // cold-starts at week 20 exactly and serves intervals from there.
+  // Resume at week 20: boundaries sit at 12, 16, 20, ... so the run
+  // reports intervals from week 20 exactly.
   auto resume_config = base_config(GetParam());
   resume_config.resume_week = 20;
   std::vector<predict::Warning> resumed_warnings;
@@ -139,7 +75,6 @@ TEST_P(DriverResume, ResumedIntervalsMatchTheFullRunTail) {
     resumed_warnings.push_back(w);
   };
   const auto resumed = DynamicDriver(resume_config).run(store);
-  EXPECT_GT(resumed.engine_stats.cold_start_events, 0u);
 
   // Interval-by-interval equality with the full run's tail, numbering
   // included.

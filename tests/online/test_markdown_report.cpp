@@ -3,7 +3,9 @@
 #include <gtest/gtest.h>
 
 #include <sstream>
+#include <string>
 
+#include "predict/analysis.hpp"
 #include "support/test_fixtures.hpp"
 
 namespace dml::online {
@@ -34,6 +36,33 @@ TEST(MarkdownReport, RendersAllSections) {
     ++pos;
   }
   EXPECT_GE(rows, result.intervals.size());
+}
+
+TEST(MarkdownReport, CoveredFailuresAreTheDriversScoredWarnings) {
+  DriverConfig config;
+  config.training_weeks = 12;
+  const auto& store = testing::shared_store();
+  const auto result = DynamicDriver(config).run(store);
+  ASSERT_FALSE(result.intervals.empty());
+
+  // The report analyses the warnings the intervals scored — no second
+  // train/predict pass of its own.
+  std::size_t scored = 0;
+  for (const auto& interval : result.intervals) {
+    scored += interval.warning_count;
+  }
+  EXPECT_EQ(result.warnings.size(), scored);
+  const auto test_events = store.between(result.intervals.front().test_begin,
+                                         result.intervals.back().test_end);
+  const auto leads = predict::lead_time_stats(test_events, result.warnings,
+                                              config.prediction_window);
+  ASSERT_GT(leads.matched_warnings, 0u);
+
+  std::stringstream out;
+  write_markdown_report(out, config, result, store);
+  const std::string line =
+      "- covered failures: " + std::to_string(leads.matched_warnings) + "\n";
+  EXPECT_NE(out.str().find(line), std::string::npos) << out.str();
 }
 
 TEST(MarkdownReport, LeadTimesCanBeSkipped) {

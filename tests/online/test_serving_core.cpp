@@ -1,0 +1,161 @@
+// ServingCore on its own: a fresh predictor is warmed from the core's own
+// trailing buffer of observed events, and the two tick-anchoring
+// disciplines decide which rules a clock tick near an adoption runs on.
+#include "online/serving.hpp"
+
+#include <gtest/gtest.h>
+
+#include <vector>
+
+namespace dml::online {
+namespace {
+
+using predict::Warning;
+
+bgl::Event ev(TimeSec t, CategoryId category, bool fatal = false) {
+  bgl::Event e;
+  e.time = t;
+  e.category = category;
+  e.fatal = fatal;
+  return e;
+}
+
+meta::KnowledgeRepository association(std::vector<CategoryId> antecedent,
+                                      CategoryId consequent) {
+  meta::KnowledgeRepository rules;
+  learners::AssociationRule rule;
+  rule.antecedent = std::move(antecedent);
+  rule.consequent = consequent;
+  rule.confidence = 0.9;
+  rules.add(learners::Rule{learners::Rule::Body(rule)});
+  return rules;
+}
+
+meta::KnowledgeRepository distribution(DurationSec elapsed_trigger) {
+  meta::KnowledgeRepository rules;
+  learners::DistributionRule rule;
+  rule.model = stats::LifetimeModel{
+      stats::LifetimeModel::Variant(stats::Exponential{1.0 / 10000.0})};
+  rule.cdf_threshold = 0.6;
+  rule.elapsed_trigger = elapsed_trigger;
+  rules.add(learners::Rule{learners::Rule::Body(rule)});
+  return rules;
+}
+
+SnapshotBuild build_of(meta::RepositorySnapshot rules, DurationSec window,
+                       TimeSec activate_at) {
+  SnapshotBuild build;
+  build.repository = std::move(rules);
+  build.window = window;
+  build.scheduled_at = activate_at;
+  build.activate_at = activate_at;
+  return build;
+}
+
+std::vector<TimeSec> issue_times(const std::vector<Warning>& warnings) {
+  std::vector<TimeSec> times;
+  for (const auto& w : warnings) times.push_back(w.issued_at);
+  return times;
+}
+
+ServingCore::Options untimed(DurationSec warm_retention) {
+  ServingCore::Options options;
+  options.clock_tick = 0;
+  options.warm_retention = warm_retention;
+  return options;
+}
+
+TEST(ServingCore, AdoptionWarmsOnTheBufferedWindowBeforeActivation) {
+  const auto rules = meta::freeze(association({1, 2}, 50));
+  std::vector<Warning> out;
+
+  // The antecedent's first half arrives before any rules exist; the
+  // adopted predictor replays it, so the second half completes the rule.
+  ServingCore core(untimed(300));
+  core.observe(ev(1000, 1), out);
+  core.adopt(build_of(rules, 300, 1100), out);
+  EXPECT_TRUE(out.empty());  // warm-up warnings are discarded
+  core.observe(ev(1200, 2), out);
+  ASSERT_EQ(out.size(), 1u);
+  EXPECT_EQ(out[0].issued_at, 1200);
+  EXPECT_EQ(out[0].category, 50);
+
+  // The warm span is [activate_at - window, activate_at): an event at
+  // the activation instant is not replayed.
+  out.clear();
+  ServingCore late(untimed(300));
+  late.observe(ev(1100, 1), out);
+  late.adopt(build_of(rules, 300, 1100), out);
+  late.observe(ev(1200, 2), out);
+  EXPECT_TRUE(out.empty());
+}
+
+TEST(ServingCore, BufferKeepsWarmRetentionAndNoMore) {
+  // The build's window (900 s) reaches back to the antecedent at t=1000,
+  // but the buffer holds only warm_retention of history behind the last
+  // event it observed.
+  const auto run = [](DurationSec warm_retention) {
+    std::vector<Warning> out;
+    ServingCore core(untimed(warm_retention));
+    core.observe(ev(1000, 1), out);
+    core.observe(ev(1400, 3), out);
+    core.adopt(build_of(meta::freeze(association({1, 2}, 50)), 900, 1500), out);
+    core.observe(ev(1600, 2), out);
+    return out.size();
+  };
+  EXPECT_EQ(run(900), 1u);
+  // Dropped from the buffer at t=1400, so never replayed.
+  EXPECT_EQ(run(300), 0u);
+  // No retention: fresh predictors start cold.
+  EXPECT_EQ(run(0), 0u);
+}
+
+TEST(ServingCore, IntervalAdoptionDiscardsTheTickGridAndReanchors) {
+  ServingCore::Options options;
+  options.clock_tick = 100;
+  options.tick_anchor = ServingCore::TickAnchor::kInterval;
+  options.warm_retention = 300;
+  ServingCore core(options);
+  const auto rules = meta::freeze(distribution(50));
+
+  std::vector<Warning> out;
+  core.adopt(build_of(rules, 300, 1000), out);
+  // The first event after an adoption anchors the grid: 1100, 1200, ...
+  core.observe(ev(1000, 9, /*fatal=*/true), out);
+  // ... and the next adoption discards it.
+  core.adopt(build_of(rules, 300, 1050), out);
+  EXPECT_TRUE(out.empty());
+
+  // No tick at 1100 or 1200: the fatal at 1230 speaks for itself (its
+  // elapsed-time base, t=1000, came from the warm-up) and re-anchors the
+  // grid, so the next tick is 1330.
+  core.observe(ev(1230, 9, /*fatal=*/true), out);
+  core.observe(ev(1335, 7), out);
+  EXPECT_EQ(issue_times(out), (std::vector<TimeSec>{1230, 1330}));
+}
+
+TEST(ServingCore, AbsoluteTicksBeforeActivationFireOnTheOldRules) {
+  const auto run = [](TimeSec activate_at) {
+    ServingCore::Options options;
+    options.clock_tick = 100;
+    options.tick_anchor = ServingCore::TickAnchor::kAbsolute;
+    options.warm_retention = 300;
+    options.predictor.deduplicate_warnings = false;
+    ServingCore core(options);
+    std::vector<Warning> out;
+    // Grid: 1100, 1200, ... from the first adoption on.
+    core.adopt(build_of(meta::freeze(distribution(50)), 300, 1000), out);
+    core.observe(ev(1010, 9, /*fatal=*/true), out);
+    // The next rules have no distribution expert: only ticks run on the
+    // old rules can warn.
+    core.adopt(build_of(meta::empty_snapshot(), 300, activate_at), out);
+    core.observe(ev(1400, 7), out);
+    return issue_times(out);
+  };
+  EXPECT_EQ(run(1250), (std::vector<TimeSec>{1100, 1200}));
+  // A tick exactly at the activation instant runs on the new rules.
+  EXPECT_EQ(run(1200), (std::vector<TimeSec>{1100}));
+}
+
+}  // namespace
+}  // namespace dml::online

@@ -135,7 +135,7 @@ TEST(PredictorChains, SerialAndBatchAreBitIdentical) {
   Predictor serial(repo, testing::kWp);
   std::vector<Warning> serial_warnings;
   for (const auto& event : events) {
-    serial.observe_into(event, serial_warnings);
+    serial.observe_batch({&event, 1}, serial_warnings);
   }
 
   Predictor batch(repo, testing::kWp);

@@ -76,7 +76,7 @@ TEST(PredictorGolden, ObserveIntoAppendsWithoutClearing) {
   for (const auto& event : events) {
     const auto warnings = per_call.observe(event);
     collected.insert(collected.end(), warnings.begin(), warnings.end());
-    sink.observe_into(event, accumulated);  // never cleared between events
+    sink.observe_batch({&event, 1}, accumulated);  // never cleared
   }
   expect_identical_streams(accumulated, collected, "sink-vs-per-call");
 }

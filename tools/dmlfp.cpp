@@ -661,8 +661,6 @@ int run_sharded(const online::DriverConfig& config,
   using Clock = std::chrono::steady_clock;
   const DurationSec initial_span =
       static_cast<DurationSec>(config.training_weeks) * kSecondsPerWeek;
-  const DurationSec retrain_span =
-      static_cast<DurationSec>(config.retrain_weeks) * kSecondsPerWeek;
   const storage::IoStats io_before = repo.io_stats();
 
   // The same mapping dmlfpd uses for its per-stream engines, so the
@@ -675,14 +673,7 @@ int run_sharded(const online::DriverConfig& config,
   // after the requested week; everything earlier is replayed silently
   // through cold_start (same schedule, warnings suppressed).
   const TimeSec origin = repo.first_time();
-  TimeSec serve_from = origin;
-  if (config.resume_week > 0 && !repo.empty()) {
-    const TimeSec resume_time =
-        origin +
-        static_cast<DurationSec>(config.resume_week) * kSecondsPerWeek;
-    serve_from = origin + initial_span;
-    while (serve_from < resume_time) serve_from += retrain_span;
-  }
+  const TimeSec serve_from = online::resume_boundary(config, origin);
 
   std::vector<predict::Warning> warnings;
   const auto wall_start = Clock::now();
@@ -919,15 +910,7 @@ int cmd_run(const Flags& flags) {
       std::fprintf(stderr, "dmlfp: cannot write %s\n", report_path->c_str());
       return 1;
     }
-    if (store) {
-      online::write_markdown_report(report, config, result, *store);
-    } else {
-      // The report's per-category/lead-time sections need random access;
-      // materialise the archive into a store once for them.
-      const logio::EventStore report_store(storage::materialize(
-          *repo, repo->first_time(), repo->last_time() + 1));
-      online::write_markdown_report(report, config, result, report_store);
-    }
+    online::write_markdown_report(report, config, result, *repo);
     report.flush();
     if (!report) {
       std::fprintf(stderr, "dmlfp: write to %s failed\n",

@@ -74,8 +74,8 @@ BLOCKING_FUNCS = {
 # engine inverts the pump-thread design (DESIGN.md §12) — reactors
 # enqueue to mailboxes, pump threads are the only engine callers.
 ENGINE_METHODS = {
-    "consume", "consume_batch", "cold_start", "feed", "feed_batch",
-    "observe", "observe_batch", "observe_into", "tick_into",
+    "consume", "consume_batch", "cold_start", "feed_batch",
+    "observe", "observe_batch", "tick_into",
 }
 
 HOT_MARK = "DML_HOT"
