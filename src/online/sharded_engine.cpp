@@ -43,19 +43,34 @@ struct FlushMsg {
 };
 using Message = std::variant<EventBatchMsg, AdoptMsg, RefreshMsg, FlushMsg>;
 
-/// Single-producer single-consumer bounded queue.  push() blocks when
-/// full — that is the backpressure contract: a slow shard throttles the
-/// producer instead of buffering without bound.
+/// A message's share of a queue's capacity: a run counts its events, a
+/// control message counts one.
+std::size_t depth_of(const Message& message) {
+  if (const auto* run = std::get_if<EventBatchMsg>(&message)) {
+    return run->events.size();
+  }
+  return 1;
+}
+
+/// Single-producer single-consumer queue bounded in events.  push()
+/// blocks while the message would take the queue past its capacity —
+/// that is the backpressure contract: a slow shard throttles the
+/// producer instead of buffering without bound.  A message larger than
+/// the capacity enters an empty queue, so no run can wait forever.
 class BoundedQueue {
  public:
   explicit BoundedQueue(std::size_t capacity)
       : capacity_(std::max<std::size_t>(1, capacity)) {}
 
   void push(Message message) DML_EXCLUDES(mutex_) {
+    const std::size_t depth = depth_of(message);
     common::MutexLock lock(mutex_);
-    while (queue_.size() >= capacity_ && !closed_) not_full_.wait(lock);
+    while (depth_ > 0 && depth_ + depth > capacity_ && !closed_) {
+      not_full_.wait(lock);
+    }
     if (closed_) return;  // receiver died; drop to let the producer finish
     queue_.push_back(std::move(message));
+    depth_ += depth;
     lock.unlock();
     not_empty_.notify_one();
   }
@@ -69,6 +84,7 @@ class BoundedQueue {
     out.assign(std::move_iterator(queue_.begin()),
                std::move_iterator(queue_.end()));
     queue_.clear();
+    depth_ = 0;
     lock.unlock();
     not_full_.notify_one();
     return true;
@@ -89,6 +105,8 @@ class BoundedQueue {
   common::CondVar not_full_;
   common::CondVar not_empty_;
   std::deque<Message> queue_ DML_GUARDED_BY(mutex_);
+  /// Sum of depth_of() over queue_.
+  std::size_t depth_ DML_GUARDED_BY(mutex_) = 0;
   bool closed_ DML_GUARDED_BY(mutex_) = false;
 };
 
@@ -295,10 +313,17 @@ void ShardedEngine::consume_batch(std::span<const bgl::Event> events) {
 
 void ShardedEngine::flush_feed_runs() {
   for (std::size_t i = 0; i < feed_runs_.size(); ++i) {
-    if (feed_runs_[i].empty()) continue;
-    shards_[i]->queue.push(EventBatchMsg{std::move(feed_runs_[i])});
-    feed_runs_[i].clear();  // moved-from: valid and empty
+    if (!feed_runs_[i].empty()) {
+      shards_[i]->queue.push(EventBatchMsg{std::move(feed_runs_[i])});
+      feed_runs_[i].clear();  // moved-from: valid and empty
+    }
+    // Every shard, run or not: the flush is what moves a quiet shard's
+    // watermark and ticks.
+    if (pending_heartbeat_) {
+      shards_[i]->queue.push(FlushMsg{*pending_heartbeat_});
+    }
   }
+  pending_heartbeat_.reset();
 }
 
 void DML_HOT ShardedEngine::feed_batch(std::span<const bgl::Event> events) {
@@ -350,10 +375,11 @@ void DML_HOT ShardedEngine::feed_batch(std::span<const bgl::Event> events) {
         DML_ALLOW_ALLOC("control-plane handoff at snapshot adoption (rare)");
         for (auto& shard : shards_) shard->queue.push(AdoptMsg{shared});
       }
+      // Heartbeats never split a run: crossing one only records it, and
+      // the next handoff delivers it (flush_feed_runs).
       if (config_.heartbeat_interval > 0 &&
           (!next_heartbeat_ || *next_heartbeat_ <= t)) {
-        flush_feed_runs();
-        broadcast_heartbeats(t);
+        cross_heartbeats(t);
       }
       scheduler_.observe(event);
       last_event_time_ = std::max(last_event_time_, t);
@@ -371,18 +397,20 @@ void DML_HOT ShardedEngine::feed_batch(std::span<const bgl::Event> events) {
   flush_feed_runs();
 }
 
-void ShardedEngine::broadcast_heartbeats(TimeSec t) {
-  if (config_.heartbeat_interval <= 0) return;
+void ShardedEngine::cross_heartbeats(TimeSec t) {
+  const DurationSec interval = config_.heartbeat_interval;
+  if (interval <= 0) return;
   if (!next_heartbeat_) {
-    next_heartbeat_ = t + config_.heartbeat_interval;
+    next_heartbeat_ = t + interval;
     return;
   }
-  while (*next_heartbeat_ <= t) {
-    for (auto& shard : shards_) {
-      shard->queue.push(FlushMsg{*next_heartbeat_});
-    }
-    *next_heartbeat_ += config_.heartbeat_interval;
-  }
+  if (*next_heartbeat_ > t) return;
+  // Only the latest grid instant at or before t is worth a flush: the
+  // ones it passes would fire a prefix of the same ticks.
+  const TimeSec crossed =
+      *next_heartbeat_ + (t - *next_heartbeat_) / interval * interval;
+  pending_heartbeat_ = crossed;
+  next_heartbeat_ = crossed + interval;
 }
 
 void ShardedEngine::note_quarantine(std::size_t index, TimeSec at,

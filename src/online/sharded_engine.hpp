@@ -9,7 +9,7 @@
 //    predictors run with PredictorOptions::per_scope_state, so the
 //    merged warning *multiset* is identical for any shard count
 //    (tests/integration/test_sharded_determinism.cpp).
-//  - Shard queues are bounded: a stalled shard back-pressures the
+//  - Shard queues are bounded in events: a stalled shard back-pressures the
 //    producer instead of growing without bound.
 //  - Retraining runs on ThreadPool::shared() (async mode); the new rule
 //    set is published with one atomic snapshot swap and adopted by every
@@ -36,13 +36,17 @@ namespace dml::online {
 struct ShardedEngineConfig {
   /// Number of serving shards; 0 = hardware_concurrency.
   std::size_t shards = 0;
-  /// Bounded per-shard queue length (messages); the producer blocks when
-  /// a shard falls this far behind (backpressure).
+  /// Bounded per-shard queue depth in events (a run counts its events, a
+  /// control message counts one); the producer blocks when a shard falls
+  /// this far behind (backpressure).  A run larger than this enters only
+  /// an empty queue.
   std::size_t queue_capacity = 4096;
-  /// Event-time cadence of watermark heartbeats broadcast to every
-  /// shard: they bound how long a quiet shard can hold back the merged
-  /// stream and keep PD ticks flowing on idle midplanes.  0 disables
-  /// (warnings then drain fully only at finish()).
+  /// Event-time cadence of watermark heartbeats: they bound how long a
+  /// quiet shard can hold back the merged stream and keep PD ticks
+  /// flowing on idle midplanes.  However many instants a handoff crosses,
+  /// every shard gets one flush to the latest, after its run, so a
+  /// heartbeat never splits a run and changes liveness, never output.
+  /// 0 disables (warnings then drain fully only at finish()).
   DurationSec heartbeat_interval = 300;
   /// Worker-exception policy.  true (default): finish() rethrows the
   /// first shard failure after draining — replay/test semantics.  false:
@@ -51,11 +55,12 @@ struct ShardedEngineConfig {
   /// events are counted as rejected) and finish() returns normally with
   /// the failure in stats()/degradation_log() — serving semantics.
   bool rethrow_worker_errors = true;
-  /// Retraining/serving knobs.  per-scope prediction and asynchronous
-  /// snapshot builds are forced (per_scope_state, location_scoped,
-  /// absolute ticks).  async_retrain defaults on here; adoption happens
-  /// at boundary + adoption_lag (default: prediction_window) so replays
-  /// stay deterministic.
+  /// Retraining/serving knobs.  Per-scope prediction is forced
+  /// (per_scope_state, location_scoped, absolute ticks).  async_retrain
+  /// keeps its default of off (builds run inline at the boundary);
+  /// sharded_config_from_driver turns it on.  An asynchronous build is
+  /// adopted at boundary + adoption_lag (default: prediction_window) so
+  /// replays stay deterministic.
   OnlineEngineConfig engine;
 };
 
@@ -139,9 +144,12 @@ class ShardedEngine {
   /// The one producer path: every consume() call hands its events here
   /// (a run of one for the single-event forms).
   void feed_batch(std::span<const bgl::Event> events);
-  /// Hands every buffered per-shard run to its queue (feed_batch).
+  /// Hands every buffered per-shard run to its queue, then the pending
+  /// heartbeat flush (if any) to every shard's queue (feed_batch).
   void flush_feed_runs();
-  void broadcast_heartbeats(TimeSec t);
+  /// Advances the heartbeat grid past event time t, recording the latest
+  /// instant crossed as pending_heartbeat_; pushes nothing.
+  void cross_heartbeats(TimeSec t);
   void worker(std::size_t index);
   void note_quarantine(std::size_t index, TimeSec at, std::string what)
       DML_EXCLUDES(quarantine_mutex_);
@@ -172,6 +180,9 @@ class ShardedEngine {
   std::atomic<TimeSec> suppress_until_{0};
   std::atomic<std::uint64_t> suppressed_warnings_{0};
   std::optional<TimeSec> next_heartbeat_;
+  /// Latest heartbeat instant crossed since the last handoff; the next
+  /// flush_feed_runs() delivers it to every shard once, after its run.
+  std::optional<TimeSec> pending_heartbeat_;
   TimeSec last_event_time_ = 0;
   /// Build wall time (training + revision) of every adopted snapshot,
   /// accumulated at publication (SessionStats::retrain_build_seconds),

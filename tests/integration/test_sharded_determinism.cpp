@@ -7,10 +7,13 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <map>
 #include <mutex>
+#include <string>
 #include <tuple>
 #include <vector>
 
+#include "loggen/generator.hpp"
 #include "online/sharded_engine.hpp"
 #include "predict/outcome_matcher.hpp"
 #include "support/test_fixtures.hpp"
@@ -103,6 +106,107 @@ TEST(ShardedDeterminism, TwoShardReplayIsReproducible) {
         << "at " << i;
   }
 }
+
+// Heartbeat cadence, queue capacity and feed form decide only when a
+// warning is released, never which warnings come out or in what order:
+// every cell of the grid must emit exactly the sequence of one shard
+// with heartbeats off fed event by event.
+
+/// 16 weeks of ANL unique events, keyed by gap scale: as generated (1),
+/// and with every inter-event gap multiplied by 10, so that consecutive
+/// events cross many heartbeat instants.
+const std::vector<bgl::Event>& anl_events(TimeSec gap_scale) {
+  static const auto inputs = [] {
+    loggen::MachineProfile profile = loggen::MachineProfile::anl();
+    profile.weeks = 16;
+    std::map<TimeSec, std::vector<bgl::Event>> by_scale;
+    by_scale[1] =
+        loggen::LogGenerator(profile, testing::kSeed).generate_unique_events();
+    auto& stretched = by_scale[10] = by_scale[1];
+    const TimeSec origin = stretched.front().time;
+    for (auto& event : stretched) {
+      event.time = origin + (event.time - origin) * 10;
+    }
+    return by_scale;
+  }();
+  return inputs.at(gap_scale);
+}
+
+using CellParam = std::tuple<TimeSec /*gap_scale*/, std::size_t /*shards*/,
+                             DurationSec /*heartbeat*/,
+                             std::size_t /*capacity*/, bool /*batched*/>;
+
+std::vector<WarningKey> merged_sequence(const CellParam& cell) {
+  const auto [gap_scale, shards, heartbeat, capacity, batched] = cell;
+  ShardedEngineConfig config;
+  config.shards = shards;
+  config.heartbeat_interval = heartbeat;
+  config.queue_capacity = capacity;
+  config.engine.retrain_interval = 4 * kSecondsPerWeek;
+  config.engine.training_span = 12 * kSecondsPerWeek;
+  config.engine.async_retrain = true;
+
+  std::vector<WarningKey> sequence;
+  ShardedEngine engine(config, [&](const predict::Warning& w) {
+    sequence.push_back(key_of(w));  // callback is serialized by the merger
+  });
+  const std::span<const bgl::Event> events = anl_events(gap_scale);
+  if (batched) {
+    constexpr std::size_t kSlice = 512;
+    for (std::size_t offset = 0; offset < events.size(); offset += kSlice) {
+      const std::size_t n = std::min(kSlice, events.size() - offset);
+      engine.consume_batch(events.subspan(offset, n));
+    }
+  } else {
+    for (const auto& event : events) engine.consume(event);
+  }
+  engine.finish();
+  return sequence;
+}
+
+/// The reference cell of each input: one shard, no heartbeats, consume().
+const std::vector<WarningKey>& reference_sequence(TimeSec gap_scale) {
+  static std::map<TimeSec, std::vector<WarningKey>> cache;
+  auto [it, inserted] = cache.try_emplace(gap_scale);
+  if (inserted) it->second = merged_sequence({gap_scale, 1, 0, 4096, false});
+  return it->second;
+}
+
+class ShardedDeterminismGrid : public ::testing::TestWithParam<CellParam> {};
+
+TEST_P(ShardedDeterminismGrid, MergedSequenceMatchesReferenceCell) {
+  const auto& expected = reference_sequence(std::get<0>(GetParam()));
+  ASSERT_GT(expected.size(), 20u);
+  const auto actual = merged_sequence(GetParam());
+  ASSERT_EQ(actual.size(), expected.size());
+  for (std::size_t i = 0; i < expected.size(); ++i) {
+    ASSERT_EQ(actual[i], expected[i]) << "at " << i;
+  }
+}
+
+std::string cell_name(const ::testing::TestParamInfo<CellParam>& info) {
+  const auto [gap_scale, shards, heartbeat, capacity, batched] = info.param;
+  std::string name = "gap" + std::to_string(gap_scale);
+  name += "_shards" + std::to_string(shards);
+  name += "_heartbeat" + std::to_string(heartbeat);
+  name += "_capacity" + std::to_string(capacity);
+  name += batched ? "_batch512" : "_serial";
+  return name;
+}
+
+constexpr TimeSec kGapScales[] = {1, 10};
+constexpr std::size_t kShardCounts[] = {1, 2, 4};
+constexpr DurationSec kHeartbeats[] = {0, 1, 300};
+constexpr std::size_t kCapacities[] = {4, 4096};
+
+INSTANTIATE_TEST_SUITE_P(
+    HeartbeatQueueFeed, ShardedDeterminismGrid,
+    ::testing::Combine(::testing::ValuesIn(kGapScales),    // input
+                       ::testing::ValuesIn(kShardCounts),  // shards
+                       ::testing::ValuesIn(kHeartbeats),   // heartbeat_interval
+                       ::testing::ValuesIn(kCapacities),   // queue_capacity
+                       ::testing::Bool()),                 // consume_batch
+    cell_name);
 
 }  // namespace
 }  // namespace dml::online

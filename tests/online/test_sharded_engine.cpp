@@ -2,10 +2,15 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
+#include <chrono>
+#include <map>
 #include <mutex>
+#include <thread>
 #include <vector>
 
+#include "bgl/location.hpp"
 #include "common/failpoint.hpp"
 #include "support/test_fixtures.hpp"
 
@@ -92,6 +97,40 @@ TEST(ShardedEngine, EmptyStreamFinishesCleanly) {
   EXPECT_EQ(stats.records_consumed, 0u);
   EXPECT_EQ(stats.warnings_issued, 0u);
   EXPECT_EQ(stats.retrainings, 0u);
+}
+
+TEST(ShardedEngine, HeartbeatsReleaseWarningsPastAQuietShard) {
+  // Only the busiest midplane's events: they all hash to one shard, so
+  // the other never receives a run.  The merger holds back every warning
+  // until all watermarks pass it; only the heartbeat flush delivered to
+  // the quiet shard too moves its watermark before finish().
+  const auto events = testing::weeks_of(testing::shared_store(), 0, 12);
+  std::map<bgl::Location, std::size_t> per_midplane;
+  for (const auto& event : events) {
+    ++per_midplane[event.location.enclosing_midplane()];
+  }
+  bgl::Location busiest = per_midplane.begin()->first;
+  for (const auto& [midplane, count] : per_midplane) {
+    if (count > per_midplane[busiest]) busiest = midplane;
+  }
+
+  std::atomic<std::size_t> warnings{0};
+  const auto config = sharded_config(2);
+  ShardedEngine engine(config, [&](const predict::Warning&) { ++warnings; });
+  for (const auto& event : events) {
+    if (event.location.enclosing_midplane() == busiest) engine.consume(event);
+  }
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(30);
+  while (warnings.load() == 0 && std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  }
+  EXPECT_GT(warnings.load(), 0u);
+  engine.finish();
+
+  const auto reports = engine.shard_reports();
+  ASSERT_EQ(reports.size(), 2u);
+  EXPECT_EQ(std::min(reports[0].events, reports[1].events), 0u);
 }
 
 class ShardedEngineFaultTest : public ::testing::Test {

@@ -50,7 +50,7 @@ int usage() {
       "  --no-reviser           disable the rule reviser\n"
       "  --profile              per-shard serving-time accounting\n"
       "  --queue-frames N       reactor->pump admission queue (default 64)\n"
-      "  --subscriber-queue N   per-subscriber warning queue (default 4096)\n"
+      "  --subscriber-queue N   per-subscriber warning queue (default 65536)\n"
       "  --retry-ms MS          RETRY_AFTER pacing hint (default 2)\n"
       "  --failpoint NAME=SPEC[,...]   fault injection (net.accept,\n"
       "                         net.read, net.write, storage.*, ...)\n"
