@@ -41,6 +41,15 @@ void Client::bye() {
   std::vector<unsigned char> out;
   append_bye(out);
   send_bytes(out.data(), out.size());
+  // The daemon releases this connection's ingest ownership before it
+  // closes the socket, so once EOF arrives a reconnect on any reactor
+  // finds the stream free.  Frames still in flight are discarded.
+  unsigned char sink[4096];
+  while (true) {
+    const ssize_t n = ::recv(fd_.get(), sink, sizeof(sink), 0);
+    if (n < 0 && errno == EINTR) continue;
+    if (n <= 0) break;  // EOF, or the socket failed: either way it is gone
+  }
   fd_.reset();
 }
 

@@ -1,5 +1,5 @@
 // Blocking client for the dmlfpd wire protocol — the library behind
-// dmlfp_loadgen and every daemon test.  One Client is one connection;
+// perfbench and every daemon test.  One Client is one connection;
 // it multiplexes any number of opened streams over it and demultiplexes
 // the interleaved reply stream (acks, retries, warnings, stats) from a
 // single dispatch loop.
@@ -98,7 +98,11 @@ class Client {
   /// FINISHED stats for a stream, once received (subscriber side).
   std::optional<StreamStatsMsg> finished(std::uint32_t stream_id) const;
 
-  /// Orderly goodbye (BYE + close).  Implied by the destructor.
+  /// Orderly goodbye: sends BYE, then reads and discards until the
+  /// daemon closes the connection (EOF or a socket error), and closes.
+  /// The daemon releases the connection's ingest ownership before it
+  /// closes, so when bye() returns a new connection can open the same
+  /// streams for ingest.  Implied by the destructor.
   void bye();
 
   /// Cumulative RETRY_AFTER frames honoured (rewinds + paced retries).

@@ -312,18 +312,17 @@ std::optional<SnapshotBuild> RetrainScheduler::poll(TimeSec t) {
     return build;
   }
   if (!pending_.valid()) return std::nullopt;
-  if (policy_.adoption_lag > 0) {
-    if (t < pending_scheduled_ + policy_.adoption_lag) return std::nullopt;
-    // The adoption point is fixed in event time; if the build is still
-    // running when the stream reaches it, wait for it (replay
-    // determinism beats latency here — serving chooses lag 0 instead).
-    return take_pending(pending_scheduled_ + policy_.adoption_lag);
-  }
-  if (pending_.wait_for(std::chrono::seconds(0)) !=
-      std::future_status::ready) {
-    return std::nullopt;
-  }
-  return take_pending(t);
+  // The one adoption rule: a build is adopted at a fixed event-time
+  // instant, so a replay is exact even though the build raced the
+  // stream.  An unset lag means one prediction window — slack for a
+  // build to finish in the background at realistic event rates.  If the
+  // build is still running when the stream gets there, wait for it.
+  const DurationSec lag = policy_.adoption_lag > 0
+                              ? policy_.adoption_lag
+                              : policy_.prediction_window;
+  const TimeSec adopt_at = pending_scheduled_ + lag;
+  if (t < adopt_at) return std::nullopt;
+  return take_pending(adopt_at);
 }
 
 std::optional<SnapshotBuild> RetrainScheduler::join(TimeSec t) {

@@ -68,10 +68,9 @@ struct RetrainPolicy {
   /// Build snapshots on ThreadPool::shared() instead of inline.
   bool async = false;
   /// Event-time delay from a boundary B to the adoption of its build
-  /// (async only).  > 0: the build is adopted exactly at B + lag —
-  /// deterministic in event time (poll() joins the build if the stream
-  /// got there first).  0: adopted at the first event after the build
-  /// happens to finish — lowest latency, not replay-deterministic.
+  /// (async only): the build is adopted exactly at B + lag, so a replay
+  /// is deterministic (poll() joins the build if the stream got there
+  /// first).  0 = one prediction window.
   DurationSec adoption_lag = 0;
   /// Build-failure degradation: a build that throws (out of the learner,
   /// reviser, or a `retrain.build` failpoint) is retried up to this many
@@ -167,8 +166,8 @@ class RetrainScheduler {
 
   /// Returns a finished build once event time t reaches its adoption
   /// point: immediately after a synchronous fire(); at scheduled_at +
-  /// adoption_lag for async (joining the build if it is still running);
-  /// at the first poll that finds the build complete for adoption_lag 0.
+  /// adoption_lag (prediction_window when the lag is 0) for async,
+  /// joining the build if it is still running.
   std::optional<SnapshotBuild> poll(TimeSec t);
 
   /// Forces completion of any outstanding build and returns it with

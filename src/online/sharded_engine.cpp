@@ -216,10 +216,6 @@ namespace {
 
 RetrainPolicy sharded_policy(const OnlineEngineConfig& config) {
   RetrainPolicy policy = make_retrain_policy(config);
-  // Deterministic adoption: with no explicit lag, adopt one prediction
-  // window after the boundary — enough slack for a build to finish in
-  // the background at realistic event rates.
-  if (policy.adoption_lag <= 0) policy.adoption_lag = config.prediction_window;
   policy.predictor.location_scoped = true;
   policy.predictor.per_scope_state = true;
   return policy;

@@ -5,13 +5,12 @@
 namespace dml::preprocess {
 
 PreprocessPipeline::PreprocessPipeline(DurationSec threshold,
-                                       const bgl::Taxonomy& taxonomy,
-                                       bool collect_events)
-    : streaming_(threshold, taxonomy), collect_events_(collect_events) {}
+                                       const bgl::Taxonomy& taxonomy)
+    : streaming_(threshold, taxonomy) {}
 
 void PreprocessPipeline::consume(const bgl::RasRecord& record) {
   auto event = streaming_.push(record);
-  if (event && collect_events_) events_.push_back(*event);
+  if (event) events_.push_back(*event);
 }
 
 logio::EventStore PreprocessPipeline::take_store() {
@@ -25,12 +24,12 @@ ThresholdSweep::ThresholdSweep(std::vector<DurationSec> thresholds)
   }
   pipelines_.reserve(thresholds_.size());
   for (DurationSec t : thresholds_) {
-    pipelines_.emplace_back(t, bgl::taxonomy(), /*collect_events=*/false);
+    pipelines_.emplace_back(t);
   }
 }
 
 void ThresholdSweep::consume(const bgl::RasRecord& record) {
-  for (auto& pipeline : pipelines_) pipeline.consume(record);
+  for (auto& pipeline : pipelines_) pipeline.push(record);
 }
 
 const PipelineStats& ThresholdSweep::stats_at(std::size_t i) const {

@@ -16,11 +16,8 @@ class PreprocessPipeline final : public logio::RecordSink {
  public:
   /// Both filters use the same threshold, per the paper's single
   /// filtering-threshold sweep (Table 4); 300 s is the production value.
-  /// With collect_events == false only statistics are kept (constant
-  /// memory) — the mode the Table 4 sweep uses.
   explicit PreprocessPipeline(DurationSec threshold,
-                              const bgl::Taxonomy& taxonomy = bgl::taxonomy(),
-                              bool collect_events = true);
+                              const bgl::Taxonomy& taxonomy = bgl::taxonomy());
 
   void consume(const bgl::RasRecord& record) override;
 
@@ -37,12 +34,11 @@ class PreprocessPipeline final : public logio::RecordSink {
 
  private:
   StreamingPipeline streaming_;
-  bool collect_events_;
   std::vector<bgl::Event> events_;
 };
 
 /// Runs the same stream through pipelines at several thresholds at once
-/// (the Table 4 sweep) without retaining records.
+/// (the Table 4 sweep), keeping only their statistics (constant memory).
 class ThresholdSweep final : public logio::RecordSink {
  public:
   explicit ThresholdSweep(std::vector<DurationSec> thresholds);
@@ -60,7 +56,7 @@ class ThresholdSweep final : public logio::RecordSink {
 
  private:
   std::vector<DurationSec> thresholds_;
-  std::vector<PreprocessPipeline> pipelines_;
+  std::vector<StreamingPipeline> pipelines_;
 };
 
 }  // namespace dml::preprocess

@@ -4,12 +4,15 @@
 // front ends map the same DriverConfig through
 // online::sharded_config_from_driver, and this is the test that keeps
 // that contract honest, on both the ANL- and SDSC-profile 8-week
-// corpora, volatile and under --repo durable ingest.
+// corpora, volatile, under --repo durable ingest, and four streams
+// served at once.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <string>
+#include <thread>
 #include <tuple>
+#include <utility>
 #include <vector>
 
 #include "loggen/generator.hpp"
@@ -65,13 +68,13 @@ std::vector<WarningKey> batch_warnings(const std::vector<bgl::Event>& events) {
   return out;
 }
 
-/// The network plane: same events through dmlfpd over loopback, one
-/// ingest+subscribe connection, collecting the pushed warning stream.
-std::vector<WarningKey> daemon_warnings(const std::vector<bgl::Event>& events,
-                                        net::DaemonConfig config,
+/// The network plane: same events through the daemon on `port` over
+/// loopback, one ingest+subscribe connection, collecting the pushed
+/// warning stream.
+std::vector<WarningKey> stream_warnings(std::uint16_t port,
+                                        const std::vector<bgl::Event>& events,
                                         const std::string& stream_name) {
-  testing::DaemonFixture fixture(std::move(config));
-  Client client("127.0.0.1", fixture.port());
+  Client client("127.0.0.1", port);
   const auto opened =
       client.open_stream(stream_name, kOpenIngest | kOpenSubscribe);
 
@@ -104,6 +107,14 @@ std::vector<WarningKey> daemon_warnings(const std::vector<bgl::Event>& events,
   return out;
 }
 
+/// stream_warnings against a daemon of its own.
+std::vector<WarningKey> daemon_warnings(const std::vector<bgl::Event>& events,
+                                        net::DaemonConfig config,
+                                        const std::string& stream_name) {
+  testing::DaemonFixture fixture(std::move(config));
+  return stream_warnings(fixture.port(), events, stream_name);
+}
+
 TEST(DaemonEquivalenceTest, AnlCorpusWarningStreamMatchesBatchPlane) {
   const auto events = corpus(loggen::MachineProfile::anl(), 1005);
   ASSERT_GT(events.size(), 0u);
@@ -122,6 +133,40 @@ TEST(DaemonEquivalenceTest, SdscCorpusWarningStreamMatchesBatchPlane) {
   const auto served =
       daemon_warnings(events, testing::daemon_test_config(4, 2), "sdsc");
   EXPECT_EQ(served, reference);
+}
+
+TEST(DaemonEquivalenceTest, ConcurrentStreamsEachMatchTheirBatchPlane) {
+  // Four client threads, one connection and one named stream each, on
+  // one daemon whose two reactors serve two connections each: every
+  // stream must serve exactly its own corpus's batch warnings.
+  const std::vector<std::pair<std::string, std::vector<bgl::Event>>> streams =
+      {{"anl-1005", corpus(loggen::MachineProfile::anl(), 1005)},
+       {"anl-1006", corpus(loggen::MachineProfile::anl(), 1006)},
+       {"sdsc-1204", corpus(loggen::MachineProfile::sdsc(), 1204)},
+       {"sdsc-1205", corpus(loggen::MachineProfile::sdsc(), 1205)}};
+
+  testing::DaemonFixture fixture(testing::daemon_test_config(4, 2));
+  std::vector<std::vector<WarningKey>> served(streams.size());
+  std::vector<std::thread> clients;
+  for (std::size_t i = 0; i < streams.size(); ++i) {
+    clients.emplace_back([&, i] {
+      const auto& [name, events] = streams[i];
+      try {
+        served[i] = stream_warnings(fixture.port(), events, name);
+      } catch (const std::exception& e) {
+        ADD_FAILURE() << name << ": " << e.what();
+      }
+    });
+  }
+  for (auto& client : clients) client.join();
+  EXPECT_EQ(fixture.stop().streams.size(), streams.size());
+
+  for (std::size_t i = 0; i < streams.size(); ++i) {
+    const auto& [name, events] = streams[i];
+    const auto reference = batch_warnings(events);
+    ASSERT_GT(reference.size(), 0u) << name << " produced no warnings";
+    EXPECT_EQ(served[i], reference) << name;
+  }
 }
 
 TEST(DaemonEquivalenceTest, DurableIngestServesIdenticallyAndPersists) {

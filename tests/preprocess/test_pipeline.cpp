@@ -60,15 +60,6 @@ TEST(Pipeline, FatalFlagsSurviveThePipeline) {
               static_cast<double>(truth_fatals) * 0.25);
 }
 
-TEST(Pipeline, CollectEventsFalseKeepsOnlyStats) {
-  const auto profile = testing::tiny_profile(1);
-  loggen::LogGenerator generator(profile, 27);
-  PreprocessPipeline pipeline(300, bgl::taxonomy(), /*collect_events=*/false);
-  generator.generate(pipeline);
-  EXPECT_GT(pipeline.stats().unique_events, 0u);
-  EXPECT_TRUE(pipeline.events().empty());
-}
-
 TEST(Pipeline, TakeStoreProducesSortedStore) {
   const auto profile = testing::tiny_profile(1);
   loggen::LogGenerator generator(profile, 29);

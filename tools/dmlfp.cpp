@@ -816,52 +816,12 @@ int cmd_run(const Flags& flags) {
   }
 
   online::DriverConfig config;
-  // A --config file provides the base; explicit flags override it.
-  if (const auto config_path = flags.get("config")) {
-    std::ifstream file(*config_path);
-    if (!file) {
-      std::fprintf(stderr, "dmlfp: cannot open %s\n", config_path->c_str());
-      return 1;
-    }
-    auto parsed = online::parse_driver_config(file);
-    if (const auto* error = std::get_if<online::ConfigError>(&parsed)) {
-      std::fprintf(stderr, "dmlfp: %s:%zu: %s\n", config_path->c_str(),
-                   error->line, error->message.c_str());
-      return 1;
-    }
-    config = std::get<online::DriverConfig>(parsed);
+  if (const int status =
+          tools::driver_config_from_flags(flags, "dmlfp run", config)) {
+    return status;
   }
-  config.prediction_window =
-      flags.get_long("window", config.prediction_window);
-  config.clock_tick = config.prediction_window;
-  config.training_weeks = static_cast<int>(
-      flags.get_long("training-weeks", config.training_weeks));
-  config.retrain_weeks =
-      static_cast<int>(flags.get_long("retrain-weeks", config.retrain_weeks));
   config.resume_week =
       static_cast<int>(flags.get_long("resume-week", config.resume_week));
-  if (flags.has("no-reviser")) config.use_reviser = false;
-  if (flags.has("correlation")) config.learner.enable_correlation = true;
-  if (flags.has("no-correlation")) config.learner.enable_correlation = false;
-  config.learner.correlation.graph.window = flags.get_long(
-      "correlation-window", config.learner.correlation.graph.window);
-  config.learner.correlation.miner.min_edge_confidence =
-      flags.get_double("correlation-min-edge",
-                       config.learner.correlation.miner.min_edge_confidence);
-  const std::string mode =
-      flags.get_or("mode", std::string(to_string(config.mode)));
-  if (mode == "sliding") {
-    config.mode = online::TrainingMode::kSlidingWindow;
-  } else if (mode == "whole") {
-    config.mode = online::TrainingMode::kWholeHistory;
-  } else if (mode == "static") {
-    config.mode = online::TrainingMode::kStatic;
-  } else {
-    std::fprintf(stderr, "dmlfp run: unknown mode '%s'\n", mode.c_str());
-    return 2;
-  }
-
-  config.profile = profile;
   const auto warnings_path = flags.get("warnings");
   const long threads = flags.get_long("threads", 1);
   if (threads > 1) {

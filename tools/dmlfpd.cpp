@@ -6,10 +6,11 @@
 //   dmlfpd --port 7070 --shards 4 --training-weeks 26 --retrain-weeks 4
 //   dmlfpd --port 0 --port-file /tmp/dmlfpd.port --repo /data/streams
 //
-// Engine flags deliberately mirror `dmlfp run`: both front ends map a
-// DriverConfig through online::sharded_config_from_driver, so the same
-// flags produce the same warning multiset whether a log is replayed in
-// batch or streamed over the wire.
+// Engine flags are `dmlfp run`'s, parsed by the same
+// tools::driver_config_from_flags, and both front ends map the result
+// through online::sharded_config_from_driver, so the same flags produce
+// the same warning multiset whether a log is replayed in batch or
+// streamed over the wire.
 //
 // SIGTERM/SIGINT trigger a graceful drain: stop accepting, finish every
 // stream (seal durable segments, engine.finish()), deliver FINISHED to
@@ -21,7 +22,6 @@
 #include <string>
 
 #include "net/daemon.hpp"
-#include "online/config_file.hpp"
 #include "online/driver.hpp"
 #include "online/sharded_engine.hpp"
 #include "support/flags.hpp"
@@ -48,6 +48,11 @@ int usage() {
       "  --retrain-weeks N      retraining cadence Wr (default 4)\n"
       "  --mode sliding|whole|static\n"
       "  --no-reviser           disable the rule reviser\n"
+      "  --correlation | --no-correlation\n"
+      "                         enable/disable the correlation-chain\n"
+      "                         learner (overrides --config)\n"
+      "  --correlation-window S graph adjacency window, seconds\n"
+      "  --correlation-min-edge X  min per-edge confidence\n"
       "  --profile              per-shard serving-time accounting\n"
       "  --queue-frames N       reactor->pump admission queue (default 64)\n"
       "  --subscriber-queue N   per-subscriber warning queue (default 65536)\n"
@@ -58,48 +63,6 @@ int usage() {
       "SIGTERM/SIGINT drain gracefully: streams finish, durable segments\n"
       "seal, subscribers get FINISHED, then a stats report prints.\n");
   return 2;
-}
-
-/// The `dmlfp run` flag surface, minus replay-only flags: a --config
-/// file provides the base, explicit flags override it.
-bool driver_config_from_flags(const Flags& flags,
-                              online::DriverConfig& config) {
-  if (const auto config_path = flags.get("config")) {
-    std::ifstream file(*config_path);
-    if (!file) {
-      std::fprintf(stderr, "dmlfpd: cannot open %s\n", config_path->c_str());
-      return false;
-    }
-    auto parsed = online::parse_driver_config(file);
-    if (const auto* error = std::get_if<online::ConfigError>(&parsed)) {
-      std::fprintf(stderr, "dmlfpd: %s:%zu: %s\n", config_path->c_str(),
-                   error->line, error->message.c_str());
-      return false;
-    }
-    config = std::get<online::DriverConfig>(parsed);
-  }
-  config.prediction_window =
-      flags.get_long("window", config.prediction_window);
-  config.clock_tick = config.prediction_window;
-  config.training_weeks = static_cast<int>(
-      flags.get_long("training-weeks", config.training_weeks));
-  config.retrain_weeks =
-      static_cast<int>(flags.get_long("retrain-weeks", config.retrain_weeks));
-  if (flags.has("no-reviser")) config.use_reviser = false;
-  const std::string mode =
-      flags.get_or("mode", std::string(to_string(config.mode)));
-  if (mode == "sliding") {
-    config.mode = online::TrainingMode::kSlidingWindow;
-  } else if (mode == "whole") {
-    config.mode = online::TrainingMode::kWholeHistory;
-  } else if (mode == "static") {
-    config.mode = online::TrainingMode::kStatic;
-  } else {
-    std::fprintf(stderr, "dmlfpd: unknown mode '%s'\n", mode.c_str());
-    return false;
-  }
-  config.profile = flags.has("profile");
-  return true;
 }
 
 void print_stats(const net::DaemonStats& stats) {
@@ -139,7 +102,7 @@ int main(int argc, char** argv) {
   if (!tools::arm_failpoints(flags, "dmlfpd")) return 2;
 
   online::DriverConfig driver;
-  if (!driver_config_from_flags(flags, driver)) return 2;
+  if (tools::driver_config_from_flags(flags, "dmlfpd", driver) != 0) return 2;
 
   net::DaemonConfig config;
   config.bind_address = flags.get_or("bind", config.bind_address);

@@ -1,18 +1,22 @@
-// Shared CLI plumbing for the dmlfp tool family (dmlfp, dmlfpd,
-// dmlfp_loadgen): the "--name value" flag parser and the
-// --failpoint/--failpoint-seed arming helper.  One definition so every
-// front end accepts the same grammar.
+// Shared CLI plumbing for the two front ends, `dmlfp` and `dmlfpd`: the
+// "--name value" flag parser, the --failpoint/--failpoint-seed arming
+// helper and the engine flags both map onto a DriverConfig.  One
+// definition so every front end accepts the same grammar.
 #pragma once
 
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <fstream>
 #include <map>
 #include <optional>
 #include <string>
 #include <string_view>
+#include <variant>
 
 #include "common/failpoint.hpp"
+#include "online/config_file.hpp"
+#include "online/driver.hpp"
 
 namespace dml::tools {
 
@@ -31,7 +35,7 @@ class Flags {
       // unknown to one tool is still rejected by that tool's own
       // validation, so the union here is harmless.
       if (key == "no-reviser" || key == "help" || key == "profile" ||
-          key == "quick" || key == "correlation" || key == "no-correlation") {
+          key == "correlation" || key == "no-correlation") {
         values_[key] = "1";
         continue;
       }
@@ -98,6 +102,60 @@ inline bool arm_failpoints(const Flags& flags, const char* who) {
     }
   }
   return true;
+}
+
+/// The engine flags of `dmlfp run` and `dmlfpd`: a --config file provides
+/// the base, explicit flags override it.  Both front ends map the result
+/// through online::sharded_config_from_driver, so the same flags give
+/// the same warning multiset in batch replay and over the wire.  `who`
+/// names the command for error messages.  Returns 0, or the exit status
+/// for the error it printed: 1 for an unreadable or malformed --config,
+/// 2 for an unknown --mode.
+inline int driver_config_from_flags(const Flags& flags, const char* who,
+                                    online::DriverConfig& config) {
+  if (const auto config_path = flags.get("config")) {
+    std::ifstream file(*config_path);
+    if (!file) {
+      std::fprintf(stderr, "%s: cannot open %s\n", who, config_path->c_str());
+      return 1;
+    }
+    auto parsed = online::parse_driver_config(file);
+    if (const auto* error = std::get_if<online::ConfigError>(&parsed)) {
+      std::fprintf(stderr, "%s: %s:%zu: %s\n", who, config_path->c_str(),
+                   error->line, error->message.c_str());
+      return 1;
+    }
+    config = std::get<online::DriverConfig>(parsed);
+  }
+  config.prediction_window =
+      flags.get_long("window", config.prediction_window);
+  config.clock_tick = config.prediction_window;
+  config.training_weeks = static_cast<int>(
+      flags.get_long("training-weeks", config.training_weeks));
+  config.retrain_weeks =
+      static_cast<int>(flags.get_long("retrain-weeks", config.retrain_weeks));
+  if (flags.has("no-reviser")) config.use_reviser = false;
+  if (flags.has("correlation")) config.learner.enable_correlation = true;
+  if (flags.has("no-correlation")) config.learner.enable_correlation = false;
+  config.learner.correlation.graph.window = flags.get_long(
+      "correlation-window", config.learner.correlation.graph.window);
+  config.learner.correlation.miner.min_edge_confidence =
+      flags.get_double("correlation-min-edge",
+                       config.learner.correlation.miner.min_edge_confidence);
+  const std::string mode =
+      flags.get_or("mode", std::string(to_string(config.mode)));
+  if (mode == "sliding") {
+    config.mode = online::TrainingMode::kSlidingWindow;
+  } else if (mode == "whole") {
+    config.mode = online::TrainingMode::kWholeHistory;
+  } else if (mode == "static") {
+    config.mode = online::TrainingMode::kStatic;
+  } else {
+    std::fprintf(stderr, "%s: unknown mode '%s'\n", who, mode.c_str());
+    return 2;
+  }
+  config.profile = flags.has("profile");
+  return 0;
 }
 
 }  // namespace dml::tools
