@@ -10,8 +10,9 @@
 //     ten-million-event tiled stream (--scale).
 //   - Raw kernels (--scale): and_popcount / subset_count per compiled
 //     SIMD variant against the scalar reference, on miner-shaped inputs.
-//   - Correlation graph build (last-seen recency table vs naive backward
-//     rescan) and chain-rule serving on a chain-heavy trace (§14).
+//   - Correlation graph build (recency lists and in-edge rows vs the
+//     naive backward rescan) and chain-rule serving on a chain-heavy
+//     trace (§14).
 //
 // Both sides of every comparison are checked for identical output before
 // timing — a speedup on diverging results would be meaningless.  Every
@@ -26,10 +27,6 @@
 #include <iostream>
 #include <string>
 #include <vector>
-
-#include <cmath>
-#include <unordered_map>
-#include <unordered_set>
 
 #include "common/simd.hpp"
 #include "learners/apriori.hpp"
@@ -245,54 +242,6 @@ bool run_machine(const Workload& workload, bool quick, double target,
 
 // ---- correlation-graph stages ------------------------------------------
 
-/// Naive O(n * window-events) graph builder: for every event, rescan the
-/// stream backward to the window horizon and take the most recent
-/// occurrence of each category as an edge source.  This is the "before"
-/// of EventGraph's per-scope last-seen recency table; both must produce
-/// identical edges (same weights, same counts), because each (source,
-/// target) pair contributes once per target event in event order.
-struct NaiveEdge {
-  double weight = 0.0;
-  std::uint32_t count = 0;
-};
-
-std::unordered_map<std::uint32_t, NaiveEdge> naive_graph_edges(
-    std::span<const bgl::Event> events,
-    const learners::correlation::EventGraphConfig& config) {
-  std::unordered_map<std::uint32_t, NaiveEdge> edges;
-  const double tau =
-      static_cast<double>(std::max<DurationSec>(1, config.decay_tau));
-  std::unordered_set<CategoryId> latest;
-  for (std::size_t i = 0; i < events.size(); ++i) {
-    const bgl::Event& event = events[i];
-    if (event.category == kInvalidCategory) continue;
-    const std::uint32_t scope =
-        config.scope_by_midplane
-            ? event.location.enclosing_midplane().packed()
-            : 0;
-    const TimeSec horizon = event.time - config.window;
-    latest.clear();
-    for (std::size_t j = i; j-- > 0;) {
-      const bgl::Event& prior = events[j];
-      if (prior.time < horizon) break;
-      if (prior.fatal || prior.category == kInvalidCategory) continue;
-      if (config.scope_by_midplane &&
-          prior.location.enclosing_midplane().packed() != scope) {
-        continue;
-      }
-      if (!latest.insert(prior.category).second) continue;
-      if (prior.category == event.category) continue;
-      NaiveEdge& edge =
-          edges[(static_cast<std::uint32_t>(prior.category) << 16) |
-                event.category];
-      edge.weight +=
-          std::exp(-static_cast<double>(event.time - prior.time) / tau);
-      edge.count += 1;
-    }
-  }
-  return edges;
-}
-
 /// Graph build + chain-rule serving on a chain-heavy trace: the two hot
 /// paths the correlation subsystem adds (DESIGN.md section 14).
 bool run_correlation_stages(bool quick, double target, int max_reps,
@@ -315,43 +264,33 @@ bool run_correlation_stages(bool quick, double target, int max_reps,
   const learners::correlation::EventGraphConfig graph_config;
   learners::correlation::EventGraph graph(graph_config);
   graph.accumulate(training);
-  const auto naive = naive_graph_edges(training, graph_config);
-  // Equivalence: every predecessor list must agree edge for edge.
-  std::unordered_map<CategoryId, std::uint32_t> naive_occurrences;
-  for (const auto& event : training) {
-    if (!event.fatal && event.category != kInvalidCategory) {
-      ++naive_occurrences[event.category];
-    }
-  }
+  reference::NaiveEventGraph naive(graph_config);
+  naive.accumulate(training);
+  // Equivalence: every predecessor list must agree edge for edge, with
+  // confidences equal bit for bit (each edge sums the same terms in the
+  // same order on both sides).
   for (CategoryId target_cat = 0; target_cat < bgl::taxonomy().size();
        ++target_cat) {
     const auto preds = graph.predecessors(target_cat, 0.0);
-    std::size_t naive_preds = 0;
-    for (const auto& [key, edge] : naive) {
-      if ((key & 0xFFFFu) != target_cat) continue;
-      const auto source = static_cast<CategoryId>(key >> 16);
-      const auto occ = naive_occurrences.find(source);
-      if (occ == naive_occurrences.end()) continue;
-      ++naive_preds;
-      const double confidence =
-          std::min(1.0, edge.weight / static_cast<double>(occ->second));
-      const auto match =
-          std::find_if(preds.begin(), preds.end(),
-                       [&](const auto& p) { return p.category == source; });
-      if (match == preds.end() || match->count != edge.count ||
-          std::abs(match->confidence - confidence) > 1e-12) {
-        std::fprintf(stderr, "FAIL: graph edge %u->%u diverges\n",
-                     unsigned(source), unsigned(target_cat));
-        return false;
-      }
-    }
-    if (naive_preds != preds.size()) {
+    const auto expected = naive.predecessors(target_cat);
+    if (preds.size() != expected.size()) {
       std::fprintf(stderr, "FAIL: predecessor count diverges at %u\n",
                    unsigned(target_cat));
       return false;
     }
+    for (std::size_t i = 0; i < preds.size(); ++i) {
+      if (preds[i].category != expected[i].category ||
+          preds[i].count != expected[i].count ||
+          preds[i].confidence != expected[i].confidence) {
+        std::fprintf(stderr, "FAIL: graph edge %u->%u diverges\n",
+                     unsigned(expected[i].category), unsigned(target_cat));
+        return false;
+      }
+    }
   }
 
+  const CategoryId probe = graph.fatal_categories().front();
+  const std::size_t probe_edges = naive.predecessors(probe).size();
   StageResult build;
   build.stage = "correlation_graph_build";
   build.machine = "chain-sdsc";
@@ -361,8 +300,9 @@ bool run_correlation_stages(bool quick, double target, int max_reps,
   build.set_timings(
       bench::min_of_reps(
           [&] {
-            auto edges = naive_graph_edges(training, graph_config);
-            if (edges.empty()) std::abort();
+            reference::NaiveEventGraph g(graph_config);
+            g.accumulate(training);
+            if (g.predecessors(probe).size() != probe_edges) std::abort();
           },
           target, max_reps),
       bench::min_of_reps(

@@ -4,13 +4,16 @@
 // from a 1.6 GHz Pentium (minutes); the reproduction target is the
 // *scaling shape*: association mining dominates and grows with the
 // training size, distribution fitting stays ~flat, matching stays
-// trivial.  Uses google-benchmark for the headline stages.
+// trivial.  The "Corr Graph" column times the correlation-graph chain
+// learner (DESIGN.md §14, off in the paper configuration) on the same
+// training sets.  Uses google-benchmark for the headline stages.
 #include <benchmark/benchmark.h>
 
 #include <chrono>
 #include <cstdio>
 #include <iostream>
 
+#include "learners/correlation/correlation_learner.hpp"
 #include "meta/meta_learner.hpp"
 #include "online/report.hpp"
 #include "predict/outcome_matcher.hpp"
@@ -77,13 +80,21 @@ void print_table5() {
       "rule generation grows with training size (association mining "
       "dominates); matching stays trivial");
   online::TablePrinter table({"Training", "Stat Rule", "Asso Rule",
-                              "Prob Dist", "Ensemble & Revise",
-                              "Rule Matching"});
+                              "Prob Dist", "Corr Graph",
+                              "Ensemble & Revise", "Rule Matching"});
   const meta::MetaLearner learner{meta::MetaLearnerConfig{}};
   for (int months : {3, 6, 12, 18, 24, 30}) {
     const auto training = months_of(months);
     meta::TrainTimes times;
     auto repo = learner.learn(training, 300, &times);
+
+    const auto graph_start = std::chrono::steady_clock::now();
+    const auto chains = learners::CorrelationLearner{}.learn(training, 300);
+    const double graph_seconds =
+        std::chrono::duration<double>(std::chrono::steady_clock::now() -
+                                      graph_start)
+            .count();
+    benchmark::DoNotOptimize(chains.size());
 
     const auto revise_start = std::chrono::steady_clock::now();
     predict::revise(repo, training, 300);
@@ -111,7 +122,7 @@ void print_table5() {
     table.add_row({std::to_string(months) + " mo",
                    ms(times.statistical_seconds),
                    ms(times.association_seconds),
-                   ms(times.distribution_seconds),
+                   ms(times.distribution_seconds), ms(graph_seconds),
                    ms(times.ensemble_seconds + revise_seconds),
                    ms(match_seconds)});
   }

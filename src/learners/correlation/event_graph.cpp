@@ -4,57 +4,67 @@
 #include <cmath>
 #include <limits>
 
+#include "common/check.hpp"
+
 namespace dml::learners::correlation {
-
-namespace {
-
-constexpr TimeSec kNever = std::numeric_limits<TimeSec>::min();
-
-std::uint32_t edge_key(CategoryId source, CategoryId target) {
-  return (static_cast<std::uint32_t>(source) << 16) | target;
-}
-
-}  // namespace
 
 void EventGraph::accumulate(std::span<const bgl::Event> events) {
   // Fresh span: adjacency must not leak across the seam between calls.
-  for (auto& [scope, seen] : last_seen_) {
-    std::fill(seen.begin(), seen.end(), kNever);
-  }
+  for (auto& [scope, recent] : recent_) recent.clear();
 
   const double tau =
       static_cast<double>(std::max<DurationSec>(1, config_.decay_tau));
+  TimeSec previous = std::numeric_limits<TimeSec>::min();
   for (const bgl::Event& event : events) {
+    DML_DCHECK_MSG(event.time >= previous,
+                   "EventGraph::accumulate needs a time-ordered span");
+    previous = event.time;
     const CategoryId cat = event.category;
     if (cat == kInvalidCategory) continue;
     const std::size_t need = static_cast<std::size_t>(cat) + 1;
     if (occurrences_.size() < need) {
       occurrences_.resize(need, 0);
       fatal_occurrences_.resize(need, 0);
+      in_.resize(need);
     }
 
     const std::uint32_t scope =
         config_.scope_by_midplane
             ? event.location.enclosing_midplane().packed()
             : 0;
-    std::vector<TimeSec>& seen = last_seen_[scope];
-    if (seen.size() < need) seen.resize(need, kNever);
+    std::vector<Recent>& recent = recent_[scope];
+    std::vector<InEdge>& row = in_[cat];
 
-    // Edges from every category recently seen in this scope.  O(#cats)
-    // per event; the taxonomy is ~220 categories, so this stays linear
-    // in practice (see bench_hot_paths' graph-build timing).
+    // One pass over the scope's recency list: drop entries behind the
+    // horizon (it never moves back, so they could never count again),
+    // add one observation A -> cat from every other category A, and
+    // find cat's own entry.  O(categories recently seen in the scope)
+    // per event, plus a binary search in cat's in-edge row per edge.
     const TimeSec horizon = event.time - config_.window;
-    for (CategoryId a = 0; a < seen.size(); ++a) {
-      const TimeSec t_a = seen[a];
-      if (t_a == kNever || t_a < horizon || a == cat) continue;
-      Edge& edge = edges_[edge_key(a, cat)];
-      edge.weight += std::exp(-static_cast<double>(event.time - t_a) / tau);
-      edge.count += 1;
+    Recent* own = nullptr;
+    std::size_t kept = 0;
+    for (std::size_t i = 0; i < recent.size(); ++i) {
+      if (recent[i].time < horizon) continue;
+      Recent& entry = recent[kept++] = recent[i];
+      if (entry.category == cat) {
+        own = &entry;
+        continue;
+      }
+      auto edge = std::lower_bound(
+          row.begin(), row.end(), entry.category,
+          [](const InEdge& e, CategoryId source) { return e.source < source; });
+      if (edge == row.end() || edge->source != entry.category) {
+        edge = row.insert(edge, InEdge{entry.category});
+      }
+      edge->weight +=
+          std::exp(-static_cast<double>(event.time - entry.time) / tau);
+      edge->count += 1;
     }
+    recent.resize(kept);
 
     if (event.fatal) {
       // Fatal events terminate chains; they never act as sources, so
-      // they are not entered into the recency table.
+      // they are not entered into the recency list.
       if (fatal_occurrences_[cat]++ == 0) {
         fatal_categories_.insert(
             std::lower_bound(fatal_categories_.begin(),
@@ -63,7 +73,11 @@ void EventGraph::accumulate(std::span<const bgl::Event> events) {
       }
     } else {
       ++occurrences_[cat];
-      seen[cat] = event.time;
+      if (own != nullptr) {
+        own->time = event.time;
+      } else {
+        recent.push_back({cat, event.time});
+      }
     }
   }
 }
@@ -71,19 +85,14 @@ void EventGraph::accumulate(std::span<const bgl::Event> events) {
 std::vector<EventGraph::Predecessor> EventGraph::predecessors(
     CategoryId target, double min_confidence) const {
   std::vector<Predecessor> out;
-  for (const auto& [key, edge] : edges_) {
-    if ((key & 0xFFFFu) != target) continue;
-    const CategoryId source = static_cast<CategoryId>(key >> 16);
-    const std::uint32_t occ = occurrences(source);
-    if (occ == 0) continue;
-    const double confidence = std::min(1.0, edge.weight / occ);
+  if (target >= in_.size()) return out;
+  // A source is a non-fatal category seen at least once: occurrences > 0.
+  for (const InEdge& edge : in_[target]) {
+    const double confidence =
+        std::min(1.0, edge.weight / occurrences(edge.source));
     if (confidence < min_confidence) continue;
-    out.push_back({source, confidence, edge.count});
+    out.push_back({edge.source, confidence, edge.count});
   }
-  std::sort(out.begin(), out.end(),
-            [](const Predecessor& a, const Predecessor& b) {
-              return a.category < b.category;
-            });
   return out;
 }
 

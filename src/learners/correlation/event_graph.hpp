@@ -4,7 +4,12 @@
 // window after the most recent a in the same scope.  The decay kernel
 // exp(-gap / tau) makes tight causal couplings weigh more than loose
 // ones; window-level recency (forgetting old behaviour entirely) is the
-// retraining regime's job, not the graph's.  See DESIGN.md §14.
+// retraining regime's job, not the graph's.
+//
+// Storage is sized by the edges an event touches, not by the taxonomy:
+// each scope keeps a short list of the categories seen within the
+// window, and each target keeps its in-edges in a row sorted by source,
+// so predecessors() walks one row.  See DESIGN.md §14.1.
 #pragma once
 
 #include <cstdint>
@@ -36,9 +41,12 @@ class EventGraph {
  public:
   explicit EventGraph(EventGraphConfig config = {}) : config_(config) {}
 
-  /// Folds a time-ordered event span into the graph.  May be called
+  /// Folds a time-ordered event span into the graph.  Times must be
+  /// non-decreasing within the span (DCHECKed): the recency lists drop
+  /// an entry once it falls behind the window horizon, which is exact
+  /// only because that horizon never moves back.  May be called
   /// repeatedly; spans are treated as independent (no adjacency across
-  /// the seam).
+  /// the seam) and need not be ordered relative to each other.
   void accumulate(std::span<const bgl::Event> events);
 
   /// An incoming edge of some target category.
@@ -68,20 +76,27 @@ class EventGraph {
     return c < fatal_occurrences_.size() ? fatal_occurrences_[c] : 0;
   }
 
-  std::size_t edge_count() const { return edges_.size(); }
   const EventGraphConfig& config() const { return config_; }
 
  private:
-  struct Edge {
-    double weight = 0.0;
+  /// An edge source -> (the row's target).
+  struct InEdge {
+    CategoryId source = kInvalidCategory;
     std::uint32_t count = 0;
+    double weight = 0.0;
+  };
+  /// A non-fatal category's most recent occurrence in one scope.
+  struct Recent {
+    CategoryId category = kInvalidCategory;
+    TimeSec time = 0;
   };
 
   EventGraphConfig config_;
-  /// Edge key: (source << 16) | target.
-  std::unordered_map<std::uint32_t, Edge> edges_;
-  /// Per-scope last-occurrence time of each non-fatal category.
-  std::unordered_map<std::uint32_t, std::vector<TimeSec>> last_seen_;
+  /// in_[target]: the target's incoming edges, ascending by source.
+  std::vector<std::vector<InEdge>> in_;
+  /// Per scope, every non-fatal category seen within `window` of the
+  /// scope's latest event, once each, in no particular order.
+  std::unordered_map<std::uint32_t, std::vector<Recent>> recent_;
   std::vector<std::uint32_t> occurrences_;        // non-fatal, as sources
   std::vector<std::uint32_t> fatal_occurrences_;  // chain consequents
   std::vector<CategoryId> fatal_categories_;

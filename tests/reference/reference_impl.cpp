@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <map>
+#include <unordered_set>
 
 namespace dml::reference {
 
@@ -129,6 +130,57 @@ std::vector<std::vector<CategoryId>> sample_negative_windows(
     windows.push_back(std::move(items));
   }
   return windows;
+}
+
+void NaiveEventGraph::accumulate(std::span<const bgl::Event> events) {
+  const double tau =
+      static_cast<double>(std::max<DurationSec>(1, config_.decay_tau));
+  std::unordered_set<CategoryId> latest;
+  for (std::size_t i = 0; i < events.size(); ++i) {
+    const bgl::Event& event = events[i];
+    if (event.category == kInvalidCategory) continue;
+    const std::uint32_t scope =
+        config_.scope_by_midplane
+            ? event.location.enclosing_midplane().packed()
+            : 0;
+    const TimeSec horizon = event.time - config_.window;
+    latest.clear();
+    for (std::size_t j = i; j-- > 0;) {
+      const bgl::Event& prior = events[j];
+      if (prior.time < horizon) break;
+      if (prior.fatal || prior.category == kInvalidCategory) continue;
+      if (config_.scope_by_midplane &&
+          prior.location.enclosing_midplane().packed() != scope) {
+        continue;
+      }
+      if (!latest.insert(prior.category).second) continue;
+      if (prior.category == event.category) continue;
+      Edge& edge =
+          edges_[(static_cast<std::uint32_t>(prior.category) << 16) |
+                 event.category];
+      edge.weight +=
+          std::exp(-static_cast<double>(event.time - prior.time) / tau);
+      edge.count += 1;
+    }
+    if (!event.fatal) ++occurrences_[event.category];
+  }
+}
+
+std::vector<NaiveEventGraph::Predecessor> NaiveEventGraph::predecessors(
+    CategoryId target) const {
+  std::vector<Predecessor> out;
+  for (const auto& [key, edge] : edges_) {
+    if ((key & 0xFFFFu) != target) continue;
+    const auto source = static_cast<CategoryId>(key >> 16);
+    const double occurrences = occurrences_.at(source);
+    out.push_back({source, std::min(1.0, edge.weight / occurrences),
+                   edge.count});
+  }
+  std::sort(out.begin(), out.end(),
+            [](const Predecessor& a, const Predecessor& b) {
+              return a.category < b.category;
+            });
+  return out;
 }
 
 ReferencePredictor::ReferencePredictor(

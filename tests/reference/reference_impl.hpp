@@ -1,10 +1,11 @@
 // Pre-optimization reference implementations of the hot paths rewritten
 // in DESIGN.md §9: the horizontal std::includes Apriori miner, the
-// rescan-per-stride negative-window sampler, and the hash-map Predictor.
+// rescan-per-stride negative-window sampler, and the hash-map Predictor;
+// plus the rescanning correlation-graph builder (DESIGN.md §14.1).
 // They are kept verbatim (modulo naming) as the equivalence oracle for
 // the golden tests and the "before" side of bench_hot_paths — the
-// optimized implementations must reproduce their itemset multisets and
-// warning streams bit for bit.
+// optimized implementations must reproduce their itemset multisets,
+// warning streams and graph edges bit for bit.
 //
 // One deliberate deviation: the original per-scope clock-tick sweep
 // iterated an unordered_map (unspecified within-tick order).  Both the
@@ -22,6 +23,7 @@
 #include "bgl/record.hpp"
 #include "common/types.hpp"
 #include "learners/apriori.hpp"
+#include "learners/correlation/event_graph.hpp"
 #include "meta/knowledge_repository.hpp"
 #include "predict/predictor.hpp"
 
@@ -38,6 +40,38 @@ std::vector<learners::FrequentItemset> mine_frequent_itemsets(
 std::vector<std::vector<CategoryId>> sample_negative_windows(
     std::span<const bgl::Event> events, DurationSec window,
     DurationSec stride);
+
+/// Naive O(n * window-events) correlation-graph builder: for every
+/// event, rescan the span backward to the window horizon and take the
+/// most recent occurrence of each category as an edge source.  Each
+/// (source, target) pair contributes once per target event, in event
+/// order, so learners::correlation::EventGraph must reproduce its edges
+/// exactly: same sources, counts and weights.
+class NaiveEventGraph {
+ public:
+  using Config = learners::correlation::EventGraphConfig;
+  using Predecessor = learners::correlation::EventGraph::Predecessor;
+
+  explicit NaiveEventGraph(Config config) : config_(config) {}
+
+  /// Same contract as EventGraph::accumulate: spans are independent.
+  void accumulate(std::span<const bgl::Event> events);
+  /// Every incoming edge of `target` (EventGraph::predecessors with
+  /// min_confidence 0), ascending by source.
+  std::vector<Predecessor> predecessors(CategoryId target) const;
+
+ private:
+  struct Edge {
+    double weight = 0.0;
+    std::uint32_t count = 0;
+  };
+
+  Config config_;
+  /// Edge key: (source << 16) | target.
+  std::unordered_map<std::uint32_t, Edge> edges_;
+  /// Non-fatal occurrences per category.
+  std::unordered_map<CategoryId, std::uint32_t> occurrences_;
+};
 
 /// The hash-map predictor (paper Algorithm 2), emitting the same
 /// predict::Warning stream as predict::Predictor.
