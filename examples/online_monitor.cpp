@@ -1,8 +1,8 @@
 // Online monitoring session: streams a raw RAS log record-by-record
-// through online::OnlineEngine — inline preprocessing, scheduled
-// retraining, and a warning callback playing the role of an operator
-// console.  This is the deployment mode of paper §4.3 against the
-// library's embeddable engine API.
+// through online::ShardedEngine — inline preprocessing, retraining on
+// the shared pool, midplane-sharded serving, and a warning callback
+// playing the role of an operator console.  This is the deployment mode
+// of paper §4.3 against the library's embeddable engine API.
 //
 //   ./online_monitor [weeks] [max_warnings_printed]
 #include <cstdio>
@@ -10,7 +10,7 @@
 
 #include "common/civil_time.hpp"
 #include "loggen/generator.hpp"
-#include "online/engine.hpp"
+#include "online/sharded_engine.hpp"
 #include "predict/outcome_matcher.hpp"
 
 int main(int argc, char** argv) {
@@ -23,13 +23,15 @@ int main(int argc, char** argv) {
   loggen::LogGenerator generator(profile, 2);
   const auto& taxonomy = bgl::taxonomy();
 
-  online::OnlineEngineConfig config;
-  config.retrain_interval = 4 * kSecondsPerWeek;
-  config.training_span = 26 * kSecondsPerWeek;
+  online::ShardedEngineConfig config;
+  config.shards = 2;
+  config.engine.retrain_interval = 4 * kSecondsPerWeek;
+  config.engine.training_span = 26 * kSecondsPerWeek;
 
   int printed = 0;
   std::vector<predict::Warning> all_warnings;
-  online::OnlineEngine engine(config, [&](const predict::Warning& warning) {
+  // The merger invokes the callback serially, in issued_at order.
+  online::ShardedEngine engine(config, [&](const predict::Warning& warning) {
     all_warnings.push_back(warning);
     if (printed >= max_printed) return;
     ++printed;
@@ -48,18 +50,19 @@ int main(int argc, char** argv) {
   // Stream the raw log straight into the engine.
   class EngineSink final : public logio::RecordSink {
    public:
-    explicit EngineSink(online::OnlineEngine& engine) : engine_(&engine) {}
+    explicit EngineSink(online::ShardedEngine& engine) : engine_(&engine) {}
     void consume(const bgl::RasRecord& record) override {
       engine_->consume(record);
     }
 
    private:
-    online::OnlineEngine* engine_;
+    online::ShardedEngine* engine_;
   };
   EngineSink sink(engine);
   const auto ground_truth = generator.generate(sink);
 
-  const auto stats = engine.stats();
+  // End of stream: drain the shards before reading the session.
+  const auto stats = engine.finish();
   std::printf(
       "\nsession summary: %llu raw records -> %llu unique events, "
       "%llu failures, %llu warnings (%d shown), %llu retrainings, "
@@ -69,12 +72,12 @@ int main(int argc, char** argv) {
       static_cast<unsigned long long>(stats.failures_seen),
       static_cast<unsigned long long>(stats.warnings_issued), printed,
       static_cast<unsigned long long>(stats.retrainings),
-      engine.rules().size());
+      engine.rules_snapshot()->size());
 
   // Score the session against the ground-truth unique events (from the
   // first retraining onward).
   const TimeSec eval_begin =
-      profile.start_time + config.retrain_interval;
+      profile.start_time + config.engine.retrain_interval;
   std::vector<bgl::Event> test_events;
   for (const auto& e : ground_truth) {
     if (e.time >= eval_begin) test_events.push_back(e);
@@ -84,7 +87,7 @@ int main(int argc, char** argv) {
     if (w.issued_at >= eval_begin) evaluated.push_back(w);
   }
   const auto evaluation = predict::evaluate_predictions(
-      test_events, evaluated, config.prediction_window);
+      test_events, evaluated, config.engine.prediction_window);
   std::printf("precision %.2f, recall %.2f over the online session\n",
               stats::precision(evaluation.overall),
               stats::recall(evaluation.overall));

@@ -1,7 +1,11 @@
 #include "online/driver.hpp"
 
 #include <chrono>
+#include <optional>
+#include <span>
 
+#include "common/check.hpp"
+#include "online/serving.hpp"
 #include "online/sharded_engine.hpp"
 
 namespace dml::online {
@@ -13,54 +17,59 @@ double seconds_since(std::chrono::steady_clock::time_point start) {
       .count();
 }
 
-/// Maps the driver's per-log configuration onto the streaming engine.
-OnlineEngineConfig engine_config(const DriverConfig& config,
-                                 DurationSec initial_span,
-                                 DurationSec retrain_span) {
+/// Maps the driver's per-log configuration onto the engine settings the
+/// driver and ShardedEngine share.
+OnlineEngineConfig engine_config(const DriverConfig& config) {
+  const DurationSec initial_span =
+      static_cast<DurationSec>(config.training_weeks) * kSecondsPerWeek;
   OnlineEngineConfig ec;
   ec.prediction_window = config.prediction_window;
-  ec.retrain_interval = retrain_span;
+  ec.retrain_interval =
+      static_cast<DurationSec>(config.retrain_weeks) * kSecondsPerWeek;
   ec.initial_training_delay = initial_span;
   ec.training_span = initial_span;
-  // The driver replays curated logs; the engine's "don't learn from a
-  // nearly empty history" gate would silently skip intervals the paper's
-  // figures expect to exist.
-  ec.min_training_events = 1;
   ec.mode = config.mode;
   ec.use_reviser = config.use_reviser;
   ec.reviser = config.reviser;
   ec.learner = config.learner;
   ec.predictor = config.predictor;
   ec.clock_tick = config.clock_tick;
-  ec.adaptive_window = config.adaptive_window;
-  ec.window_candidates = config.window_candidates;
-  ec.validation_fraction = config.validation_fraction;
-  ec.async_retrain = false;
-  ec.profile = config.profile;
   return ec;
+}
+
+/// The replay's retraining policy: synchronous builds, plus the adaptive
+/// window selection only the driver offers.
+RetrainPolicy driver_policy(const DriverConfig& config) {
+  RetrainPolicy policy = make_retrain_policy(engine_config(config));
+  policy.adaptive_window = config.adaptive_window;
+  policy.window_candidates = config.window_candidates;
+  policy.validation_fraction = config.validation_fraction;
+  return policy;
+}
+
+/// Replay parity: ticks re-anchor at the first event after each
+/// adoption, the batch driver's per-interval Predictor::run semantics.
+ServingCore::Options replay_serving_options(DurationSec clock_tick,
+                                            const RetrainPolicy& policy) {
+  ServingCore::Options options;
+  options.clock_tick = clock_tick;
+  options.predictor = policy.predictor;
+  options.tick_anchor = ServingCore::TickAnchor::kInterval;
+  options.tick_follows_window = policy.adaptive_window;
+  options.warm_retention = max_adoptable_window(policy);
+  return options;
 }
 
 }  // namespace
 
 ShardedEngineConfig sharded_config_from_driver(const DriverConfig& config,
-                                               std::size_t shards,
-                                               bool profile) {
-  const DurationSec initial_span =
-      static_cast<DurationSec>(config.training_weeks) * kSecondsPerWeek;
-  const DurationSec retrain_span =
-      static_cast<DurationSec>(config.retrain_weeks) * kSecondsPerWeek;
+                                               std::size_t shards) {
   ShardedEngineConfig sharded;
   sharded.shards = shards;
   // Serving semantics: a quarantined shard degrades the run instead of
   // aborting it.
   sharded.rethrow_worker_errors = false;
-  sharded.engine = engine_config(config, initial_span, retrain_span);
-  // The sharded engine forces its own tick anchoring and per-scope
-  // predictor options; async retraining on the shared pool is the point
-  // of the concurrent front-end.
-  sharded.engine.adaptive_window = false;
-  sharded.engine.async_retrain = true;
-  sharded.engine.profile = profile;
+  sharded.engine = engine_config(config);
   return sharded;
 }
 
@@ -121,15 +130,69 @@ DriverResult DynamicDriver::run(const storage::EventRepository& repo) const {
   // only what it reports starts at the resume boundary.
   const TimeSec serve_from = resume_boundary(config_, origin);
 
+  RetrainScheduler scheduler(driver_policy(config_));
+  ServingCore serving(
+      replay_serving_options(config_.clock_tick, scheduler.policy()));
+  SessionStats& session = result.engine_stats;
+  std::optional<SnapshotBuild> last_build;
+  std::size_t adoptions = 0;
+  std::vector<predict::Warning> scratch;
+  // Warnings emitted since the last interval edge.
   std::vector<predict::Warning> warnings;
-  OnlineEngine engine(engine_config(config_, initial_span, retrain_span),
-                      [&](const predict::Warning& w) {
-                        warnings.push_back(w);
-                        if (config_.warning_observer &&
-                            w.issued_at >= serve_from) {
-                          config_.warning_observer(w);
-                        }
-                      });
+
+  const auto emit = [&] {
+    for (const auto& warning : scratch) {
+      ++session.warnings_issued;
+      warnings.push_back(warning);
+      if (config_.warning_observer && warning.issued_at >= serve_from) {
+        config_.warning_observer(warning);
+      }
+    }
+    scratch.clear();
+  };
+  // The loop at event time t: a due boundary fires (a synchronous build
+  // completes inside fire()), its build is adopted, and the ticks due
+  // strictly before t fire.
+  const auto step = [&](TimeSec t) {
+    if (const auto boundary = scheduler.boundary_due(t)) {
+      const auto action = scheduler.fire(*boundary);
+      if (action == RetrainScheduler::BoundaryAction::kRefresh) {
+        serving.refresh(*boundary, scratch);
+      }
+    }
+    if (auto build = scheduler.poll(t)) {
+      // Snapshot epoch ordering: adoptions land in nondecreasing time.
+      DML_DCHECK(!last_build || last_build->activate_at <= build->activate_at);
+      serving.adopt(*build, scratch);
+      session.retrain_build_seconds +=
+          build->train_times.total_seconds() + build->revise_seconds;
+      session.retrain_train_times += build->train_times;
+      session.retrain_revise_seconds += build->revise_seconds;
+      last_build = std::move(*build);
+      ++adoptions;
+    }
+    serving.advance(t, scratch);
+    emit();
+  };
+  // Each event steps the loop before it joins the training history, so a
+  // boundary trains on the events strictly before it.
+  const auto observe = [&](std::span<const bgl::Event> events) {
+    for (const bgl::Event& event : events) {
+      step(event.time);
+      ++session.records_consumed;
+      ++session.events_after_filtering;
+      if (event.fatal) ++session.failures_seen;
+      scheduler.observe(event);
+      if (config_.profile) {
+        const auto t0 = Clock::now();
+        serving.observe(event, scratch);
+        session.serving_seconds += seconds_since(t0);
+      } else {
+        serving.observe(event, scratch);
+      }
+      emit();
+    }
+  };
 
   // Streamed feed of [from, to) — the archive is never materialised
   // outside the bounded test spans below.
@@ -139,14 +202,13 @@ DriverResult DynamicDriver::run(const storage::EventRepository& repo) const {
     while (true) {
       batch.clear();
       if (cursor->next(batch, storage::kDefaultScanBatch) == 0) break;
-      engine.consume_batch(batch);
+      observe(batch);
     }
   };
 
-  // The engine anchors its boundary schedule at the first event it sees;
-  // feed it the initial training span up front so boundary k lands
-  // exactly at origin + initial_span + k * retrain_span.
-  std::size_t adopted = 0;
+  // The scheduler anchors its boundary schedule at the first event; feed
+  // the initial training span up front so boundary k lands exactly at
+  // origin + initial_span + k * retrain_span.
   TimeSec fed_until = origin;
   int index = 0;
   for (TimeSec test_begin = origin + initial_span; test_begin < log_end;
@@ -157,14 +219,11 @@ DriverResult DynamicDriver::run(const storage::EventRepository& repo) const {
     fed_until = test_begin;
 
     // Pin the retraining (or static refresh) exactly at the interval
-    // edge; with synchronous retraining the build completes and is
-    // adopted inside this call.
-    engine.advance_to(test_begin);
+    // edge; the synchronous build completes and is adopted in this step.
+    const std::size_t adoptions_before = adoptions;
+    step(test_begin);
     warnings.clear();  // nothing before the boundary is scored
-
-    const auto& log = engine.retrain_log();
-    const bool retrained = log.size() > adopted;
-    adopted = log.size();
+    const bool retrained = adoptions > adoptions_before;
     // Before the resume boundary an interval is served but not scored;
     // the next feed() streams its events.
     if (test_begin < serve_from) continue;
@@ -174,8 +233,9 @@ DriverResult DynamicDriver::run(const storage::EventRepository& repo) const {
     interval.week = static_cast<int>(week_index(test_begin, origin));
     interval.test_begin = test_begin;
     interval.test_end = test_end;
+    const std::size_t rules_in_force = serving.snapshot()->size();
     if (retrained) {
-      const SnapshotBuild& build = log.back();
+      const SnapshotBuild& build = *last_build;
       interval.rules_from_meta = build.rules_from_meta;
       interval.churn_meta = build.churn_meta;
       interval.churn = build.churn;
@@ -184,17 +244,17 @@ DriverResult DynamicDriver::run(const storage::EventRepository& repo) const {
       interval.revise_seconds = build.revise_seconds;
     } else {
       // Static mode after the first interval: repository unchanged.
-      interval.rules_from_meta = engine.rules().size();
-      interval.churn.unchanged = engine.rules().size();
+      interval.rules_from_meta = rules_in_force;
+      interval.churn.unchanged = rules_in_force;
     }
-    interval.rules_active = engine.rules().size();
-    const DurationSec window = engine.current_window();
+    interval.rules_active = rules_in_force;
+    const DurationSec window = serving.window();
     interval.window_used = window;
 
     const std::vector<bgl::Event> test_events =
         storage::materialize(repo, test_begin, test_end);
     const auto predict_start = Clock::now();
-    engine.consume_batch(test_events);
+    observe(test_events);
     fed_until = test_begin + retrain_span;
     interval.predict_seconds = seconds_since(predict_start);
 
@@ -209,12 +269,17 @@ DriverResult DynamicDriver::run(const storage::EventRepository& repo) const {
 
     result.intervals.push_back(std::move(interval));
   }
-  result.engine_stats = engine.stats();
+  session.retrainings = scheduler.retrainings();
+  session.history_size = scheduler.history_size();
+  session.retrain_failures = scheduler.failures().size();
+  for (const auto& failure : scheduler.failures()) {
+    result.degradations.push_back(degradation_of(failure));
+  }
   const storage::IoStats io = repo.io_stats() - io_before;
-  result.engine_stats.log_bytes_read = io.bytes_read;
-  result.engine_stats.log_segments_opened = io.segments_opened;
-  result.engine_stats.log_map_seconds = io.map_seconds;
-  result.engine_stats.log_read_seconds = io.read_seconds;
+  session.log_bytes_read = io.bytes_read;
+  session.log_segments_opened = io.segments_opened;
+  session.log_map_seconds = io.map_seconds;
+  session.log_read_seconds = io.read_seconds;
   return result;
 }
 

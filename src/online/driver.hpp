@@ -6,13 +6,13 @@
 // window (dynamic-6mo / dynamic-3mo), or frozen at the initial span
 // (static) — the four regimes of Figure 9.
 //
-// The replay itself is OnlineEngine: the driver configures one engine
-// (interval-parity tick anchoring, synchronous retraining, boundaries
-// pinned at its interval edges via advance_to), streams the log through
-// it, and scores each interval's warnings — so the train/predict/retrain
-// loop lives in the engine and nowhere else.  A resumed run is the same
-// replay with the intervals before the resume point left unscored, and
-// the report reads the scored warnings from DriverResult instead of
+// The replay runs the serving loop itself: one synchronous
+// RetrainScheduler and one ServingCore (interval-parity tick anchoring),
+// with boundaries pinned at the interval edges so each build completes
+// and is adopted right at its edge.  The driver streams the log through
+// the pair and scores each interval's warnings.  A resumed run is the
+// same replay with the intervals before the resume point left unscored,
+// and the report reads the scored warnings from DriverResult instead of
 // predicting again.
 #pragma once
 
@@ -55,18 +55,18 @@ struct DriverConfig {
   std::vector<DurationSec> window_candidates = {60, 300, 900, 1800};
   /// Fraction of the training span held out for window selection.
   double validation_fraction = 0.25;
-  /// Time the serving path inside the engine (per-event observation);
-  /// surfaced as DriverResult::engine_stats.serving_seconds.
+  /// Time the serving path (per-event observation); surfaced as
+  /// DriverResult::engine_stats.serving_seconds.
   bool profile = false;
   /// Restartable replay: report only from the first interval boundary at
-  /// or after this week of the log (resume_boundary).  The engine still
+  /// or after this week of the log (resume_boundary).  The driver still
   /// replays the log from its start, so everything from that boundary on
   /// is what an uninterrupted run produces; DriverResult holds only the
   /// intervals from the boundary on, with index/week numbering matching
   /// a full run, and warning_observer sees only the warnings issued from
   /// it on.  0 = report everything (the default).
   int resume_week = 0;
-  /// Observer invoked for every warning the engine emits during the
+  /// Observer invoked for every warning the driver emits during the
   /// replay, in emission order, independent of interval scoring.
   /// `dmlfp run --warnings` uses it to dump the stream so the in-memory
   /// and on-disk paths can be diffed byte for byte.
@@ -118,9 +118,13 @@ struct DriverResult {
   /// concatenation of each interval's test-span warnings).
   std::vector<predict::Warning> warnings;
 
-  /// Whole-replay engine accounting (records, warnings, retrain-build
-  /// and — under DriverConfig::profile — serving wall time).
-  OnlineEngine::SessionStats engine_stats;
+  /// Whole-replay accounting (records, warnings, retrain-build and —
+  /// under DriverConfig::profile — serving wall time).
+  SessionStats engine_stats;
+  /// Every retraining boundary abandoned because all its build attempts
+  /// threw (one kRetrainFailure each, in boundary order); the rules in
+  /// force stayed as they were.
+  std::vector<DegradationEvent> degradations;
 
   stats::ConfusionCounts total_counts() const;
   std::array<stats::ConfusionCounts, learners::kNumRuleSources>
@@ -132,14 +136,12 @@ struct DriverResult {
 /// The one DriverConfig -> ShardedEngineConfig mapping, shared by every
 /// concurrent front-end (`dmlfp run --threads N` and the dmlfpd network
 /// daemon), so "same flags => same warning multiset" holds across them
-/// by construction.  Serving semantics: async retraining on the shared
-/// pool, shard failures quarantine instead of rethrowing, and the first
-/// training fires after the full training span regardless of event
-/// count (min_training_events = 1, matching the batch driver).
+/// by construction.  Serving semantics: shard failures quarantine
+/// instead of rethrowing, adaptive windows stay off, and the first
+/// training fires after the full training span, as in the driver.
 struct ShardedEngineConfig;  // online/sharded_engine.hpp
 ShardedEngineConfig sharded_config_from_driver(const DriverConfig& config,
-                                               std::size_t shards,
-                                               bool profile = false);
+                                               std::size_t shards);
 
 /// Where a run resumed at `config.resume_week` starts serving: the first
 /// retraining boundary (origin + training_weeks + k * retrain_weeks) at

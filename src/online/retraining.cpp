@@ -165,9 +165,7 @@ RetrainScheduler::BoundaryAction RetrainScheduler::fire(TimeSec boundary) {
       history_.pop_front();
     }
   }
-  if (history_.empty() || history_.size() < policy_.min_training_events) {
-    return BoundaryAction::kNone;
-  }
+  if (history_.empty()) return BoundaryAction::kNone;
 
   ++retrainings_;
   trained_once_ = true;
@@ -326,7 +324,6 @@ std::optional<SnapshotBuild> RetrainScheduler::poll(TimeSec t) {
 }
 
 std::optional<SnapshotBuild> RetrainScheduler::join(TimeSec t) {
-  if (ready_) return poll(t);
   if (!pending_.valid()) return std::nullopt;
   return take_pending(t);
 }

@@ -1,11 +1,11 @@
 // Retraining scheduling and snapshot building — the "learn" half of the
-// serving core, shared by OnlineEngine and ShardedEngine (DynamicDriver
-// replays through OnlineEngine).
+// serving loop, run by DynamicDriver (synchronously) and ShardedEngine
+// (asynchronously).
 //
 // The scheduler owns the bounded event history, decides *when* a
 // retraining boundary is due (event time, anchored at the first observed
 // event), and builds each new rule set as an immutable
-// meta::RepositorySnapshot — synchronously for deterministic replay, or
+// meta::RepositorySnapshot — synchronously for the driver's replay, or
 // on ThreadPool::shared() so the serving path never blocks on training
 // (paper Table 5, Observation #8).  Adoption of an asynchronous build is
 // still expressed in *event* time (`adoption_lag`), which keeps a replay
@@ -52,8 +52,6 @@ struct RetrainPolicy {
   /// Sliding-window length (kSlidingWindow only); history beyond it is
   /// discarded at each boundary (bounded memory).
   DurationSec training_span = 26 * kSecondsPerWeek;
-  /// Events required before a boundary actually trains.
-  std::size_t min_training_events = 200;
   TrainingMode mode = TrainingMode::kSlidingWindow;
   bool use_reviser = true;
   predict::ReviserConfig reviser;
@@ -142,7 +140,7 @@ class RetrainScheduler {
   ~RetrainScheduler();
 
   enum class BoundaryAction {
-    kNone,     ///< gate failed (too few events) or a build is in flight
+    kNone,     ///< empty training set, or a build is in flight
     kRetrain,  ///< a build was started (async) or completed (sync)
     kRefresh,  ///< static mode after the first training: rules unchanged,
                ///< but the serving side should refresh its predictor
@@ -153,10 +151,8 @@ class RetrainScheduler {
   /// nullopt.  The first call anchors the schedule.
   std::optional<TimeSec> boundary_due(TimeSec t);
 
-  /// Fires a boundary: trims history per mode, checks the
-  /// min_training_events gate, and starts (async) or runs (sync) the
-  /// build.  Does not touch the boundary schedule, so forced retrains
-  /// (`retrain_now`) can fire at arbitrary times.
+  /// Fires a boundary: trims history per mode, skips an empty training
+  /// set, and starts (async) or runs (sync) the build.
   BoundaryAction fire(TimeSec boundary);
 
   /// Appends one preprocessed event to the training history.  Events at
@@ -170,16 +166,14 @@ class RetrainScheduler {
   /// joining the build if it is still running.
   std::optional<SnapshotBuild> poll(TimeSec t);
 
-  /// Forces completion of any outstanding build and returns it with
-  /// activate_at = t (retrain_now / end-of-stream).
+  /// Forces completion of an outstanding asynchronous build and returns
+  /// it with activate_at = t (end of stream).
   std::optional<SnapshotBuild> join(TimeSec t);
 
   bool build_in_flight() const;
   const RetrainPolicy& policy() const { return policy_; }
   std::size_t history_size() const { return history_.size(); }
-  /// Prediction window currently in force (moves in adaptive mode).
-  DurationSec current_window() const { return window_; }
-  /// Number of trainings actually scheduled/run (gate passes).
+  /// Number of trainings actually scheduled/run (non-empty boundaries).
   std::uint64_t retrainings() const { return retrainings_; }
 
   /// Boundaries abandoned because every build attempt failed (the

@@ -1,17 +1,16 @@
 // ServingCore — the "predict" half of the serving core: owns the
 // predictor in force, adopts retrained snapshots published by the
 // RetrainScheduler, and drives the PD expert's clock ticks.  This is the
-// single implementation of the per-event serving loop; OnlineEngine runs
-// one, ShardedEngine runs one per shard, and DynamicDriver replays
-// through OnlineEngine.  It keeps its own trailing buffer of the events
-// it observed and warms every fresh predictor from it, so an owner only
-// sizes the buffer (max_adoptable_window) and never supplies history.
+// single implementation of the per-event serving loop; DynamicDriver
+// replays a log through one, and ShardedEngine runs one per shard.  It
+// keeps its own trailing buffer of the events it observed and warms
+// every fresh predictor from it, so an owner only sizes the buffer
+// (max_adoptable_window) and never supplies history.
 //
 // Two tick-anchoring disciplines are supported:
 //  - kInterval (replay parity): ticks re-anchor at the first event after
 //    each snapshot adoption, exactly the batch driver's per-interval
-//    `Predictor::run` semantics — replaying a log through the engine
-//    reproduces DynamicDriver's warning stream bit for bit.
+//    `Predictor::run` semantics (DynamicDriver's discipline).
 //  - kAbsolute (sharded serving): ticks fire on the fixed grid
 //    first-adoption + k * clock_tick regardless of adoptions or event
 //    arrivals, so every shard of a partitioned stream ticks at the same

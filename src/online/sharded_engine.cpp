@@ -218,6 +218,7 @@ RetrainPolicy sharded_policy(const OnlineEngineConfig& config) {
   RetrainPolicy policy = make_retrain_policy(config);
   policy.predictor.location_scoped = true;
   policy.predictor.per_scope_state = true;
+  policy.async = true;
   return policy;
 }
 
@@ -597,9 +598,7 @@ ShardedEngine::SessionStats ShardedEngine::collect_stats() const {
 std::vector<DegradationEvent> ShardedEngine::degradation_log() const {
   std::vector<DegradationEvent> log;
   for (const auto& failure : scheduler_.failures()) {
-    log.push_back({DegradationEvent::Kind::kRetrainFailure, failure.boundary,
-                   failure.attempts,
-                   "retraining abandoned: " + failure.error});
+    log.push_back(degradation_of(failure));
   }
   {
     common::MutexLock lock(quarantine_mutex_);

@@ -11,9 +11,9 @@
 //    (tests/integration/test_sharded_determinism.cpp).
 //  - Shard queues are bounded in events: a stalled shard back-pressures the
 //    producer instead of growing without bound.
-//  - Retraining runs on ThreadPool::shared() (async mode); the new rule
-//    set is published with one atomic snapshot swap and adopted by every
-//    shard at the same event-time instant, so consume() never executes
+//  - Retraining always runs on ThreadPool::shared(); the new rule set is
+//    published with one atomic snapshot swap and adopted by every shard
+//    at the same event-time instant, so consume() never executes
 //    training work inline.
 //  - The warning callback is invoked serially (under the merger lock)
 //    with warnings in nondecreasing issued_at order; ties are broken by
@@ -22,6 +22,7 @@
 
 #include <atomic>
 #include <cstddef>
+#include <functional>
 #include <span>
 #include <string>
 #include <vector>
@@ -29,6 +30,8 @@
 #include "common/annotations.hpp"
 #include "meta/snapshot.hpp"
 #include "online/engine.hpp"
+#include "online/serving.hpp"
+#include "preprocess/streaming_pipeline.hpp"
 #include "storage/event_repository.hpp"
 
 namespace dml::online {
@@ -56,18 +59,16 @@ struct ShardedEngineConfig {
   /// the failure in stats()/degradation_log() — serving semantics.
   bool rethrow_worker_errors = true;
   /// Retraining/serving knobs.  Per-scope prediction is forced
-  /// (per_scope_state, location_scoped, absolute ticks).  async_retrain
-  /// keeps its default of off (builds run inline at the boundary);
-  /// sharded_config_from_driver turns it on.  An asynchronous build is
-  /// adopted at boundary + adoption_lag (default: prediction_window) so
-  /// replays stay deterministic.
+  /// (per_scope_state, location_scoped, absolute ticks).  Every build
+  /// runs on the shared pool and is adopted at boundary + adoption_lag
+  /// (default: prediction_window), so replays stay deterministic.
   OnlineEngineConfig engine;
 };
 
 class ShardedEngine {
  public:
-  using WarningCallback = OnlineEngine::WarningCallback;
-  using SessionStats = OnlineEngine::SessionStats;
+  using WarningCallback = std::function<void(const predict::Warning&)>;
+  using SessionStats = online::SessionStats;
 
   ShardedEngine(ShardedEngineConfig config, WarningCallback on_warning);
 
@@ -78,8 +79,8 @@ class ShardedEngine {
   ShardedEngine& operator=(const ShardedEngine&) = delete;
 
   /// Producer side; records must arrive in time order.  Blocks only on
-  /// shard backpressure (and, in deterministic-adoption mode, when the
-  /// stream reaches an adoption point before the build finished).  An
+  /// shard backpressure and when the stream reaches an adoption point
+  /// before its build finished (deterministic adoption).  An
   /// event that survives preprocessing reaches its shard as a run of
   /// one: consume_batch() of a single event.
   void consume(const bgl::RasRecord& record);

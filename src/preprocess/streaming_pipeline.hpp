@@ -2,9 +2,9 @@
 // temporal filter -> spatial filter, one raw RAS record in, at most one
 // unique categorized event out.  This is the single implementation of
 // the chain; the batch pipeline (preprocess::PreprocessPipeline), the
-// online engine (online::OnlineEngine) and the sharded serving front-end
-// (online::ShardedEngine) all consume it rather than re-inlining the
-// three stages.
+// serving front-end (online::ShardedEngine) and the ingest path
+// (`dmlfp ingest`) all consume it rather than re-inlining the three
+// stages.
 #pragma once
 
 #include <array>

@@ -54,7 +54,6 @@ ShardedEngineConfig chaos_config(std::size_t shards = 4) {
   config.shards = shards;
   config.engine.retrain_interval = 4 * kSecondsPerWeek;
   config.engine.training_span = 12 * kSecondsPerWeek;
-  config.engine.async_retrain = true;
   return config;
 }
 
@@ -279,7 +278,6 @@ TEST_F(ChaosTest, CorruptedLogLinesAreSkippedCountedAndServed) {
 
   std::size_t warnings = 0;
   auto config = chaos_config();
-  config.engine.min_training_events = 50;
   ShardedEngine engine(config,
                        [&](const predict::Warning&) { ++warnings; });
   logio::RecordReader reader(text, logio::RecordReader::OnError::kSkip);

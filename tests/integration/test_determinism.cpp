@@ -4,7 +4,6 @@
 #include <gtest/gtest.h>
 
 #include "online/driver.hpp"
-#include "online/engine.hpp"
 #include "support/test_fixtures.hpp"
 
 namespace dml {
@@ -40,23 +39,6 @@ TEST(Determinism, DriverIsDeterministicWithAllExtensionsOn) {
     EXPECT_EQ(a.intervals[i].counts, b.intervals[i].counts) << i;
     EXPECT_EQ(a.intervals[i].window_used, b.intervals[i].window_used) << i;
   }
-}
-
-TEST(Determinism, OnlineEngineSessionsAreIdentical) {
-  auto run_session = [] {
-    online::OnlineEngineConfig config;
-    config.training_span = 12 * kSecondsPerWeek;
-    std::vector<TimeSec> issue_times;
-    online::OnlineEngine engine(config, [&](const predict::Warning& w) {
-      issue_times.push_back(w.issued_at);
-    });
-    for (const auto& event :
-         testing::weeks_of(testing::shared_store(), 0, 16)) {
-      engine.consume(event);
-    }
-    return issue_times;
-  };
-  EXPECT_EQ(run_session(), run_session());
 }
 
 TEST(Determinism, GeneratorIsIndependentOfPriorGenerators) {

@@ -44,7 +44,6 @@ Replay replay(std::size_t shards, int weeks) {
   config.shards = shards;
   config.engine.retrain_interval = 4 * kSecondsPerWeek;
   config.engine.training_span = 12 * kSecondsPerWeek;
-  config.engine.async_retrain = true;
 
   Replay result;
   std::mutex mutex;
@@ -144,7 +143,6 @@ std::vector<WarningKey> merged_sequence(const CellParam& cell) {
   config.queue_capacity = capacity;
   config.engine.retrain_interval = 4 * kSecondsPerWeek;
   config.engine.training_span = 12 * kSecondsPerWeek;
-  config.engine.async_retrain = true;
 
   std::vector<WarningKey> sequence;
   ShardedEngine engine(config, [&](const predict::Warning& w) {

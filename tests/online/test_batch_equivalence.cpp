@@ -1,9 +1,9 @@
 // Batch/serial equivalence (DESIGN.md §13): the batched entry points —
-// Predictor::observe_batch, OnlineEngine::consume_batch and
-// ShardedEngine::consume_batch — must produce exactly the warning
-// stream of the per-event calls (multiset-identical for the sharded
-// front-end, whose merge order is already only multiset-stable), on
-// clean streams and with feed/worker failpoints firing.
+// Predictor::observe_batch and ShardedEngine::consume_batch — must
+// produce exactly the warning stream of the per-event calls
+// (multiset-identical for the sharded front-end, whose merge order is
+// already only multiset-stable), on clean streams and with feed/worker
+// failpoints firing.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -15,7 +15,6 @@
 #include "common/failpoint.hpp"
 #include "common/rng.hpp"
 #include "loggen/generator.hpp"
-#include "online/engine.hpp"
 #include "online/sharded_engine.hpp"
 #include "predict/predictor.hpp"
 #include "support/test_fixtures.hpp"
@@ -71,27 +70,7 @@ OnlineEngineConfig engine_config() {
   OnlineEngineConfig config;
   config.retrain_interval = 2 * kSecondsPerWeek;
   config.training_span = 4 * kSecondsPerWeek;
-  config.min_training_events = 1;
   return config;
-}
-
-std::vector<predict::Warning> run_engine(std::span<const bgl::Event> events,
-                                         bool batched) {
-  std::vector<predict::Warning> warnings;
-  OnlineEngine engine(engine_config(), [&](const predict::Warning& w) {
-    warnings.push_back(w);
-  });
-  if (batched) {
-    std::size_t offset = 0;
-    for (const std::size_t len : chunk_lengths(events.size(), 31)) {
-      engine.consume_batch(events.subspan(offset, len));
-      offset += len;
-    }
-  } else {
-    for (const auto& event : events) engine.consume(event);
-  }
-  engine.finish();
-  return warnings;
 }
 
 std::vector<predict::Warning> run_sharded(std::span<const bgl::Event> events,
@@ -101,7 +80,6 @@ std::vector<predict::Warning> run_sharded(std::span<const bgl::Event> events,
   ShardedEngineConfig config;
   config.shards = shards;
   config.engine = engine_config();
-  config.engine.async_retrain = true;
   ShardedEngine engine(config, [&](const predict::Warning& w) {
     std::lock_guard lock(mutex);
     warnings.push_back(w);
@@ -142,30 +120,22 @@ TEST(BatchEquivalence, PredictorObserveBatchMatchesSerial) {
   EXPECT_EQ(keys(serial_out), keys(batch_out));
 }
 
-TEST(BatchEquivalence, EngineConsumeBatchMatchesSerialSdsc) {
-  const auto events = testing::weeks_of(testing::shared_store(), 0, 8);
-  const auto serial = run_engine(events, /*batched=*/false);
-  const auto batched = run_engine(events, /*batched=*/true);
-  ASSERT_GT(serial.size(), 0u);
-  EXPECT_EQ(keys(serial), keys(batched));
-}
-
-TEST(BatchEquivalence, EngineConsumeBatchMatchesSerialAnl) {
-  const auto& events = anl_events();
-  const auto serial = run_engine(events, /*batched=*/false);
-  const auto batched = run_engine(events, /*batched=*/true);
-  ASSERT_GT(serial.size(), 0u);
-  EXPECT_EQ(keys(serial), keys(batched));
-}
-
-TEST(BatchEquivalence, ShardedFeedBatchMatchesSerialMultiset) {
-  const auto events = testing::weeks_of(testing::shared_store(), 0, 8);
+void expect_sharded_batch_matches_serial(std::span<const bgl::Event> events) {
   auto serial = keys(run_sharded(events, 3, /*batched=*/false));
   auto batched = keys(run_sharded(events, 3, /*batched=*/true));
   ASSERT_GT(serial.size(), 0u);
   std::sort(serial.begin(), serial.end());
   std::sort(batched.begin(), batched.end());
   EXPECT_EQ(serial, batched);
+}
+
+TEST(BatchEquivalence, ShardedFeedBatchMatchesSerialMultiset) {
+  expect_sharded_batch_matches_serial(
+      testing::weeks_of(testing::shared_store(), 0, 8));
+}
+
+TEST(BatchEquivalence, ShardedFeedBatchMatchesSerialMultisetAnl) {
+  expect_sharded_batch_matches_serial(anl_events());
 }
 
 class BatchEquivalenceFaultTest : public ::testing::Test {
@@ -194,8 +164,7 @@ TEST_F(BatchEquivalenceFaultTest, EngineFeedDropsMatchSerial) {
     ShardedEngineConfig config;
     config.shards = 2;
     config.engine = engine_config();
-    config.engine.async_retrain = true;
-    std::mutex mutex;
+      std::mutex mutex;
     ShardedEngine engine(config, [&](const predict::Warning& w) {
       std::lock_guard lock(mutex);
       serial.push_back(w);
@@ -211,8 +180,7 @@ TEST_F(BatchEquivalenceFaultTest, EngineFeedDropsMatchSerial) {
     ShardedEngineConfig config;
     config.shards = 2;
     config.engine = engine_config();
-    config.engine.async_retrain = true;
-    std::mutex mutex;
+      std::mutex mutex;
     ShardedEngine engine(config, [&](const predict::Warning& w) {
       std::lock_guard lock(mutex);
       batched.push_back(w);
@@ -246,8 +214,7 @@ TEST_F(BatchEquivalenceFaultTest, SingleShardWorkerDropsMatchSerial) {
     ShardedEngineConfig config;
     config.shards = 1;
     config.engine = engine_config();
-    config.engine.async_retrain = true;
-    ShardedEngine engine(config, [&](const predict::Warning& w) {
+      ShardedEngine engine(config, [&](const predict::Warning& w) {
       warnings.push_back(w);  // single shard: merger calls are serial
     });
     if (batch_mode) {
@@ -279,7 +246,6 @@ TEST_F(BatchEquivalenceFaultTest, MidBatchQuarantineDrainsRemainder) {
   ShardedEngineConfig config;
   config.shards = 1;
   config.engine = engine_config();
-  config.engine.async_retrain = true;
   config.rethrow_worker_errors = false;  // serving semantics: degrade
   ShardedEngine engine(config, nullptr);
   std::size_t offset = 0;

@@ -123,7 +123,6 @@ TEST(ShardedColdStart, PostResumeWarningMultisetMatchesFullRun) {
   config.shards = 3;
   config.engine.retrain_interval = 4 * kSecondsPerWeek;
   config.engine.training_span = 12 * kSecondsPerWeek;
-  config.engine.async_retrain = true;
 
   const auto run = [&](bool resume) {
     std::mutex mutex;

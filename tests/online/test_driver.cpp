@@ -132,6 +132,25 @@ TEST(DynamicDriver, TimingFieldsPopulated) {
   }
 }
 
+TEST(DynamicDriver, EngineStatsAccountForTheWholeReplay) {
+  const auto& store = testing::shared_store();
+  const auto& result = sliding_result();
+  const SessionStats& session = result.engine_stats;
+  // The replay observes every event of the log once.
+  EXPECT_EQ(session.records_consumed, store.size());
+  EXPECT_EQ(session.events_after_filtering, store.size());
+  EXPECT_EQ(session.failures_seen, store.fatal_times().size());
+  // Sliding mode retrains at every interval edge, and no build failed.
+  EXPECT_EQ(session.retrainings, result.intervals.size());
+  EXPECT_GT(session.retrain_build_seconds, 0.0);
+  EXPECT_EQ(session.retrain_failures, 0u);
+  EXPECT_TRUE(result.degradations.empty());
+  // Every scored warning was issued; the count also covers the ones
+  // emitted at the interval edges, which are not scored.
+  ASSERT_FALSE(result.warnings.empty());
+  EXPECT_GE(session.warnings_issued, result.warnings.size());
+}
+
 TEST(DynamicDriver, EmptyStoreYieldsEmptyResult) {
   const logio::EventStore empty;
   const auto result =

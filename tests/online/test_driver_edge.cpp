@@ -1,6 +1,7 @@
 // Edge cases of the dynamic driver's scheduling.
 #include <gtest/gtest.h>
 
+#include "common/failpoint.hpp"
 #include "online/driver.hpp"
 #include "support/test_fixtures.hpp"
 
@@ -82,6 +83,38 @@ TEST(DriverEdge, LocationScopedDriverRuns) {
   const auto result = DynamicDriver(config).run(testing::shared_store());
   ASSERT_FALSE(result.intervals.empty());
   EXPECT_GT(result.overall_recall(), 0.05);
+}
+
+TEST(DriverEdge, AbandonedRetrainsAreReportedAsDegradations) {
+  auto& failpoints = common::FailpointRegistry::instance();
+  failpoints.reset();
+  ASSERT_TRUE(failpoints.arm_from_string("retrain.build=throw"));
+  DriverConfig config;
+  config.training_weeks = 12;
+  const auto result = DynamicDriver(config).run(testing::shared_store());
+  failpoints.reset();
+  // Every boundary's build threw: each is one incident, and the replay
+  // still ran every interval on the (empty) rules in force.
+  EXPECT_GT(result.engine_stats.retrain_failures, 0u);
+  EXPECT_EQ(result.degradations.size(), result.engine_stats.retrain_failures);
+  for (const auto& incident : result.degradations) {
+    EXPECT_EQ(incident.kind, DegradationEvent::Kind::kRetrainFailure);
+  }
+  EXPECT_FALSE(result.intervals.empty());
+}
+
+TEST(DriverEdge, ServingTimeIsMeasuredOnlyUnderProfile) {
+  DriverConfig config;
+  config.training_weeks = 12;
+  const auto plain = DynamicDriver(config).run(testing::shared_store());
+  config.profile = true;
+  const auto profiled = DynamicDriver(config).run(testing::shared_store());
+  EXPECT_EQ(plain.engine_stats.serving_seconds, 0.0);
+  EXPECT_GT(profiled.engine_stats.serving_seconds, 0.0);
+  // Timing the serving path changes nothing the replay reports.
+  EXPECT_EQ(plain.total_counts(), profiled.total_counts());
+  EXPECT_EQ(plain.engine_stats.warnings_issued,
+            profiled.engine_stats.warnings_issued);
 }
 
 TEST(DriverEdge, SingleEventStore) {

@@ -23,7 +23,6 @@ class RetrainEdgeTest : public ::testing::Test {
 RetrainPolicy edge_policy() {
   RetrainPolicy policy;
   policy.retrain_interval = kSecondsPerWeek;
-  policy.min_training_events = 1;
   policy.max_build_attempts = 2;
   policy.retry_backoff_ms = 1;
   return policy;
@@ -129,8 +128,6 @@ TEST_F(RetrainEdgeTest, EngineTearsDownCleanlyWithBuildInFlight) {
   ShardedEngineConfig config;
   config.shards = 2;
   config.engine.retrain_interval = kSecondsPerWeek;
-  config.engine.min_training_events = 1;
-  config.engine.async_retrain = true;
   config.engine.adoption_lag = kSecondsPerWeek;
   {
     // The publisher is a member of the engine: this is "publisher torn

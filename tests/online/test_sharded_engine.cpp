@@ -12,6 +12,8 @@
 
 #include "bgl/location.hpp"
 #include "common/failpoint.hpp"
+#include "logio/record_sink.hpp"
+#include "predict/outcome_matcher.hpp"
 #include "support/test_fixtures.hpp"
 
 namespace dml::online {
@@ -22,7 +24,6 @@ ShardedEngineConfig sharded_config(std::size_t shards) {
   config.shards = shards;
   config.engine.retrain_interval = 4 * kSecondsPerWeek;
   config.engine.training_span = 12 * kSecondsPerWeek;
-  config.engine.async_retrain = true;
   return config;
 }
 
@@ -58,6 +59,58 @@ TEST(ShardedEngine, ServesAndRetrainsAcrossShards) {
   }
   EXPECT_EQ(total, events.size());
   EXPECT_GT(nonempty, 1u);
+}
+
+TEST(ShardedEngine, RetrainsOnScheduleAndWarns) {
+  std::atomic<std::size_t> warnings{0};
+  ShardedEngine engine(sharded_config(2),
+                       [&](const predict::Warning&) { ++warnings; });
+  const auto& store = testing::shared_store();
+  std::uint64_t fatals = 0;
+  for (const auto& event : testing::weeks_of(store, 0, 20)) {
+    engine.consume(event);
+    if (event.fatal) ++fatals;
+  }
+  const auto stats = engine.finish();
+  // 20 weeks / 4-week cadence -> 4 retrainings (first at week 4).
+  EXPECT_EQ(stats.retrainings, 4u);
+  EXPECT_FALSE(engine.rules_snapshot()->empty());
+  EXPECT_GT(warnings.load(), 50u);
+  EXPECT_EQ(stats.warnings_issued, warnings.load());
+  // The shards count the failures they served.
+  EXPECT_EQ(stats.failures_seen, fatals);
+  EXPECT_GT(stats.failures_seen, 100u);
+}
+
+TEST(ShardedEngine, FirstWarningWaitsForTheAdoptionLag) {
+  // The week-4 build is the first rule set; it is adopted at its boundary
+  // plus adoption_lag (one prediction window when the lag is 0), and
+  // nothing warns before it.
+  const auto& store = testing::shared_store();
+  const TimeSec boundary = store.first_time() + 4 * kSecondsPerWeek;
+  const auto issue_times = [&](DurationSec adoption_lag) {
+    auto config = sharded_config(2);
+    config.engine.adoption_lag = adoption_lag;
+    std::vector<TimeSec> issued;
+    ShardedEngine engine(config, [&](const predict::Warning& w) {
+      issued.push_back(w.issued_at);  // callback is serialized by the merger
+    });
+    for (const auto& event : testing::weeks_of(store, 0, 8)) {
+      engine.consume(event);
+    }
+    engine.finish();
+    return issued;
+  };
+  constexpr DurationSec kLag = 2 * kSecondsPerDay;
+  const auto prompt = issue_times(0);
+  const auto lagged = issue_times(kLag);
+  ASSERT_FALSE(prompt.empty());
+  ASSERT_FALSE(lagged.empty());
+  EXPECT_GE(prompt.front(), boundary + 300);
+  // The prompt adoption warns inside the lag, so the lagged run's
+  // silence there is the lag's doing.
+  EXPECT_LT(prompt.front(), boundary + kLag);
+  EXPECT_GE(lagged.front(), boundary + kLag);
 }
 
 TEST(ShardedEngine, MergedWarningStreamIsTimeOrdered) {
@@ -97,6 +150,140 @@ TEST(ShardedEngine, EmptyStreamFinishesCleanly) {
   EXPECT_EQ(stats.records_consumed, 0u);
   EXPECT_EQ(stats.warnings_issued, 0u);
   EXPECT_EQ(stats.retrainings, 0u);
+}
+
+TEST(ShardedEngine, SilentBeforeFirstTraining) {
+  std::atomic<std::size_t> warnings{0};
+  ShardedEngine engine(sharded_config(2),
+                       [&](const predict::Warning&) { ++warnings; });
+  const auto& store = testing::shared_store();
+  for (const auto& event : testing::weeks_of(store, 0, 3)) {
+    engine.consume(event);
+  }
+  const auto stats = engine.finish();
+  EXPECT_EQ(warnings.load(), 0u);
+  EXPECT_TRUE(engine.rules_snapshot()->empty());
+  EXPECT_EQ(stats.retrainings, 0u);
+}
+
+TEST(ShardedEngine, HistoryStaysBounded) {
+  auto config = sharded_config(2);
+  config.engine.training_span = 2 * kSecondsPerWeek;
+  ShardedEngine engine(config, nullptr);
+  const auto& store = testing::shared_store();
+  std::size_t max_history = 0;
+  for (const auto& event : testing::weeks_of(store, 0, 20)) {
+    engine.consume(event);
+    max_history = std::max(max_history, engine.stats().history_size);
+  }
+  // Two weeks of this log is a few hundred events; 20 weeks is ~2500.
+  const auto total = testing::weeks_of(store, 0, 20).size();
+  EXPECT_LT(max_history, total / 2);
+}
+
+TEST(ShardedEngine, RawRecordsArePreprocessedInline) {
+  auto profile = testing::tiny_profile(8);
+  logio::VectorSink sink;
+  loggen::LogGenerator(profile, 77).generate(sink);
+
+  auto config = sharded_config(2);
+  config.engine.retrain_interval = 2 * kSecondsPerWeek;
+  std::atomic<std::size_t> warnings{0};
+  ShardedEngine engine(config, [&](const predict::Warning&) { ++warnings; });
+  for (const auto& record : sink.records()) engine.consume(record);
+  const auto stats = engine.finish();
+
+  EXPECT_EQ(stats.records_consumed, sink.records().size());
+  // Filtering compresses the raw stream substantially.
+  EXPECT_LT(stats.events_after_filtering, stats.records_consumed / 2);
+  EXPECT_GT(stats.retrainings, 0u);
+  EXPECT_GT(warnings.load(), 0u);
+}
+
+TEST(ShardedEngine, PinnedSnapshotSurvivesRetraining) {
+  ShardedEngine engine(sharded_config(2), nullptr);
+  const auto& store = testing::shared_store();
+  for (const auto& event : testing::weeks_of(store, 0, 6)) {
+    engine.consume(event);
+  }
+  // The week-4 build was adopted one prediction window after its
+  // boundary, well inside the events fed since.
+  ASSERT_EQ(engine.stats().retrainings, 1u);
+  const meta::RepositorySnapshot pinned = engine.rules_snapshot();
+  const std::size_t pinned_size = pinned->size();
+  ASSERT_GT(pinned_size, 0u);
+
+  for (const auto& event : testing::weeks_of(store, 6, 12)) {
+    engine.consume(event);
+  }
+  ASSERT_GE(engine.stats().retrainings, 2u);
+  // The RCU contract: the pinned snapshot is untouched by later swaps.
+  EXPECT_EQ(pinned->size(), pinned_size);
+  EXPECT_NE(engine.rules_snapshot().get(), pinned.get());
+}
+
+TEST(ShardedEngine, MatchesBatchAccuracyBallpark) {
+  // The sharded engine over weeks 0-24 should produce warnings whose
+  // quality is in the same band as the batch driver's on that span.
+  std::vector<predict::Warning> warnings;
+  ShardedEngine engine(sharded_config(2), [&](const predict::Warning& w) {
+    warnings.push_back(w);  // callback is serialized by the merger
+  });
+  const auto& store = testing::shared_store();
+  for (const auto& event : testing::weeks_of(store, 0, 24)) {
+    engine.consume(event);
+  }
+  engine.finish();
+
+  // Evaluate warnings against the span after the first training.
+  const TimeSec eval_begin = store.first_time() + 4 * kSecondsPerWeek;
+  std::vector<predict::Warning> evaluated;
+  for (const auto& w : warnings) {
+    if (w.issued_at >= eval_begin) evaluated.push_back(w);
+  }
+  const auto test_events = store.between(
+      eval_begin, store.first_time() + 24 * kSecondsPerWeek);
+  const auto result =
+      predict::evaluate_predictions(test_events, evaluated, 300);
+  EXPECT_GT(stats::recall(result.overall), 0.5);
+  EXPECT_GT(stats::precision(result.overall), 0.4);
+}
+
+bgl::Event synthetic_event(TimeSec time, CategoryId category, bool fatal) {
+  bgl::Event event;
+  event.time = time;
+  event.category = category;
+  event.fatal = fatal;
+  event.location = bgl::Location::compute_chip(0, 0, 0, 0, 0);
+  return event;
+}
+
+TEST(ShardedEngine, BoundaryTrainsOnlyOnEventsStrictlyBeforeIt) {
+  // The first event at t=0 anchors the schedule; the first boundary is
+  // at t=1000 and its sliding training set is [500, 1000).
+  ShardedEngineConfig config;
+  config.shards = 1;
+  config.engine.retrain_interval = 1000;
+  config.engine.initial_training_delay = 1000;
+  config.engine.training_span = 500;
+  //  - events {0, 1000}: the t=0 event falls out of the span, and the
+  //    event at the boundary is not yet history, so nothing trains;
+  {
+    ShardedEngine engine(config, nullptr);
+    engine.consume(synthetic_event(0, 1, false));
+    engine.consume(synthetic_event(1000, 1, false));
+    EXPECT_EQ(engine.stats().retrainings, 0u);
+  }
+  //  - events {0, 600, 1000}: t=600 is inside the span, so the boundary
+  //    trains the moment the boundary-time event arrives.
+  {
+    ShardedEngine engine(config, nullptr);
+    engine.consume(synthetic_event(0, 1, false));
+    engine.consume(synthetic_event(600, 2, true));
+    EXPECT_EQ(engine.stats().retrainings, 0u);
+    engine.consume(synthetic_event(1000, 1, false));
+    EXPECT_EQ(engine.stats().retrainings, 1u);
+  }
 }
 
 TEST(ShardedEngine, HeartbeatsReleaseWarningsPastAQuietShard) {

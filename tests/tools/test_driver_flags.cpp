@@ -1,9 +1,10 @@
 // The engine-flag parser that `dmlfp run` and `dmlfpd` share
 // (tools/support/flags.hpp): one argv yields one DriverConfig, whichever
-// front end reads it.
+// front end reads it, and a flag no list names is rejected.
 #include <gtest/gtest.h>
 
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "support/flags.hpp"
@@ -39,6 +40,26 @@ TEST(DriverFlags, RejectsUnknownModeAndUnreadableConfig) {
                 parse({"--config", "/nonexistent/dmlfp.conf"}), "test",
                 config),
             1);
+}
+
+TEST(DriverFlags, UnknownFlagIsRejectedByName) {
+  constexpr std::string_view kRunFlags[] = {"log"};
+  const Flags typo = parse({"--log", "x", "--retrain-week", "1"});
+  ASSERT_TRUE(typo.error().empty()) << typo.error();
+  ::testing::internal::CaptureStderr();
+  EXPECT_FALSE(typo.all_known("test", {kRunFlags, kEngineFlags}));
+  EXPECT_NE(::testing::internal::GetCapturedStderr().find(
+                "test: unknown flag --retrain-week"),
+            std::string::npos);
+
+  const Flags known = parse({"--log", "x", "--retrain-weeks", "1",
+                             "--no-reviser", "--failpoint", "a=off"});
+  EXPECT_TRUE(
+      known.all_known("test", {kRunFlags, kEngineFlags, kFailpointFlags}));
+  // A shared list only counts where the command takes it.
+  ::testing::internal::CaptureStderr();
+  EXPECT_FALSE(known.all_known("test", {kRunFlags, kEngineFlags}));
+  ::testing::internal::GetCapturedStderr();
 }
 
 }  // namespace

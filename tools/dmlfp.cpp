@@ -27,6 +27,7 @@
 #include <map>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "common/civil_time.hpp"
@@ -145,7 +146,7 @@ void add_profile_row(online::TablePrinter& table, const char* stage,
 /// snapshot) plus ensemble assembly and revision — which base learner
 /// the retrain budget actually goes to.
 void add_retrain_build_rows(online::TablePrinter& table,
-                            const online::OnlineEngine::SessionStats& stats) {
+                            const online::SessionStats& stats) {
   add_profile_row(table, "retrain-builds", stats.retrain_build_seconds, -1.0);
   const meta::TrainTimes& t = stats.retrain_train_times;
   add_profile_row(table, "  association", t.association_seconds, -1.0);
@@ -304,9 +305,23 @@ bool dump_warnings(const std::string& path,
   return true;
 }
 
+/// The run's one-line degradation tally on stdout, when anything was
+/// given up.
+void print_degraded(const online::SessionStats& stats) {
+  if (stats.records_rejected > 0 || stats.retrain_failures > 0 ||
+      stats.shards_quarantined > 0) {
+    std::printf(
+        "degraded: %llu record(s) rejected, %llu retrain failure(s), "
+        "%llu shard(s) quarantined\n",
+        static_cast<unsigned long long>(stats.records_rejected),
+        static_cast<unsigned long long>(stats.retrain_failures),
+        static_cast<unsigned long long>(stats.shards_quarantined));
+  }
+}
+
 /// Prints the post-run fault-injection accounting: what fired, and what
-/// the engine gave up (degradation incidents), on stderr so a piped
-/// report stays clean.
+/// the run gave up (degradation incidents), on stderr so a piped report
+/// stays clean.
 void print_failpoint_summary(
     const std::vector<dml::online::DegradationEvent>& degradations) {
   for (const auto& incident : degradations) {
@@ -327,6 +342,10 @@ void print_failpoint_summary(
 }
 
 int cmd_generate(const Flags& flags) {
+  constexpr std::string_view kFlags[] = {
+      "machine", "weeks", "scale", "chain-coverage", "chain-gap",
+      "chain-final-lead", "chain-hop", "seed", "format", "out"};
+  if (!flags.all_known("dmlfp generate", {kFlags})) return 2;
   const std::string machine = flags.get_or("machine", "sdsc");
   auto profile = machine == "anl" ? loggen::MachineProfile::anl()
                                   : loggen::MachineProfile::sdsc();
@@ -392,6 +411,8 @@ int cmd_generate(const Flags& flags) {
 }
 
 int cmd_summarize(const Flags& flags) {
+  constexpr std::string_view kFlags[] = {"log"};
+  if (!flags.all_known("dmlfp summarize", {kFlags})) return 2;
   const auto log_path = flags.get("log");
   if (!log_path) {
     std::fprintf(stderr, "dmlfp summarize: --log is required\n");
@@ -434,6 +455,11 @@ int cmd_summarize(const Flags& flags) {
 /// sealed segment's index and compares — a torn segment or unsynced
 /// index fails the command.
 int cmd_ingest(const Flags& flags) {
+  constexpr std::string_view kFlags[] = {"log", "out", "segment-bytes",
+                                         "sync-every", "threshold"};
+  if (!flags.all_known("dmlfp ingest", {kFlags, tools::kFailpointFlags})) {
+    return 2;
+  }
   const auto log_path = flags.get("log");
   const auto out_dir = flags.get("out");
   if (!log_path || !out_dir) {
@@ -497,6 +523,8 @@ int cmd_ingest(const Flags& flags) {
 }
 
 int cmd_verify(const Flags& flags) {
+  constexpr std::string_view kFlags[] = {"repo"};
+  if (!flags.all_known("dmlfp verify", {kFlags})) return 2;
   const auto repo_path = flags.get("repo");
   if (!repo_path) {
     std::fprintf(stderr, "dmlfp verify: --repo is required\n");
@@ -526,6 +554,8 @@ int cmd_verify(const Flags& flags) {
 }
 
 int cmd_compact(const Flags& flags) {
+  constexpr std::string_view kFlags[] = {"repo", "out", "segment-bytes"};
+  if (!flags.all_known("dmlfp compact", {kFlags})) return 2;
   const auto repo_path = flags.get("repo");
   const auto out_dir = flags.get("out");
   if (!repo_path || !out_dir) {
@@ -551,6 +581,10 @@ int cmd_compact(const Flags& flags) {
 }
 
 int cmd_train(const Flags& flags) {
+  constexpr std::string_view kFlags[] = {
+      "log", "out", "window", "from-week", "to-week", "correlation",
+      "no-reviser"};
+  if (!flags.all_known("dmlfp train", {kFlags})) return 2;
   const auto log_path = flags.get("log");
   const auto out_path = flags.get("out");
   if (!log_path || !out_path) {
@@ -603,6 +637,9 @@ int cmd_train(const Flags& flags) {
 }
 
 int cmd_predict(const Flags& flags) {
+  constexpr std::string_view kFlags[] = {"log", "rules", "window",
+                                         "from-week", "to-week"};
+  if (!flags.all_known("dmlfp predict", {kFlags})) return 2;
   const auto log_path = flags.get("log");
   const auto rules_path = flags.get("rules");
   if (!log_path || !rules_path) {
@@ -666,8 +703,8 @@ int run_sharded(const online::DriverConfig& config,
   // The same mapping dmlfpd uses for its per-stream engines, so the
   // daemon's warning stream is comparable to this path by construction.
   const online::ShardedEngineConfig sharded =
-      online::sharded_config_from_driver(
-          config, static_cast<std::size_t>(threads), profile);
+      online::sharded_config_from_driver(config,
+                                         static_cast<std::size_t>(threads));
 
   // --resume-week: serve only from the first retrain boundary at or
   // after the requested week; everything earlier is replayed silently
@@ -755,21 +792,19 @@ int run_sharded(const online::DriverConfig& config,
   std::printf("overall: precision %.3f, recall %.3f\n",
               stats::precision(evaluation.overall),
               stats::recall(evaluation.overall));
-  if (stats.records_rejected > 0 || stats.retrain_failures > 0 ||
-      stats.shards_quarantined > 0) {
-    std::printf(
-        "degraded: %llu record(s) rejected, %llu retrain failure(s), "
-        "%llu shard(s) quarantined\n",
-        static_cast<unsigned long long>(stats.records_rejected),
-        static_cast<unsigned long long>(stats.retrain_failures),
-        static_cast<unsigned long long>(stats.shards_quarantined));
-  }
+  print_degraded(stats);
   print_failpoint_summary(engine.degradation_log());
   if (warnings_path && !dump_warnings(*warnings_path, warnings)) return 1;
   return 0;
 }
 
 int cmd_run(const Flags& flags) {
+  constexpr std::string_view kFlags[] = {
+      "log", "repo", "resume-week", "threads", "warnings", "report", "profile"};
+  if (!flags.all_known("dmlfp run", {kFlags, tools::kEngineFlags,
+                                     tools::kFailpointFlags})) {
+    return 2;
+  }
   const auto log_path = flags.get("log");
   const auto repo_path = flags.get("repo");
   if (log_path.has_value() == repo_path.has_value()) {
@@ -820,6 +855,7 @@ int cmd_run(const Flags& flags) {
           tools::driver_config_from_flags(flags, "dmlfp run", config)) {
     return status;
   }
+  config.profile = profile;
   config.resume_week =
       static_cast<int>(flags.get_long("resume-week", config.resume_week));
   const auto warnings_path = flags.get("warnings");
@@ -892,7 +928,8 @@ int cmd_run(const Flags& flags) {
   table.print(std::cout);
   std::printf("overall: precision %.3f, recall %.3f\n",
               result.overall_precision(), result.overall_recall());
-  print_failpoint_summary({});
+  print_degraded(result.engine_stats);
+  print_failpoint_summary(result.degradations);
   if (warnings_path && !dump_warnings(*warnings_path, warning_log)) return 1;
   return 0;
 }
@@ -917,6 +954,7 @@ int main(int argc, char** argv) {
   if (command == "predict") return cmd_predict(flags);
   if (command == "run") return cmd_run(flags);
   if (command == "config-template") {
+    if (!flags.all_known("dmlfp config-template", {})) return 2;
     std::printf("%s", online::render_driver_config({}).c_str());
     return 0;
   }

@@ -20,6 +20,7 @@
 #include <cstring>
 #include <fstream>
 #include <string>
+#include <string_view>
 
 #include "net/daemon.hpp"
 #include "online/driver.hpp"
@@ -53,7 +54,6 @@ int usage() {
       "                         learner (overrides --config)\n"
       "  --correlation-window S graph adjacency window, seconds\n"
       "  --correlation-min-edge X  min per-edge confidence\n"
-      "  --profile              per-shard serving-time accounting\n"
       "  --queue-frames N       reactor->pump admission queue (default 64)\n"
       "  --subscriber-queue N   per-subscriber warning queue (default 65536)\n"
       "  --retry-ms MS          RETRY_AFTER pacing hint (default 2)\n"
@@ -99,6 +99,13 @@ int main(int argc, char** argv) {
     return usage();
   }
   if (flags.has("help")) return usage();
+  constexpr std::string_view kFlags[] = {
+      "bind", "port", "port-file", "reactors", "queue-frames",
+      "subscriber-queue", "retry-ms", "repo", "shards"};
+  if (!flags.all_known("dmlfpd", {kFlags, tools::kEngineFlags,
+                                  tools::kFailpointFlags})) {
+    return 2;
+  }
   if (!tools::arm_failpoints(flags, "dmlfpd")) return 2;
 
   online::DriverConfig driver;
@@ -119,8 +126,7 @@ int main(int argc, char** argv) {
       flags.get_long("retry-ms", config.retry_ms));
   config.repo_dir = flags.get_or("repo", "");
   config.engine = online::sharded_config_from_driver(
-      driver, static_cast<std::size_t>(flags.get_long("shards", 0)),
-      driver.profile);
+      driver, static_cast<std::size_t>(flags.get_long("shards", 0)));
 
   // Block the shutdown signals before any thread exists, so the
   // daemon's threads inherit the mask and sigwait below is the only

@@ -4,12 +4,15 @@
 // definition so every front end accepts the same grammar.
 #pragma once
 
+#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
+#include <initializer_list>
 #include <map>
 #include <optional>
+#include <span>
 #include <string>
 #include <string_view>
 #include <variant>
@@ -32,8 +35,8 @@ class Flags {
       }
       key = key.substr(2);
       // Boolean flags across the whole tool family; a value-less flag
-      // unknown to one tool is still rejected by that tool's own
-      // validation, so the union here is harmless.
+      // unknown to one tool is still rejected by that tool's all_known()
+      // check, so the union here is harmless.
       if (key == "no-reviser" || key == "help" || key == "profile" ||
           key == "correlation" || key == "no-correlation") {
         values_[key] = "1";
@@ -71,10 +74,37 @@ class Flags {
 
   bool has(const std::string& key) const { return values_.contains(key); }
 
+  /// Whether every flag given is one the command reads: its own names
+  /// plus the shared lists it takes (kEngineFlags, kFailpointFlags).  At
+  /// the first flag outside them, prints "<who>: unknown flag --NAME" and
+  /// returns false; the caller exits 2.  A misspelt flag would otherwise
+  /// be ignored and the command would run on the default.
+  bool all_known(
+      const char* who,
+      std::initializer_list<std::span<const std::string_view>> accepted)
+      const {
+    for (const auto& entry : values_) {
+      const std::string& name = entry.first;
+      const bool known =
+          std::ranges::any_of(accepted, [&](const auto& names) {
+            return std::ranges::find(names, name) != names.end();
+          });
+      if (!known) {
+        std::fprintf(stderr, "%s: unknown flag --%s\n", who, name.c_str());
+        return false;
+      }
+    }
+    return true;
+  }
+
  private:
   std::map<std::string, std::string> values_;
   std::string error_;
 };
+
+/// The flags arm_failpoints reads.
+inline constexpr std::string_view kFailpointFlags[] = {"failpoint",
+                                                       "failpoint-seed"};
 
 /// Arms --failpoint/--failpoint-seed.  `who` names the command for
 /// error messages ("dmlfp run", "dmlfpd", ...).  Returns false on a
@@ -103,6 +133,13 @@ inline bool arm_failpoints(const Flags& flags, const char* who) {
   }
   return true;
 }
+
+/// The flags driver_config_from_flags reads: the engine flags `dmlfp
+/// run` and `dmlfpd` share.
+inline constexpr std::string_view kEngineFlags[] = {
+    "config", "window", "training-weeks", "retrain-weeks", "mode",
+    "no-reviser", "correlation", "no-correlation", "correlation-window",
+    "correlation-min-edge"};
 
 /// The engine flags of `dmlfp run` and `dmlfpd`: a --config file provides
 /// the base, explicit flags override it.  Both front ends map the result
@@ -154,7 +191,6 @@ inline int driver_config_from_flags(const Flags& flags, const char* who,
     std::fprintf(stderr, "%s: unknown mode '%s'\n", who, mode.c_str());
     return 2;
   }
-  config.profile = flags.has("profile");
   return 0;
 }
 
