@@ -52,11 +52,4 @@ struct EventTimeOrder {
   }
 };
 
-/// Convenience: timestamps of all fatal events, in order.
-std::vector<TimeSec> fatal_times(const std::vector<Event>& events);
-
-/// Counts fatal events in [begin, end).
-std::size_t count_fatal_between(const std::vector<Event>& events,
-                                TimeSec begin, TimeSec end);
-
 }  // namespace dml::bgl

@@ -86,6 +86,9 @@ bool Client::pump_incoming(bool blocking) {
   in_.resize(old_size + static_cast<std::size_t>(n));
 
   std::size_t offset = 0;
+  const auto consume = [&] {
+    in_.erase(in_.begin(), in_.begin() + static_cast<std::ptrdiff_t>(offset));
+  };
   while (true) {
     const DecodedFrame frame =
         decode_frame(in_.data() + offset, in_.size() - offset);
@@ -93,10 +96,17 @@ bool Client::pump_incoming(bool blocking) {
     if (frame.status == DecodeStatus::kBad) {
       throw ClientError("bad frame from daemon: " + frame.error);
     }
-    dispatch(frame.type, frame.payload);
+    // A frame that throws (a non-fatal ERROR) is consumed too, so the
+    // connection stays usable after the caller handles it.
     offset += frame.consumed;
+    try {
+      dispatch(frame.type, frame.payload);
+    } catch (...) {
+      consume();
+      throw;
+    }
   }
-  in_.erase(in_.begin(), in_.begin() + static_cast<std::ptrdiff_t>(offset));
+  consume();
   return true;
 }
 

@@ -16,6 +16,15 @@
 namespace dml::net {
 namespace {
 
+/// Whether `name` is one plain path component.  Under --repo a stream
+/// name names the stream's repository directory, so it must not climb
+/// out of the repository root or into a subdirectory.
+bool plain_path_component(std::string_view name) {
+  return !name.empty() && name != "." && name != ".." &&
+         name.find_first_of(std::string_view("/\0", 2)) ==
+             std::string_view::npos;
+}
+
 /// One unit of admitted ingest work handed from a reactor to a stream
 /// pump.  A `finish` sentinel closes the stream after everything ahead
 /// of it is served.
@@ -332,23 +341,26 @@ void DML_REACTOR_CONTEXT Daemon::handle_open_stream(ReactorConnection& conn,
     return;
   }
 
-  std::shared_ptr<Stream> stream;
-  {
-    common::MutexLock lock(streams_mutex_);
-    auto it = streams_by_name_.find(msg.name);
-    if (it != streams_by_name_.end()) {
-      stream = it->second;
-    } else {
-      stream = std::make_shared<Stream>();
-      stream->id = next_stream_id_++;
-      stream->name = msg.name;
-      streams_by_name_.emplace(msg.name, stream);
-      streams_by_id_.emplace(stream->id, stream);
-    }
+  if (!config_.repo_dir.empty() && !plain_path_component(msg.name)) {
+    send_error(conn, ErrorCode::kProtocol, 0,
+               "under --repo a stream name must be one plain path component",
+               /*fatal=*/false);
+    return;
   }
 
-  // First open constructs the engine (outside the registry lock; the
-  // stream mutex serialises racing openers).
+  std::shared_ptr<Stream> stream;
+  try {
+    common::MutexLock lock(streams_mutex_);
+    auto it = streams_by_name_.find(msg.name);
+    stream = it != streams_by_name_.end() ? it->second
+                                          : create_stream(msg.name);
+  } catch (const std::exception& e) {
+    // Nothing was registered.  Typically <repo>/<name> already holds a
+    // repository: a previous run's persisted stream.
+    send_error(conn, ErrorCode::kStreamBusy, 0, e.what(), /*fatal=*/false);
+    return;
+  }
+
   {
     common::MutexLock lock(stream->state_mutex);
     if (stream->finished || stream->finishing) {
@@ -356,24 +368,6 @@ void DML_REACTOR_CONTEXT Daemon::handle_open_stream(ReactorConnection& conn,
                  "stream already finished", /*fatal=*/false);
       return;
     }
-    if (stream->engine == nullptr) {
-      if (!config_.repo_dir.empty()) {
-        storage::LogWriterOptions options;
-        options.threshold = config_.engine.engine.filter_threshold;
-        stream->writer = std::make_unique<storage::LogWriter>(
-            config_.repo_dir + "/" + stream->name, stream->name, options);
-        stream->appender =
-            std::make_unique<storage::CanonicalAppender>(*stream->writer);
-      }
-      Stream* raw = stream.get();
-      stream->engine = std::make_unique<online::ShardedEngine>(
-          config_.engine,
-          [raw](const predict::Warning& w) { raw->on_warning(w); });
-      std::shared_ptr<Stream> pump_ref = stream;
-      stream->pump =
-          std::thread([this, pump_ref] { pump_main(pump_ref); });
-    }
-
     if ((msg.flags & kOpenIngest) != 0) {
       if (stream->owner_conn != 0 && stream->owner_conn != conn.id()) {
         send_error(conn, ErrorCode::kStreamBusy, stream->id,
@@ -407,6 +401,29 @@ void DML_REACTOR_CONTEXT Daemon::handle_open_stream(ReactorConnection& conn,
   std::vector<unsigned char> out;
   append_stream_opened(out, reply);
   conn.send(out);
+}
+
+std::shared_ptr<Daemon::Stream> Daemon::create_stream(
+    const std::string& name) {
+  auto stream = std::make_shared<Stream>();
+  stream->name = name;
+  if (!config_.repo_dir.empty()) {
+    storage::LogWriterOptions options;
+    options.threshold = config_.engine.engine.filter_threshold;
+    stream->writer = std::make_unique<storage::LogWriter>(
+        config_.repo_dir + "/" + name, name, options);
+    stream->appender =
+        std::make_unique<storage::CanonicalAppender>(*stream->writer);
+  }
+  Stream* raw = stream.get();
+  stream->engine = std::make_unique<online::ShardedEngine>(
+      config_.engine,
+      [raw](const predict::Warning& w) { raw->on_warning(w); });
+  stream->id = next_stream_id_++;
+  stream->pump = std::thread([this, stream] { pump_main(stream); });
+  streams_by_name_.emplace(name, stream);
+  streams_by_id_.emplace(stream->id, stream);
+  return stream;
 }
 
 void DML_REACTOR_CONTEXT Daemon::handle_ingest(ReactorConnection& conn,
@@ -758,10 +775,7 @@ DaemonStats Daemon::wait() {
   for (const auto& stream : streams) {
     {
       common::MutexLock lock(stream->state_mutex);
-      if (stream->engine == nullptr || stream->finishing ||
-          stream->finished) {
-        continue;
-      }
+      if (stream->finishing || stream->finished) continue;
       stream->finishing = true;
       Batch sentinel;
       sentinel.finish = true;

@@ -66,7 +66,10 @@ struct DaemonConfig {
   std::uint32_t retry_ms = 2;
   /// Durable ingest: each stream appends admitted events to a
   /// storage::LogWriter repository under `<repo_dir>/<stream name>`
-  /// before serving them.  Empty = volatile.
+  /// before serving them.  Empty = volatile.  Under a repository root
+  /// a stream name must be one plain path component (no '/', NUL, "."
+  /// or ".."), and a name whose directory already holds a repository is
+  /// refused: resuming a persisted stream is not supported.
   std::string repo_dir;
 };
 
@@ -145,6 +148,12 @@ class Daemon : private ReactorHandler {
                      const FinishStreamMsg& msg);
   void handle_stats(ReactorConnection& conn, const StatsMsg& msg);
 
+  /// Builds a stream whole (durable log, engine, pump) and registers
+  /// it; throws, registering nothing, when its repository cannot be
+  /// created.  Holding the registry lock, racing openers of one name
+  /// build it once.
+  std::shared_ptr<Stream> create_stream(const std::string& name)
+      DML_REQUIRES(streams_mutex_);
   std::shared_ptr<Stream> find_stream(std::uint32_t id) const;
   /// Daemon-side live counters merged with engine finals when done.
   StreamStatsMsg snapshot_stream_stats(Stream& stream) const;

@@ -75,9 +75,11 @@ inline constexpr std::uint8_t kOpenIngest = 1;
 inline constexpr std::uint8_t kOpenSubscribe = 2;
 
 enum class ErrorCode : std::uint16_t {
-  kProtocol = 1,       // malformed or unexpected frame
+  kProtocol = 1,       // malformed or unexpected frame, or a stream
+                       // name --repo cannot use
   kUnknownStream = 2,  // stream id not open on this connection
-  kStreamBusy = 3,     // another connection owns ingest for the stream
+  kStreamBusy = 3,     // another connection owns ingest for the stream,
+                       // or its --repo directory cannot be created
   kOutOfOrder = 4,     // event times regressed within the stream
   kDraining = 5,       // daemon is shutting down; no new work
 };

@@ -92,17 +92,6 @@ stats::ConfusionCounts DriverResult::total_counts() const {
   return total;
 }
 
-std::array<stats::ConfusionCounts, learners::kNumRuleSources>
-DriverResult::total_per_source() const {
-  std::array<stats::ConfusionCounts, learners::kNumRuleSources> total{};
-  for (const auto& interval : intervals) {
-    for (std::size_t s = 0; s < learners::kNumRuleSources; ++s) {
-      total[s] += interval.per_source[s];
-    }
-  }
-  return total;
-}
-
 double DriverResult::overall_precision() const {
   return stats::precision(total_counts());
 }

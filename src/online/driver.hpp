@@ -127,8 +127,6 @@ struct DriverResult {
   std::vector<DegradationEvent> degradations;
 
   stats::ConfusionCounts total_counts() const;
-  std::array<stats::ConfusionCounts, learners::kNumRuleSources>
-  total_per_source() const;
   double overall_precision() const;
   double overall_recall() const;
 };

@@ -109,10 +109,6 @@ struct SessionStats {
   /// observation under DriverConfig::profile (0 otherwise), or the sum
   /// of ShardedEngine's shard-worker busy time.
   double serving_seconds = 0.0;
-  /// Events ShardedEngine::cold_start() replayed with their warnings
-  /// suppressed before the session began (not counted in
-  /// records_consumed); always 0 for the driver.
-  std::uint64_t cold_start_events = 0;
   /// Log-I/O accounting of the backing EventRepository, filled by
   /// owners that replay from one (DynamicDriver::run, `dmlfp run
   /// --repo`); all zero for in-memory replays.  The map/read split is

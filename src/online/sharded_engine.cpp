@@ -249,10 +249,6 @@ ShardedEngine::ShardedEngine(ShardedEngineConfig config,
   if (n == 0) n = std::max(1u, std::thread::hardware_concurrency());
   merger_ = std::make_unique<WarningMerger>(
       n, [this](const predict::Warning& w) {
-        if (w.issued_at < suppress_until_.load(std::memory_order_relaxed)) {
-          suppressed_warnings_.fetch_add(1, std::memory_order_relaxed);
-          return;
-        }
         if (on_warning_) on_warning_(w);
       });
   publisher_.store(meta::empty_snapshot());
@@ -281,21 +277,6 @@ std::size_t ShardedEngine::shard_of(const bgl::Event& event) const {
 void ShardedEngine::consume(const bgl::RasRecord& record) {
   ++records_consumed_;
   if (auto event = pipeline_.push(record)) feed_batch({&*event, 1});
-}
-
-void ShardedEngine::cold_start(const storage::EventRepository& repo,
-                               TimeSec serve_from) {
-  DML_CHECK(records_consumed_ == 0 && !finished_);
-  if (repo.empty() || serve_from <= repo.first_time()) return;
-  suppress_until_.store(serve_from, std::memory_order_relaxed);
-  auto cursor = repo.scan(repo.first_time(), serve_from);
-  std::vector<bgl::Event> batch;
-  while (true) {
-    batch.clear();
-    if (cursor->next(batch, storage::kDefaultScanBatch) == 0) break;
-    cold_start_events_ += batch.size();
-    feed_batch(batch);
-  }
 }
 
 void ShardedEngine::consume(const bgl::Event& event) {
@@ -582,10 +563,7 @@ ShardedEngine::SessionStats ShardedEngine::collect_stats() const {
     s.serving_seconds += shard->busy_seconds.load(std::memory_order_relaxed);
     if (shard->error) ++s.shards_quarantined;
   }
-  s.warnings_issued =
-      merger_->emitted() -
-      suppressed_warnings_.load(std::memory_order_relaxed);
-  s.cold_start_events = cold_start_events_;
+  s.warnings_issued = merger_->emitted();
   s.retrainings = scheduler_.retrainings();
   s.history_size = scheduler_.history_size();
   s.retrain_failures = scheduler_.failures().size();

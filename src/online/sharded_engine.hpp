@@ -18,9 +18,12 @@
 //  - The warning callback is invoked serially (under the merger lock)
 //    with warnings in nondecreasing issued_at order; ties are broken by
 //    a fixed field order so replays are byte-stable.
+//  - There is no restart path of its own: a resumed replay (`dmlfp run
+//    --threads N --resume-week W`) feeds from the first event and keeps
+//    the warnings issued from the resume boundary on, the driver's rule,
+//    so its warnings are the uninterrupted sequence's tail.
 #pragma once
 
-#include <atomic>
 #include <cstddef>
 #include <functional>
 #include <span>
@@ -32,7 +35,6 @@
 #include "online/engine.hpp"
 #include "online/serving.hpp"
 #include "preprocess/streaming_pipeline.hpp"
-#include "storage/event_repository.hpp"
 
 namespace dml::online {
 
@@ -93,17 +95,6 @@ class ShardedEngine {
   /// and backpressure contract are identical to consuming the events one
   /// by one (DESIGN.md §13).
   void consume_batch(std::span<const bgl::Event> events);
-
-  /// Restart path — the only cold start (the single-threaded driver
-  /// resumes by replaying from the start instead): replays
-  /// [repo.first_time(), serve_from) through the normal concurrent
-  /// pipeline — same schedule, same shard state — with every warning
-  /// issued before serve_from suppressed at the merger.
-  /// After it returns, keep consuming from serve_from; the post-resume
-  /// warning multiset matches an uninterrupted run (the shard-count
-  /// invariance argument, applied to a time-split of one stream).
-  /// Must run before the first consume() call.
-  void cold_start(const storage::EventRepository& repo, TimeSec serve_from);
 
   /// Flushes every shard to the global last event time, joins the
   /// workers, drains the merger, and rethrows the first worker failure
@@ -173,13 +164,7 @@ class ShardedEngine {
 
   // Producer-side state.
   std::uint64_t records_consumed_ = 0;
-  std::uint64_t cold_start_events_ = 0;
   std::uint64_t feed_rejected_ = 0;
-  /// Warnings with issued_at before this instant are swallowed at the
-  /// merger (cold_start's pre-resume replay).  Written once, before any
-  /// event flows; read from the merger's emit path.
-  std::atomic<TimeSec> suppress_until_{0};
-  std::atomic<std::uint64_t> suppressed_warnings_{0};
   std::optional<TimeSec> next_heartbeat_;
   /// Latest heartbeat instant crossed since the last handoff; the next
   /// flush_feed_runs() delivers it to every shard once, after its run.

@@ -1,34 +1,17 @@
 #include "storage/disk_repository.hpp"
 
-#include <algorithm>
-#include <charconv>
 #include <chrono>
-#include <filesystem>
 #include <stdexcept>
 
-#include "common/check.hpp"
 #include "storage/paths.hpp"
 
 namespace dml::storage {
 namespace {
 
-namespace fs = std::filesystem;
 using Clock = std::chrono::steady_clock;
 
 double seconds_since(Clock::time_point start) {
   return std::chrono::duration<double>(Clock::now() - start).count();
-}
-
-std::optional<std::uint64_t> parse_segment_name(const std::string& name) {
-  if (name.size() < 4 + 6 + 4) return std::nullopt;
-  if (name.compare(0, 4, "seg-") != 0) return std::nullopt;
-  if (name.compare(name.size() - 4, 4, ".log") != 0) return std::nullopt;
-  const char* first = name.data() + 4;
-  const char* last = name.data() + name.size() - 4;
-  std::uint64_t number = 0;
-  const auto [ptr, ec] = std::from_chars(first, last, number);
-  if (ec != std::errc{} || ptr != last) return std::nullopt;
-  return number;
 }
 
 }  // namespace
@@ -101,103 +84,35 @@ class DiskCursor : public EventCursor {
 };
 
 OnDiskRepository::OnDiskRepository(const std::string& dir) : dir_(dir) {
-  std::string error;
-  const auto manifest = read_manifest(dir_, &error);
-  if (!manifest) {
-    throw std::runtime_error("storage: not a repository (" + dir_ +
-                             "): " + error);
-  }
-  manifest_ = *manifest;
-
-  std::vector<std::uint64_t> sealed;
-  for (const auto& entry : fs::directory_iterator(dir_)) {
-    if (const auto number =
-            parse_segment_name(entry.path().filename().string())) {
-      sealed.push_back(*number);
-    }
-  }
-  std::sort(sealed.begin(), sealed.end());
-  for (std::size_t i = 0; i < sealed.size(); ++i) {
-    if (sealed[i] != i) {
-      throw std::runtime_error("storage: sealed segments not contiguous in " +
-                               dir_ + " (missing seg " + std::to_string(i) +
-                               ")");
-    }
-  }
-
-  std::uint64_t running_total = 0;
-  for (std::uint64_t number = 0; number < sealed.size(); ++number) {
-    Segment segment;
-    segment.path = join_path(dir_, segment_name(number));
-    const std::string idx_path = join_path(dir_, index_name(number));
-    bool index_ok = false;
-    if (fs::exists(idx_path)) {
-      const MappedFile map = MappedFile::open(idx_path);
-      index_ok = decode_index(map.data(), map.size(), &segment.index);
-    }
-    if (!index_ok) {
-      // Read-side self-heal: rebuild the summary by scanning the
-      // segment (kept mapped — we paid for the pages already).
-      const auto start = Clock::now();
-      MappedFile map = MappedFile::open(segment.path);
-      const SegmentScan scan = scan_segment(map.data(), map.size());
-      if (!scan.header_ok) {
-        throw std::runtime_error("storage: sealed segment " + segment.path +
-                                 " has a corrupt header");
-      }
-      segment.index = scan.index;
-      segment.map = std::move(map);
-      ++open_info_.indexes_rebuilt;
+  const auto start = Clock::now();
+  const RepositoryWalk walk =
+      walk_repository(dir_, WalkDepth::kTrustIndexes);
+  walk.require_sound();
+  manifest_ = walk.manifest;
+  for (const SegmentFile& file : walk.segments) {
+    open_info_.torn_bytes_ignored += file.torn_bytes;
+    // The walk read the active tail and every sealed body whose index it
+    // rebuilt in memory (the read side never writes).
+    const bool rebuilt =
+        !file.active && file.index_verdict != IndexVerdict::kOk;
+    if (rebuilt) ++open_info_.indexes_rebuilt;
+    if (file.active || rebuilt) {
       io_unlocked_.segments_opened += 1;
-      io_unlocked_.bytes_read += scan.valid_bytes;
-      io_unlocked_.map_seconds += seconds_since(start);
+      io_unlocked_.bytes_read += file.valid_bytes;
     }
-    if (segment.index.first_ordinal != running_total) {
-      throw std::runtime_error(
-          "storage: " + segment.path + " first ordinal " +
-          std::to_string(segment.index.first_ordinal) + " != expected " +
-          std::to_string(running_total));
+    const SegmentIndex& index = file.index;
+    if (index.count > 0) {
+      // The walk refuses a segment that starts before its predecessor
+      // ends, so the last one holds the latest record.
+      if (total_records_ == 0) first_time_ = index.min_time;
+      last_time_ = index.max_time;
+      total_records_ += index.count;
+    } else if (file.active) {
+      continue;
     }
-    running_total += segment.index.count;
-    segments_.push_back(std::move(segment));
+    segments_.push_back(Segment{join_path(dir_, file.name), index, {}});
   }
-
-  // The active tail: scan it (no index exists), ignore a torn suffix.
-  const std::string active_path = join_path(dir_, kActiveName);
-  if (fs::exists(active_path)) {
-    const auto start = Clock::now();
-    MappedFile map = MappedFile::open(active_path);
-    const SegmentScan scan = scan_segment(map.data(), map.size());
-    io_unlocked_.segments_opened += 1;
-    io_unlocked_.bytes_read += scan.valid_bytes;
-    io_unlocked_.map_seconds += seconds_since(start);
-    open_info_.torn_bytes_ignored += scan.torn_bytes;
-    if (scan.header_ok) {
-      if (scan.header.first_ordinal != running_total) {
-        throw std::runtime_error(
-            "storage: active.log first ordinal " +
-            std::to_string(scan.header.first_ordinal) + " != expected " +
-            std::to_string(running_total) + " in " + dir_);
-      }
-      if (scan.valid_records > 0) {
-        Segment segment;
-        segment.path = active_path;
-        segment.index = scan.index;
-        segment.map = std::move(map);
-        running_total += scan.valid_records;
-        segments_.push_back(std::move(segment));
-      }
-    }
-  }
-
-  total_records_ = running_total;
-  bool any = false;
-  for (const Segment& segment : segments_) {
-    if (segment.index.count == 0) continue;
-    if (!any) first_time_ = segment.index.min_time;
-    any = true;
-    last_time_ = std::max(last_time_, segment.index.max_time);
-  }
+  io_unlocked_.map_seconds = seconds_since(start);
 }
 
 OnDiskRepository::~OnDiskRepository() = default;

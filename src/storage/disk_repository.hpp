@@ -1,13 +1,14 @@
 // Read side of the segmented on-disk event log: an EventRepository over
 // a repository directory written by LogWriter.
 //
-// Opening reads the manifest and every sidecar index (a missing or
-// corrupt index is rebuilt in memory by scanning its segment — the
-// read side never writes) and validates the active tail, silently
-// ignoring a torn suffix the same way writer recovery would truncate
-// it.  Segment bodies are NOT touched at open: they are mmap'd lazily,
-// one at a time, the first time a scan or count enters them, and stay
-// cached for the repository's lifetime.
+// Opening acts on the repository walk (storage/segment.hpp) at
+// WalkDepth::kTrustIndexes: a faulty repository is refused, a sealed
+// segment whose index cannot be trusted is scanned and its summary
+// rebuilt in memory (the read side never writes), and torn suffixes
+// are ignored the same way writer recovery would truncate them.  Sealed
+// bodies with a trusted index are NOT touched at open: segments are
+// mmap'd lazily, one at a time, the first time a scan or count enters
+// them, and stay cached for the repository's lifetime.
 //
 // Seek-by-time is two-level: binary search over the per-segment time
 // ranges (indexes, in memory), then binary search over the fixed-stride
@@ -31,16 +32,18 @@ namespace dml::storage {
 
 /// What open() observed (read-only analogue of RecoveryInfo).
 struct OpenInfo {
-  /// Torn bytes ignored at the active tail (0 for a clean log).
+  /// Torn bytes ignored at segment tails (0 for a clean log).
   std::uint64_t torn_bytes_ignored = 0;
-  /// Sidecar indexes that were missing/corrupt and rebuilt in memory.
+  /// Sidecar indexes that were missing, corrupt or stale and rebuilt in
+  /// memory.
   std::size_t indexes_rebuilt = 0;
 };
 
 class OnDiskRepository : public EventRepository {
  public:
-  /// Opens `dir`; throws std::runtime_error on a missing manifest,
-  /// non-contiguous segments, or an unreadable sealed segment.
+  /// Opens `dir`; throws std::runtime_error on any fault the walk
+  /// finds (missing manifest, gap, corrupt header, ordinal or time
+  /// discontinuity) or an unreadable file.
   explicit OnDiskRepository(const std::string& dir);
   ~OnDiskRepository() override;
 
@@ -68,11 +71,9 @@ class OnDiskRepository : public EventRepository {
   struct Segment {
     std::string path;
     SegmentIndex index;
-    /// Lazily mapped body; nullopt until first touched.  For the active
-    /// tail only the intact prefix is exposed (torn bytes clipped).
+    /// Lazily mapped body; nullopt until first touched.  Only the
+    /// intact prefix (`index.count` records) is ever read.
     mutable std::optional<MappedFile> map;
-    /// Bytes of `map` that hold intact records (header excluded).
-    std::uint64_t record_bytes = 0;
   };
 
   /// Maps segment `i` if needed and returns its record base pointer

@@ -11,39 +11,4 @@ std::vector<bgl::Event> materialize(const EventRepository& repo,
   return events;
 }
 
-std::vector<std::size_t> fatal_per_day(const EventRepository& repo,
-                                       TimeSec origin, TimeSec end_time) {
-  std::vector<std::size_t> counts;
-  if (end_time <= origin) return counts;
-  counts.assign(
-      static_cast<std::size_t>((end_time - origin + kSecondsPerDay - 1) /
-                               kSecondsPerDay),
-      0);
-  auto cursor = repo.scan(origin, end_time);
-  std::vector<bgl::Event> batch;
-  while (cursor->next(batch, kDefaultScanBatch) > 0) {
-    for (const auto& event : batch) {
-      if (event.fatal) {
-        ++counts[static_cast<std::size_t>(day_index(event.time, origin))];
-      }
-    }
-    batch.clear();
-  }
-  return counts;
-}
-
-std::vector<TimeSec> fatal_times(const EventRepository& repo) {
-  std::vector<TimeSec> times;
-  if (repo.size() == 0) return times;
-  auto cursor = repo.scan(repo.first_time(), repo.last_time() + 1);
-  std::vector<bgl::Event> batch;
-  while (cursor->next(batch, kDefaultScanBatch) > 0) {
-    for (const auto& event : batch) {
-      if (event.fatal) times.push_back(event.time);
-    }
-    batch.clear();
-  }
-  return times;
-}
-
 }  // namespace dml::storage

@@ -90,14 +90,6 @@ class EventRepository {
 std::vector<bgl::Event> materialize(const EventRepository& repo,
                                     TimeSec begin, TimeSec end);
 
-/// Fatal events per day relative to `origin` covering [origin, end_time)
-/// — the Figure 4 series, computed with one scan.
-std::vector<std::size_t> fatal_per_day(const EventRepository& repo,
-                                       TimeSec origin, TimeSec end_time);
-
-/// Timestamps of all fatal events in ascending order (one scan).
-std::vector<TimeSec> fatal_times(const EventRepository& repo);
-
 /// Default batch size for cursor loops; large enough to amortise the
 /// virtual call, small enough to stay cache-resident.
 inline constexpr std::size_t kDefaultScanBatch = 4096;

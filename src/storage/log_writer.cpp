@@ -6,7 +6,6 @@
 
 #include <algorithm>
 #include <cerrno>
-#include <charconv>
 #include <cstring>
 #include <filesystem>
 #include <stdexcept>
@@ -19,22 +18,6 @@
 
 namespace dml::storage {
 namespace {
-
-namespace fs = std::filesystem;
-
-/// Parses "seg-NNNNNN.log" → NNNNNN; nullopt for anything else.
-std::optional<std::uint64_t> parse_segment_name(const std::string& name) {
-  // Name layout: "seg-" + >=6 digits + ".log".
-  if (name.size() < 4 + 6 + 4) return std::nullopt;
-  if (name.compare(0, 4, "seg-") != 0) return std::nullopt;
-  if (name.compare(name.size() - 4, 4, ".log") != 0) return std::nullopt;
-  const char* first = name.data() + 4;
-  const char* last = name.data() + name.size() - 4;
-  std::uint64_t number = 0;
-  const auto [ptr, ec] = std::from_chars(first, last, number);
-  if (ec != std::errc{} || ptr != last) return std::nullopt;
-  return number;
-}
 
 int open_for_append(const std::string& path, bool create) {
   int flags = O_WRONLY | O_APPEND | O_CLOEXEC;
@@ -63,125 +46,53 @@ LogWriter::LogWriter(const std::string& dir, const std::string& machine,
 }
 
 LogWriter::LogWriter(const std::string& dir) : dir_(dir) {
-  std::string error;
-  const auto manifest = read_manifest(dir_, &error);
-  if (!manifest) {
-    throw std::runtime_error("storage: not a repository (" + dir_ +
-                             "): " + error);
-  }
-  machine_ = manifest->machine;
-  options_.segment_bytes = manifest->segment_bytes;
-  options_.threshold = manifest->threshold;
+  const RepositoryWalk walk = walk_repository(dir_, WalkDepth::kScanAll);
+  walk.require_sound();
+  machine_ = walk.manifest.machine;
+  options_.segment_bytes = walk.manifest.segment_bytes;
+  options_.threshold = walk.manifest.threshold;
 
-  // Pass 1 over the directory: sweep temp files, collect sealed numbers.
-  std::vector<std::uint64_t> sealed;
-  for (const auto& entry : fs::directory_iterator(dir_)) {
-    const std::string name = entry.path().filename().string();
-    if (name.size() > 4 && name.compare(name.size() - 4, 4, ".tmp") == 0) {
-      fs::remove(entry.path());
-      ++recovery_.temp_files_removed;
-      continue;
-    }
-    if (const auto number = parse_segment_name(name)) {
-      sealed.push_back(*number);
-    }
+  for (const std::string& name : walk.temp_files) {
+    std::filesystem::remove(join_path(dir_, name));
+    ++recovery_.temp_files_removed;
   }
-  std::sort(sealed.begin(), sealed.end());
-  for (std::size_t i = 0; i < sealed.size(); ++i) {
-    if (sealed[i] != i) {
-      throw std::runtime_error("storage: sealed segments not contiguous in " +
-                               dir_ + " (missing seg " + std::to_string(i) +
-                               ")");
-    }
-  }
-  sealed_segments_ = sealed.size();
-
-  // Pass 2: validate every sealed segment, repairing sidecar indexes.
   // Sealed files were fsynced before their rename, so a torn sealed
   // segment means foul play — but the scan is the source of truth, so
-  // recover what is intact rather than refuse the whole repository.
-  std::uint64_t running_total = 0;
-  for (std::uint64_t number = 0; number < sealed_segments_; ++number) {
-    const std::string path = join_path(dir_, segment_name(number));
-    SegmentScan scan;
-    {
-      const MappedFile map = MappedFile::open(path);
-      scan = scan_segment(map.data(), map.size());
-    }
-    if (!scan.header_ok) {
-      throw std::runtime_error("storage: sealed segment " + path +
-                               " has a corrupt header");
-    }
-    if (scan.header.first_ordinal != running_total) {
-      throw std::runtime_error("storage: " + path + " first ordinal " +
-                               std::to_string(scan.header.first_ordinal) +
-                               " != expected " +
-                               std::to_string(running_total));
-    }
-    if (scan.torn_bytes > 0) {
-      if (::truncate(path.c_str(), static_cast<off_t>(scan.valid_bytes)) !=
+  // keep what is intact rather than refuse the whole repository.
+  const SegmentFile* active = nullptr;
+  for (const SegmentFile& file : walk.segments) {
+    if (file.torn_bytes > 0) {
+      const std::string path = join_path(dir_, file.name);
+      if (::truncate(path.c_str(), static_cast<off_t>(file.valid_bytes)) !=
           0) {
         throw std::runtime_error("storage: cannot truncate " + path + ": " +
                                  std::strerror(errno));
       }
-      recovery_.truncated_bytes += scan.torn_bytes;
+      recovery_.truncated_bytes += file.torn_bytes;
     }
-    SegmentIndex stored;
-    bool index_ok = false;
-    const std::string idx_path = join_path(dir_, index_name(number));
-    if (fs::exists(idx_path)) {
-      const MappedFile map = MappedFile::open(idx_path);
-      index_ok = decode_index(map.data(), map.size(), &stored) &&
-                 stored == scan.index;
+    total_records_ += file.index.count;
+    if (file.index.count > 0) last_time_ = file.index.max_time;
+    if (file.active) {
+      active = &file;
+      continue;
     }
-    if (!index_ok) {
-      write_index(number, scan.index);
+    if (file.index_verdict != IndexVerdict::kOk) {
+      write_index(sealed_segments_, file.index);
       ++recovery_.indexes_rebuilt;
     }
-    running_total += scan.valid_records;
-    if (scan.valid_records > 0) last_time_ = scan.index.max_time;
+    ++sealed_segments_;
   }
 
-  // Pass 3: the active tail — truncate the torn suffix, or recreate the
-  // file outright if even the header never made it to disk.
-  const std::string active_path = join_path(dir_, kActiveName);
-  if (!fs::exists(active_path)) {
-    open_active(running_total);
-    total_records_ = running_total;
+  // No active tail, or one too short to hold its header (a crash inside
+  // open_active): start a fresh one.
+  if (active == nullptr || active->valid_bytes == 0) {
+    open_active(total_records_);
     return;
   }
-  SegmentScan scan;
-  std::uint64_t active_size = 0;
-  {
-    const MappedFile map = MappedFile::open(active_path);
-    active_size = map.size();
-    scan = scan_segment(map.data(), map.size());
-  }
-  if (!scan.header_ok) {
-    recovery_.truncated_bytes += active_size;
-    open_active(running_total);
-    total_records_ = running_total;
-    return;
-  }
-  if (scan.header.first_ordinal != running_total) {
-    throw std::runtime_error(
-        "storage: active.log first ordinal " +
-        std::to_string(scan.header.first_ordinal) + " != expected " +
-        std::to_string(running_total) + " in " + dir_);
-  }
-  if (scan.torn_bytes > 0) {
-    if (::truncate(active_path.c_str(),
-                   static_cast<off_t>(scan.valid_bytes)) != 0) {
-      throw std::runtime_error("storage: cannot truncate " + active_path +
-                               ": " + std::strerror(errno));
-    }
-    recovery_.truncated_bytes += scan.torn_bytes;
-  }
-  active_index_ = scan.index;
-  active_bytes_ = scan.valid_bytes;
-  total_records_ = running_total + scan.valid_records;
-  if (scan.valid_records > 0) last_time_ = scan.index.max_time;
-  active_fd_ = open_for_append(active_path, /*create=*/false);
+  active_index_ = active->index;
+  active_bytes_ = active->valid_bytes;
+  active_fd_ = open_for_append(join_path(dir_, kActiveName),
+                               /*create=*/false);
 }
 
 LogWriter::~LogWriter() {
@@ -284,7 +195,7 @@ void LogWriter::close() {
     const MappedFile map = MappedFile::open(active_path);
     scan = scan_segment(map.data(), map.size());
   }
-  if (!scan.header_ok || scan.torn_bytes > 0 ||
+  if (scan.verdict() != FileVerdict::kIntact ||
       scan.valid_records != active_index_.count) {
     fail("read-back validation of " + active_path + " failed (" +
          std::to_string(scan.valid_records) + "/" +

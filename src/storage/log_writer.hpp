@@ -9,10 +9,14 @@
 //    segment is therefore durable before it becomes visible under its
 //    sealed name, and a missing/torn index is always rebuildable from
 //    its segment (a crash between the two renames self-heals on open);
-//  - open() recovers: stray temp files are removed, sealed segments
-//    missing an index get one rebuilt, and a torn active tail (partial
-//    or corrupt trailing record) is truncated to the last intact
-//    record — exactly the BigWorld message_logger recovery contract.
+//  - reopen recovers by acting on the repository walk
+//    (storage/segment.hpp): it refuses a repository with any fault
+//    (gap, corrupt header, ordinal or time discontinuity) without
+//    touching it; otherwise stray temp files are removed, every torn
+//    file is truncated to its last intact record, sealed segments whose
+//    index is missing, corrupt or stale get it rewritten, and an active
+//    tail too short to hold its header is started afresh — the BigWorld
+//    message_logger recovery contract.
 //
 // The `storage.append` / `storage.roll` / `storage.sync` failpoints are
 // compiled into the corresponding steps; the chaos tier kills writers
@@ -42,12 +46,13 @@ struct LogWriterOptions {
   std::int64_t threshold = 300;
 };
 
-/// What open() had to repair.
+/// What reopen had to repair.
 struct RecoveryInfo {
-  /// Torn bytes truncated off the active segment's tail.
+  /// Torn bytes truncated off segment tails (the active tail, or a
+  /// sealed segment's).
   std::uint64_t truncated_bytes = 0;
-  /// Sealed segments whose sidecar index was missing/corrupt and was
-  /// rebuilt by scanning the segment.
+  /// Sealed segments whose sidecar index was missing, corrupt or stale
+  /// and was rewritten from the segment's scan.
   std::size_t indexes_rebuilt = 0;
   /// Leftover temp files removed.
   std::size_t temp_files_removed = 0;
@@ -61,8 +66,9 @@ class LogWriter {
             const LogWriterOptions& options);
 
   /// Opens an existing repository for append, recovering as described
-  /// above.  Manifest options (segment size) are taken from the
-  /// repository, not re-specified.
+  /// above; throws std::runtime_error on a faulty repository.  Manifest
+  /// options (segment size) are taken from the repository, not
+  /// re-specified.
   explicit LogWriter(const std::string& dir);
 
   /// Destruction without close() is deliberately crash-like: nothing is

@@ -1,135 +1,53 @@
 #include "storage/maintenance.hpp"
 
-#include <algorithm>
-#include <charconv>
-#include <filesystem>
-#include <optional>
-
 #include "storage/disk_repository.hpp"
 #include "storage/event_repository.hpp"
-#include "storage/manifest.hpp"
-#include "storage/paths.hpp"
 #include "storage/segment.hpp"
 
 namespace dml::storage {
-namespace {
-
-namespace fs = std::filesystem;
-
-std::optional<std::uint64_t> parse_segment_name(const std::string& name) {
-  if (name.size() < 4 + 6 + 4) return std::nullopt;
-  if (name.compare(0, 4, "seg-") != 0) return std::nullopt;
-  if (name.compare(name.size() - 4, 4, ".log") != 0) return std::nullopt;
-  const char* first = name.data() + 4;
-  const char* last = name.data() + name.size() - 4;
-  std::uint64_t number = 0;
-  const auto [ptr, ec] = std::from_chars(first, last, number);
-  if (ec != std::errc{} || ptr != last) return std::nullopt;
-  return number;
-}
-
-}  // namespace
 
 VerifyReport verify_repository(const std::string& dir) {
+  const RepositoryWalk walk = walk_repository(dir, WalkDepth::kScanAll);
   VerifyReport report;
-  const auto issue = [&report](std::string what) {
-    report.issues.push_back(std::move(what));
+  report.issues = walk.faults;
+  const auto issue = [&report](const SegmentFile& file, std::string what) {
+    report.issues.push_back(file.name + ": " + std::move(what));
   };
-
-  std::string error;
-  const auto manifest = read_manifest(dir, &error);
-  if (!manifest) {
-    issue("manifest: " + error);
-    return report;  // nothing else is interpretable without it
+  for (const std::string& name : walk.temp_files) {
+    report.issues.push_back("stray temp file: " + name);
   }
-
-  std::vector<std::uint64_t> sealed;
-  for (const auto& entry : fs::directory_iterator(dir)) {
-    const std::string name = entry.path().filename().string();
-    if (name.size() > 4 && name.compare(name.size() - 4, 4, ".tmp") == 0) {
-      issue("stray temp file: " + name);
-      continue;
-    }
-    if (const auto number = parse_segment_name(name)) {
-      sealed.push_back(*number);
-    }
-  }
-  std::sort(sealed.begin(), sealed.end());
-  for (std::size_t i = 0; i < sealed.size(); ++i) {
-    if (sealed[i] != i) {
-      issue("sealed segments not contiguous: missing seg " +
-            std::to_string(i));
-      return report;
-    }
-  }
-
-  std::uint64_t running_total = 0;
-  TimeSec prev_last = 0;
-  bool any_records = false;
-  const auto check_segment = [&](const std::string& file_name,
-                                 bool is_active) {
-    const std::string path = join_path(dir, file_name);
-    const MappedFile map = MappedFile::open(path);
-    const SegmentScan scan = scan_segment(map.data(), map.size());
-    report.bytes += map.size();
-    if (!scan.header_ok) {
-      issue(file_name + ": corrupt header");
-      return;
-    }
-    if (scan.torn_bytes > 0) {
-      if (is_active) {
-        report.active_torn_bytes = scan.torn_bytes;
-      } else {
-        issue(file_name + ": " + std::to_string(scan.torn_bytes) +
-              " torn bytes in a sealed segment");
-      }
-    }
-    if (scan.header.first_ordinal != running_total) {
-      issue(file_name + ": first ordinal " +
-            std::to_string(scan.header.first_ordinal) + " != expected " +
-            std::to_string(running_total));
-    }
-    if (scan.valid_records > 0) {
-      if (any_records && scan.index.min_time < prev_last) {
-        issue(file_name + ": starts at " +
-              std::to_string(scan.index.min_time) +
-              ", before previous segment's last record at " +
-              std::to_string(prev_last));
-      }
-      if (!any_records) report.first_time = scan.index.min_time;
-      any_records = true;
-      prev_last = scan.index.max_time;
-      report.last_time = scan.index.max_time;
+  for (const SegmentFile& file : walk.segments) {
+    const SegmentIndex& index = file.index;
+    report.bytes += file.file_bytes + file.index_bytes;
+    report.records += index.count;
+    report.fatal_records += index.fatal_count;
+    if (index.count > 0) {
+      if (report.segments == 0) report.first_time = index.min_time;
+      report.last_time = index.max_time;
       ++report.segments;
     }
-    if (!is_active) {
-      const std::string idx = join_path(
-          dir, index_name(parse_segment_name(file_name).value()));
-      if (!fs::exists(idx)) {
-        issue(file_name + ": sidecar index missing");
-      } else {
-        SegmentIndex stored;
-        const MappedFile idx_map = MappedFile::open(idx);
-        report.bytes += idx_map.size();
-        if (!decode_index(idx_map.data(), idx_map.size(), &stored)) {
-          issue(file_name + ": sidecar index corrupt");
-        } else if (!(stored == scan.index)) {
-          issue(file_name +
-                ": sidecar index disagrees with segment contents");
-        }
-      }
+    if (file.verdict == FileVerdict::kCorrupt) continue;  // a fault already
+    if (file.active) {
+      report.active_torn_bytes = file.torn_bytes;
+      continue;
     }
-    running_total += scan.valid_records;
-    report.records += scan.valid_records;
-    report.fatal_records += scan.index.fatal_count;
-  };
-
-  for (std::uint64_t number = 0; number < sealed.size(); ++number) {
-    check_segment(segment_name(number), /*is_active=*/false);
-  }
-  const std::string active_path = join_path(dir, kActiveName);
-  if (fs::exists(active_path)) {
-    check_segment(kActiveName, /*is_active=*/true);
+    if (file.verdict == FileVerdict::kTorn) {
+      issue(file, std::to_string(file.torn_bytes) +
+                      " torn bytes in a sealed segment");
+    }
+    switch (file.index_verdict) {
+      case IndexVerdict::kOk:
+        break;
+      case IndexVerdict::kMissing:
+        issue(file, "sidecar index missing");
+        break;
+      case IndexVerdict::kCorrupt:
+        issue(file, "sidecar index corrupt");
+        break;
+      case IndexVerdict::kStale:
+        issue(file, "sidecar index disagrees with segment contents");
+        break;
+    }
   }
   return report;
 }

@@ -1,5 +1,7 @@
 // Offline repository maintenance: the deep checker behind
-// `dmlfp verify` and the rewriter behind `dmlfp compact`.
+// `dmlfp verify` (a report over the repository walk of
+// storage/segment.hpp, acting on nothing) and the rewriter behind
+// `dmlfp compact`.
 #pragma once
 
 #include <cstdint>
@@ -22,17 +24,18 @@ struct VerifyReport {
   std::uint64_t bytes = 0;
   TimeSec first_time = 0;
   TimeSec last_time = 0;
-  /// Torn bytes found at the active tail.  Benign (a reopen truncates
-  /// them) and therefore reported separately, not as an issue.
+  /// Torn bytes found at the active tail, including an active file too
+  /// short to hold its header.  Benign (a reopen truncates them) and
+  /// therefore reported separately, not as an issue.
   std::uint64_t active_torn_bytes = 0;
 
   bool ok() const { return issues.empty(); }
 };
 
-/// Full-scan audit of a repository directory: manifest, per-record
-/// CRCs, in- and cross-segment time order, ordinal continuity, and
-/// sidecar indexes (including the midplane address records) re-derived
-/// from the data and compared against what is stored.  Read-only.
+/// Full-scan audit of a repository directory: every fault of the walk,
+/// plus stray temp files, torn sealed segments and missing, corrupt or
+/// stale sidecar indexes (midplane address records included, re-derived
+/// from the data).  Read-only.
 VerifyReport verify_repository(const std::string& dir);
 
 struct CompactStats {

@@ -38,27 +38,5 @@ TEST(EventTimeOrder, OrdersByTimeThenCategoryThenLocation) {
   EXPECT_FALSE(less(a, a));
 }
 
-TEST(FatalTimes, ExtractsOnlyFatalEvents) {
-  const std::vector<Event> events = {
-      make_event(1, 0, false), make_event(2, 1, true),
-      make_event(3, 2, false), make_event(9, 3, true)};
-  EXPECT_EQ(fatal_times(events), (std::vector<TimeSec>{2, 9}));
-}
-
-TEST(FatalTimes, EmptyForNoFatals) {
-  const std::vector<Event> events = {make_event(1, 0, false)};
-  EXPECT_TRUE(fatal_times(events).empty());
-}
-
-TEST(CountFatalBetween, HalfOpenInterval) {
-  const std::vector<Event> events = {
-      make_event(10, 0, true), make_event(20, 0, true),
-      make_event(30, 0, true), make_event(25, 0, false)};
-  EXPECT_EQ(count_fatal_between(events, 10, 30), 2u);  // [10, 30)
-  EXPECT_EQ(count_fatal_between(events, 11, 20), 0u);
-  EXPECT_EQ(count_fatal_between(events, 0, 100), 3u);
-  EXPECT_EQ(count_fatal_between(events, 30, 30), 0u);
-}
-
 }  // namespace
 }  // namespace dml::bgl

@@ -2,12 +2,14 @@
 // bounded queue overflows and the overflow is counted, per-subscriber);
 // an ingest connection dying mid-session must leave the stream's
 // predictor state intact for reconnect-with-resume; and protocol
-// violations (busy stream, raw records into a durable stream, event
-// time regression) surface as typed ERROR frames, not as corrupted
-// engine state.
+// violations (busy stream, raw records into a durable stream, a durable
+// stream name that is not one plain path component or already holds a
+// repository, event time regression) surface as typed ERROR frames, not
+// as corrupted engine state or a dead daemon.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <filesystem>
 #include <memory>
 #include <span>
 #include <string>
@@ -16,6 +18,7 @@
 #include "loggen/generator.hpp"
 #include "net/client.hpp"
 #include "online/sharded_engine.hpp"
+#include "storage/disk_repository.hpp"
 #include "support/socket_fixture.hpp"
 #include "support/temp_dir.hpp"
 #include "support/test_fixtures.hpp"
@@ -206,6 +209,68 @@ TEST(DaemonRobustnessTest, DurableStreamRejectsRawRecordFrames) {
     ASSERT_TRUE(e.code().has_value());
     EXPECT_EQ(*e.code(), ErrorCode::kProtocol);
   }
+}
+
+TEST(DaemonRobustnessTest, DurableStreamNameMustStayInsideTheRepository) {
+  testing::ScopedTempDir dir("dmlfpd-robust");
+  const std::string root = dir.sub("repo");
+  auto config = testing::daemon_test_config();
+  config.repo_dir = root;
+  testing::DaemonFixture fixture(std::move(config));
+
+  Client client("127.0.0.1", fixture.port());
+  const std::vector<std::string> names = {"../escaped", "a/b", ".", "..",
+                                          std::string("nul\0name", 8)};
+  for (const std::string& name : names) {
+    try {
+      client.open_stream(name);
+      ADD_FAILURE() << "stream name '" << name << "' was accepted";
+    } catch (const ClientError& e) {
+      ASSERT_TRUE(e.code().has_value());
+      EXPECT_EQ(*e.code(), ErrorCode::kProtocol);
+    }
+  }
+  EXPECT_FALSE(std::filesystem::exists(dir.sub("escaped")));
+  // The refusals were not fatal: the same connection opens a plain name,
+  // and only that stream was ever registered.
+  EXPECT_NO_THROW(client.open_stream("plain"));
+  EXPECT_TRUE(std::filesystem::exists(root + "/plain/repo.meta"));
+  client.bye();
+  EXPECT_EQ(fixture.stop().streams.size(), 1u);
+}
+
+TEST(DaemonRobustnessTest, PersistedDurableStreamIsRefusedNotFatal) {
+  testing::ScopedTempDir dir("dmlfpd-robust");
+  const auto events = std::span(corpus()).first(2000);
+  {
+    auto config = testing::daemon_test_config();
+    config.repo_dir = dir.path();
+    testing::DaemonFixture fixture(std::move(config));
+    Client client("127.0.0.1", fixture.port());
+    const auto opened = client.open_stream("persisted");
+    send_all(client, opened.stream_id, events);
+    client.finish_stream(opened.stream_id);
+  }
+
+  // A restarted daemon on the same root: the persisted name is refused
+  // with an ERROR (resuming it is not supported), the daemon and the
+  // connection carry on, and the repository is left as it was.
+  auto config = testing::daemon_test_config();
+  config.repo_dir = dir.path();
+  testing::DaemonFixture fixture(std::move(config));
+  Client client("127.0.0.1", fixture.port());
+  try {
+    client.open_stream("persisted");
+    FAIL() << "a persisted stream name was opened as a fresh stream";
+  } catch (const ClientError& e) {
+    ASSERT_TRUE(e.code().has_value());
+    EXPECT_EQ(*e.code(), ErrorCode::kStreamBusy);
+  }
+  EXPECT_NO_THROW(client.open_stream("fresh"));
+  client.bye();
+  EXPECT_EQ(fixture.stop().streams.size(), 1u);
+  EXPECT_EQ(storage::OnDiskRepository(dir.sub("persisted")).size(),
+            events.size());
 }
 
 TEST(DaemonRobustnessTest, EventTimeRegressionIsRefusedAsOutOfOrder) {

@@ -706,20 +706,21 @@ int run_sharded(const online::DriverConfig& config,
       online::sharded_config_from_driver(config,
                                          static_cast<std::size_t>(threads));
 
-  // --resume-week: serve only from the first retrain boundary at or
-  // after the requested week; everything earlier is replayed silently
-  // through cold_start (same schedule, warnings suppressed).
+  // --resume-week, the driver's rule: replay from the first event and
+  // keep only the warnings issued from the first retrain boundary at or
+  // after the requested week, so they are exactly the tail of an
+  // uninterrupted run.
   const TimeSec origin = repo.first_time();
   const TimeSec serve_from = online::resume_boundary(config, origin);
 
   std::vector<predict::Warning> warnings;
   const auto wall_start = Clock::now();
   const double cpu_start = process_cpu_seconds();
-  online::ShardedEngine engine(
-      sharded, [&](const predict::Warning& w) { warnings.push_back(w); });
-  if (serve_from > origin) engine.cold_start(repo, serve_from);
+  online::ShardedEngine engine(sharded, [&](const predict::Warning& w) {
+    if (w.issued_at >= serve_from) warnings.push_back(w);
+  });
   {
-    auto cursor = repo.scan(serve_from, repo.last_time() + 1);
+    auto cursor = repo.scan(origin, repo.last_time() + 1);
     std::vector<bgl::Event> batch;
     while (true) {
       batch.clear();

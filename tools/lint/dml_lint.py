@@ -74,7 +74,7 @@ BLOCKING_FUNCS = {
 # engine inverts the pump-thread design (DESIGN.md §12) — reactors
 # enqueue to mailboxes, pump threads are the only engine callers.
 ENGINE_METHODS = {
-    "consume", "consume_batch", "cold_start", "feed_batch",
+    "consume", "consume_batch", "feed_batch",
     "observe", "observe_batch", "tick_into",
 }
 

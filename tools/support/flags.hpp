@@ -39,7 +39,9 @@ class Flags {
       // check, so the union here is harmless.
       if (key == "no-reviser" || key == "help" || key == "profile" ||
           key == "correlation" || key == "no-correlation") {
-        values_[key] = "1";
+        // Move-assigned: assigning the literal itself trips a GCC 12
+        // -Wrestrict false positive in every including file.
+        values_[key] = std::string("1");
         continue;
       }
       if (i + 1 >= argc) {
