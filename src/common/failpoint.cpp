@@ -1,9 +1,9 @@
 #include "common/failpoint.hpp"
 
-#include <charconv>
 #include <chrono>
-#include <cstdlib>
 #include <thread>
+
+#include "common/string_util.hpp"
 
 namespace dml::common {
 namespace {
@@ -19,29 +19,6 @@ std::uint64_t name_hash(std::string_view name) {
     h *= 0x100000001b3ULL;
   }
   return h;
-}
-
-std::optional<double> parse_double(std::string_view s) {
-  // std::from_chars<double> is missing on some libstdc++ configurations
-  // this repo targets; strtod on a bounded copy is portable.
-  if (s.empty() || s.size() > 32) return std::nullopt;
-  char buffer[33];
-  s.copy(buffer, s.size());
-  buffer[s.size()] = '\0';
-  char* end = nullptr;
-  const double value = std::strtod(buffer, &end);
-  if (end != buffer + s.size()) return std::nullopt;
-  return value;
-}
-
-template <typename T>
-std::optional<T> parse_uint(std::string_view s) {
-  T value{};
-  const auto* first = s.data();
-  const auto* last = s.data() + s.size();
-  auto [ptr, ec] = std::from_chars(first, last, value);
-  if (ec != std::errc{} || ptr != last) return std::nullopt;
-  return value;
 }
 
 bool fail(std::string* error, std::string message) {
@@ -154,7 +131,7 @@ std::optional<FailpointSpec> parse_failpoint_spec(std::string_view text,
     };
     if (key == "p") {
       if (seen(seen_p)) return std::nullopt;
-      const auto p = parse_double(value);
+      const auto p = parse_number<double>(value);
       if (!p || *p < 0.0 || *p > 1.0) {
         fail_at(error, text, value_at,
                 "failpoint p must be a probability in [0, 1]");
@@ -163,7 +140,7 @@ std::optional<FailpointSpec> parse_failpoint_spec(std::string_view text,
       spec.probability = *p;
     } else if (key == "ms") {
       if (seen(seen_ms)) return std::nullopt;
-      const auto ms = parse_uint<std::uint32_t>(value);
+      const auto ms = parse_number<std::uint32_t>(value);
       if (!ms) {
         fail_at(error, text, value_at,
                 "failpoint ms must be a nonnegative integer");
@@ -172,7 +149,7 @@ std::optional<FailpointSpec> parse_failpoint_spec(std::string_view text,
       spec.delay_ms = *ms;
     } else if (key == "after") {
       if (seen(seen_after)) return std::nullopt;
-      const auto n = parse_uint<std::uint64_t>(value);
+      const auto n = parse_number<std::uint64_t>(value);
       if (!n) {
         fail_at(error, text, value_at,
                 "failpoint after must be a nonnegative integer");
@@ -181,7 +158,7 @@ std::optional<FailpointSpec> parse_failpoint_spec(std::string_view text,
       spec.after = *n;
     } else if (key == "max") {
       if (seen(seen_max)) return std::nullopt;
-      const auto n = parse_uint<std::uint64_t>(value);
+      const auto n = parse_number<std::uint64_t>(value);
       if (!n) {
         fail_at(error, text, value_at,
                 "failpoint max must be a nonnegative integer");

@@ -1,10 +1,7 @@
 #include "meta/rule_io.hpp"
 
 #include <algorithm>
-#include <charconv>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <stdexcept>
 #include <vector>
 
@@ -19,26 +16,6 @@ namespace {
 constexpr std::string_view kHeaderV1 = "# DML-RULES v1";
 constexpr std::string_view kHeaderV2 = "# DML-RULES v2";
 
-std::optional<double> parse_double(std::string_view s) {
-  // std::from_chars<double> support is spotty pre-GCC11 for some modes;
-  // strtod via a bounded copy keeps this portable.
-  char buf[64];
-  if (s.size() >= sizeof(buf)) return std::nullopt;
-  std::memcpy(buf, s.data(), s.size());
-  buf[s.size()] = '\0';
-  char* end = nullptr;
-  const double value = std::strtod(buf, &end);
-  if (end != buf + s.size()) return std::nullopt;
-  return value;
-}
-
-std::optional<std::int64_t> parse_int(std::string_view s) {
-  std::int64_t value = 0;
-  auto [ptr, ec] = std::from_chars(s.data(), s.data() + s.size(), value);
-  if (ec != std::errc{} || ptr != s.data() + s.size()) return std::nullopt;
-  return value;
-}
-
 std::string format_double(double value) {
   char buf[48];
   std::snprintf(buf, sizeof(buf), "%.12g", value);
@@ -49,8 +26,8 @@ std::optional<learners::Rule> parse_association(
     const std::vector<std::string_view>& fields,
     const bgl::Taxonomy& taxonomy) {
   if (fields.size() != 5) return std::nullopt;
-  const auto confidence = parse_double(fields[1]);
-  const auto support = parse_double(fields[2]);
+  const auto confidence = parse_number<double>(fields[1]);
+  const auto support = parse_number<double>(fields[2]);
   const auto consequent = taxonomy.find_by_name(fields[3]);
   if (!confidence || !support || !consequent) return std::nullopt;
 
@@ -71,8 +48,8 @@ std::optional<learners::Rule> parse_association(
 std::optional<learners::Rule> parse_statistical(
     const std::vector<std::string_view>& fields) {
   if (fields.size() != 3) return std::nullopt;
-  const auto k = parse_int(fields[1]);
-  const auto probability = parse_double(fields[2]);
+  const auto k = parse_number<std::int64_t>(fields[1]);
+  const auto probability = parse_number<double>(fields[2]);
   if (!k || *k < 1 || !probability) return std::nullopt;
   return learners::Rule{learners::Rule::Body(
       learners::StatisticalRule{static_cast<int>(*k), *probability})};
@@ -86,10 +63,10 @@ std::optional<learners::Rule> parse_statistical(
 std::optional<learners::Rule> parse_distribution(
     const std::vector<std::string_view>& fields) {
   if (fields.size() != 6) return std::nullopt;
-  const auto p1 = parse_double(fields[2]);
-  const auto p2 = parse_double(fields[3]);
-  const auto threshold = parse_double(fields[4]);
-  const auto trigger = parse_int(fields[5]);
+  const auto p1 = parse_number<double>(fields[2]);
+  const auto p2 = parse_number<double>(fields[3]);
+  const auto threshold = parse_number<double>(fields[4]);
+  const auto trigger = parse_number<std::int64_t>(fields[5]);
   if (!p1 || !p2 || !threshold || !trigger) return std::nullopt;
 
   learners::DistributionRule rule;
@@ -115,9 +92,9 @@ std::optional<learners::Rule> parse_correlation(
     const std::vector<std::string_view>& fields,
     const bgl::Taxonomy& taxonomy) {
   if (fields.size() != 6) return std::nullopt;
-  const auto confidence = parse_double(fields[1]);
-  const auto support = parse_double(fields[2]);
-  const auto stage_window = parse_int(fields[3]);
+  const auto confidence = parse_number<double>(fields[1]);
+  const auto support = parse_number<double>(fields[2]);
+  const auto stage_window = parse_number<std::int64_t>(fields[3]);
   const auto consequent = taxonomy.find_by_name(fields[4]);
   if (!confidence || !support || !stage_window || *stage_window <= 0 ||
       !consequent) {

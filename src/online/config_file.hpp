@@ -3,26 +3,14 @@
 //
 // Format: one `key = value` per line; '#' comments; unknown keys are
 // errors (typos should not silently fall back to defaults).  Keys mirror
-// the DriverConfig/MetaLearnerConfig/PredictorOptions fields:
-//
-//   prediction_window   = 300        # seconds
-//   retrain_weeks       = 4
-//   training_weeks      = 26
-//   mode                = sliding    # sliding | whole | static
-//   use_reviser         = true
-//   min_roc             = 0.7
-//   min_support         = 0.01
-//   min_confidence      = 0.1
-//   min_antecedent      = 2
-//   statistical_threshold   = 0.8
-//   distribution_threshold  = 0.6
-//   pd_horizon_factor   = 6.0
-//   location_scoped     = false
-//   adaptive_window     = false
+// the DriverConfig/MetaLearnerConfig/PredictorOptions fields; `dmlfp
+// config-template` lists them with their defaults.
 #pragma once
 
 #include <istream>
+#include <span>
 #include <string>
+#include <string_view>
 #include <variant>
 
 #include "online/driver.hpp"
@@ -33,6 +21,22 @@ struct ConfigError {
   std::size_t line = 0;
   std::string message;
 };
+
+/// One driver setting: its key, how a value is read (with its range) and
+/// printed.  The file parser, the template and the engine flags of `dmlfp
+/// run` and `dmlfpd` all read these rows.
+struct DriverSetting {
+  std::string_view key;
+  /// Sets the key from `text`; returns "" or what the key accepts.
+  std::string (*parse)(DriverConfig& config, std::string_view text);
+  std::string (*render)(const DriverConfig& config);
+};
+
+/// Every setting, in `config-template` order.
+std::span<const DriverSetting> driver_settings();
+
+/// The setting with this key, or nullptr.
+const DriverSetting* find_driver_setting(std::string_view key);
 
 /// Parses a config stream into a DriverConfig (starting from defaults).
 /// Returns the first error encountered, if any.

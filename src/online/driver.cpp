@@ -42,8 +42,6 @@ OnlineEngineConfig engine_config(const DriverConfig& config) {
 RetrainPolicy driver_policy(const DriverConfig& config) {
   RetrainPolicy policy = make_retrain_policy(engine_config(config));
   policy.adaptive_window = config.adaptive_window;
-  policy.window_candidates = config.window_candidates;
-  policy.validation_fraction = config.validation_fraction;
   return policy;
 }
 

@@ -52,9 +52,6 @@ struct DriverConfig {
   /// candidate window by F1 on it, and adopts the winner for the next
   /// interval (prediction_window is then only the starting value).
   bool adaptive_window = false;
-  std::vector<DurationSec> window_candidates = {60, 300, 900, 1800};
-  /// Fraction of the training span held out for window selection.
-  double validation_fraction = 0.25;
   /// Time the serving path (per-event observation); surfaced as
   /// DriverResult::engine_stats.serving_seconds.
   bool profile = false;

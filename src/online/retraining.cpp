@@ -64,12 +64,9 @@ DurationSec choose_window(const meta::MetaLearner& learner,
                           const RetrainPolicy& policy,
                           std::span<const bgl::Event> training,
                           DurationSec current) {
-  if (training.size() < 100 || policy.window_candidates.empty()) {
-    return current;
-  }
+  if (training.size() < 100) return current;
   const auto split = static_cast<std::size_t>(
-      static_cast<double>(training.size()) *
-      (1.0 - policy.validation_fraction));
+      static_cast<double>(training.size()) * (1.0 - kValidationFraction));
   const auto fit = training.subspan(0, split);
   const auto validation = training.subspan(split);
   std::size_t validation_fatals = 0;
@@ -78,7 +75,7 @@ DurationSec choose_window(const meta::MetaLearner& learner,
 
   DurationSec best = current;
   double best_score = -1.0;
-  for (DurationSec candidate : policy.window_candidates) {
+  for (const DurationSec candidate : kWindowCandidates) {
     const double score =
         score_window(learner, policy, fit, validation, candidate);
     if (score > best_score) {
@@ -103,7 +100,7 @@ std::string_view to_string(TrainingMode mode) {
 DurationSec max_adoptable_window(const RetrainPolicy& policy) {
   DurationSec window = policy.prediction_window;
   if (policy.adaptive_window) {
-    for (const DurationSec candidate : policy.window_candidates) {
+    for (const DurationSec candidate : kWindowCandidates) {
       window = std::max(window, candidate);
     }
   }
@@ -203,27 +200,22 @@ RetrainScheduler::BoundaryAction RetrainScheduler::fire(TimeSec boundary) {
 SnapshotBuild RetrainScheduler::run_build_with_retry(
     const std::vector<bgl::Event>& training, TimeSec boundary,
     meta::RepositorySnapshot previous) const {
-  const std::size_t budget =
-      std::max<std::size_t>(1, policy_.max_build_attempts);
-  std::uint32_t backoff_ms = policy_.retry_backoff_ms;
+  std::uint32_t backoff_ms = kRetryBackoffMs;
   for (std::size_t attempt = 1;; ++attempt) {
+    const bool last = attempt >= kMaxBuildAttempts;
     try {
       return run_build(training, boundary, previous);
     } catch (const meta::LearnerError& e) {
       // A base learner threw: keep its name so the failure record (and
       // the --profile report) can attribute the abandonment per learner.
-      if (attempt >= budget) throw BuildFailed(attempt, e.what(), e.stage());
+      if (last) throw BuildFailed(attempt, e.what(), e.stage());
     } catch (const std::exception& e) {
-      if (attempt >= budget) throw BuildFailed(attempt, e.what(), "build");
+      if (last) throw BuildFailed(attempt, e.what(), "build");
     } catch (...) {
-      if (attempt >= budget) {
-        throw BuildFailed(attempt, "unknown exception", "build");
-      }
+      if (last) throw BuildFailed(attempt, "unknown exception", "build");
     }
-    if (backoff_ms > 0) {
-      std::this_thread::sleep_for(std::chrono::milliseconds(backoff_ms));
-      backoff_ms *= 2;
-    }
+    std::this_thread::sleep_for(std::chrono::milliseconds(backoff_ms));
+    backoff_ms *= 2;
   }
 }
 

@@ -39,6 +39,16 @@ enum class TrainingMode {
 
 std::string_view to_string(TrainingMode mode);
 
+/// Adaptive window selection (§7): the windows a retraining ranks, and
+/// the share of its training span held out to rank them on.
+inline constexpr DurationSec kWindowCandidates[] = {60, 300, 900, 1800};
+inline constexpr double kValidationFraction = 0.25;
+/// A throwing build (learner, reviser or `retrain.build` failpoint) is
+/// tried this many times, with a wall backoff from kRetryBackoffMs that
+/// doubles per retry, before its boundary goes to failures().
+inline constexpr std::size_t kMaxBuildAttempts = 3;
+inline constexpr std::uint32_t kRetryBackoffMs = 10;
+
 /// Everything a retraining needs to know; a strict subset of the engine
 /// and driver configs.
 struct RetrainPolicy {
@@ -61,8 +71,6 @@ struct RetrainPolicy {
   /// Adaptive prediction-window selection (§7 future work); see
   /// DriverConfig for the semantics.
   bool adaptive_window = false;
-  std::vector<DurationSec> window_candidates = {60, 300, 900, 1800};
-  double validation_fraction = 0.25;
   /// Build snapshots on ThreadPool::shared() instead of inline.
   bool async = false;
   /// Event-time delay from a boundary B to the adoption of its build
@@ -70,14 +78,6 @@ struct RetrainPolicy {
   /// is deterministic (poll() joins the build if the stream got there
   /// first).  0 = one prediction window.
   DurationSec adoption_lag = 0;
-  /// Build-failure degradation: a build that throws (out of the learner,
-  /// reviser, or a `retrain.build` failpoint) is retried up to this many
-  /// total attempts; when they are all spent the boundary is abandoned,
-  /// recorded in failures(), and the last good snapshot stays in force —
-  /// a retrain failure never crashes the serving loop.
-  std::size_t max_build_attempts = 3;
-  /// Wall-clock backoff before each retry, doubling per attempt.
-  std::uint32_t retry_backoff_ms = 10;
 };
 
 /// The largest prediction window a build under `policy` can adopt: the

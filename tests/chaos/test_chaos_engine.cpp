@@ -179,7 +179,7 @@ TEST_F(ChaosTest, RetrainFailureMidStreamNeverStopsWarningEmission) {
   for (const auto& incident : log) {
     if (incident.kind == DegradationEvent::Kind::kRetrainFailure) {
       ++failures_logged;
-      EXPECT_EQ(incident.count, 3u);  // default max_build_attempts
+      EXPECT_EQ(incident.count, kMaxBuildAttempts);
       EXPECT_NE(incident.detail.find("retrain.build"), std::string::npos);
     }
   }

@@ -69,5 +69,33 @@ TEST(ReplaceAll, Cases) {
   EXPECT_EQ(replace_all("abc", "", "z"), "abc");  // empty pattern: no-op
 }
 
+TEST(ParseNumber, ConsumesTheWholeString) {
+  EXPECT_EQ(parse_number<long>("300"), 300);
+  EXPECT_EQ(parse_number<long>("-5"), -5);
+  EXPECT_EQ(parse_number<double>("0.25"), 0.25);
+  EXPECT_EQ(parse_number<double>("1e3"), 1000.0);  // strtod's grammar
+  for (const char* bad : {"", "abc", "300x", "3 ", "0x10"}) {
+    EXPECT_FALSE(parse_number<long>(bad).has_value()) << bad;
+  }
+  for (const char* bad : {"", "abc", "0.3x", "1e"}) {
+    EXPECT_FALSE(parse_number<double>(bad).has_value()) << bad;
+  }
+  EXPECT_FALSE(parse_number<unsigned long>("-1").has_value());
+  EXPECT_FALSE(parse_number<int>("99999999999").has_value());  // overflow
+}
+
+TEST(ParseNumber, InRangeSetsOnlyValidValues) {
+  int weeks = 4;
+  EXPECT_EQ(parse_in_range(std::string_view("0"), 1, 520, weeks),
+            "expected an integer in [1, 520]");
+  EXPECT_EQ(weeks, 4);
+  EXPECT_EQ(parse_in_range(std::string_view("26"), 1, 520, weeks), "");
+  EXPECT_EQ(weeks, 26);
+  double confidence = 0.1;
+  EXPECT_EQ(parse_in_range(std::string_view("2"), 0.0, 1.0, confidence),
+            "expected a number in [0.000000, 1.000000]");
+  EXPECT_EQ(confidence, 0.1);
+}
+
 }  // namespace
 }  // namespace dml

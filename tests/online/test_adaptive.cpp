@@ -1,6 +1,7 @@
 // Adaptive prediction-window selection (paper §7 future work).
 #include <gtest/gtest.h>
 
+#include <iterator>
 #include <set>
 
 #include "online/driver.hpp"
@@ -12,11 +13,11 @@ namespace {
 TEST(AdaptiveWindow, SelectsFromCandidatesAndRecordsChoice) {
   DriverConfig config;
   config.adaptive_window = true;
-  config.window_candidates = {60, 300, 1800};
   config.training_weeks = 12;
   const auto result = DynamicDriver(config).run(testing::shared_store());
   ASSERT_FALSE(result.intervals.empty());
-  const std::set<DurationSec> candidates = {60, 300, 1800};
+  const std::set<DurationSec> candidates(std::begin(kWindowCandidates),
+                                         std::end(kWindowCandidates));
   for (const auto& interval : result.intervals) {
     EXPECT_TRUE(candidates.contains(interval.window_used))
         << interval.window_used;
@@ -50,17 +51,6 @@ TEST(AdaptiveWindow, AccuracyComparableToFixedDefault) {
   const double fixed_f1 = stats::f1_score(fixed_result.total_counts());
   const double adaptive_f1 = stats::f1_score(adaptive_result.total_counts());
   EXPECT_GT(adaptive_f1, fixed_f1 - 0.1);
-}
-
-TEST(AdaptiveWindow, EmptyCandidateListFallsBack) {
-  DriverConfig config;
-  config.adaptive_window = true;
-  config.window_candidates.clear();
-  config.training_weeks = 12;
-  const auto result = DynamicDriver(config).run(testing::shared_store());
-  for (const auto& interval : result.intervals) {
-    EXPECT_EQ(interval.window_used, config.prediction_window);
-  }
 }
 
 }  // namespace

@@ -2,7 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <map>
 #include <sstream>
+#include <string_view>
 
 namespace dml::online {
 namespace {
@@ -47,6 +49,8 @@ TEST(ConfigFile, ParsesEveryKey) {
       "statistical_threshold = 0.75\n"
       "distribution_threshold = 0.5\n"
       "enable_correlation = true\n"
+      "correlation_window = 600\n"
+      "correlation_min_edge_confidence = 0.3\n"
       "pd_horizon_factor = 2.5\n"
       "location_scoped = true\n"
       "adaptive_window = true\n");
@@ -63,6 +67,8 @@ TEST(ConfigFile, ParsesEveryKey) {
   EXPECT_DOUBLE_EQ(config.learner.statistical.min_probability, 0.75);
   EXPECT_DOUBLE_EQ(config.learner.distribution.cdf_threshold, 0.5);
   EXPECT_TRUE(config.learner.enable_correlation);
+  EXPECT_EQ(config.learner.correlation.graph.window, 600);
+  EXPECT_DOUBLE_EQ(config.learner.correlation.miner.min_edge_confidence, 0.3);
   EXPECT_DOUBLE_EQ(config.predictor.pd_horizon_factor, 2.5);
   EXPECT_TRUE(config.predictor.location_scoped);
   EXPECT_TRUE(config.adaptive_window);
@@ -101,23 +107,40 @@ TEST(ConfigFile, OutOfRangeValuesRejected) {
 }
 
 TEST(ConfigFile, RenderParseRoundTrip) {
-  DriverConfig config;
-  config.prediction_window = 1800;
-  config.clock_tick = 1800;
-  config.retrain_weeks = 2;
-  config.mode = TrainingMode::kStatic;
-  config.learner.enable_correlation = true;
-  config.predictor.location_scoped = true;
-
-  std::stringstream stream(render_driver_config(config));
-  auto result = parse_driver_config(stream);
-  ASSERT_TRUE(std::holds_alternative<DriverConfig>(result));
-  const auto& parsed = std::get<DriverConfig>(result);
-  EXPECT_EQ(parsed.prediction_window, 1800);
-  EXPECT_EQ(parsed.retrain_weeks, 2);
-  EXPECT_EQ(parsed.mode, TrainingMode::kStatic);
-  EXPECT_TRUE(parsed.learner.enable_correlation);
-  EXPECT_TRUE(parsed.predictor.location_scoped);
+  // A non-default value for every key; the numbers are all distinct, so
+  // a key printed from the wrong member shows.
+  const std::map<std::string_view, std::string_view> values = {
+      {"prediction_window", "1800"},
+      {"retrain_weeks", "2"},
+      {"training_weeks", "13"},
+      {"mode", "static"},
+      {"use_reviser", "false"},
+      {"min_roc", "0.55"},
+      {"min_support", "0.02"},
+      {"min_confidence", "0.2"},
+      {"min_antecedent", "3"},
+      {"statistical_threshold", "0.75"},
+      {"distribution_threshold", "0.5"},
+      {"enable_correlation", "true"},
+      {"correlation_window", "600"},
+      {"correlation_min_edge_confidence", "0.3"},
+      {"pd_horizon_factor", "2.5"},
+      {"location_scoped", "true"},
+      {"adaptive_window", "true"}};
+  ASSERT_EQ(values.size(), driver_settings().size());
+  std::string text;
+  for (const auto& [key, value] : values) {
+    text.append(key).append(" = ").append(value).append("\n");
+  }
+  const std::string rendered = render_driver_config(must_parse(text));
+  const DriverConfig parsed = must_parse(rendered);
+  const DriverConfig defaults;
+  for (const DriverSetting& setting : driver_settings()) {
+    ASSERT_TRUE(values.contains(setting.key)) << setting.key;
+    EXPECT_NE(setting.render(defaults), values.at(setting.key));
+    EXPECT_EQ(setting.render(parsed), values.at(setting.key)) << setting.key;
+  }
+  EXPECT_EQ(render_driver_config(parsed), rendered);
 }
 
 }  // namespace

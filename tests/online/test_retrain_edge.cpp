@@ -23,8 +23,6 @@ class RetrainEdgeTest : public ::testing::Test {
 RetrainPolicy edge_policy() {
   RetrainPolicy policy;
   policy.retrain_interval = kSecondsPerWeek;
-  policy.max_build_attempts = 2;
-  policy.retry_backoff_ms = 1;
   return policy;
 }
 
@@ -158,7 +156,7 @@ TEST_F(RetrainEdgeTest, SyncBuildFailureKeepsSchedulingAndRecordsAttempts) {
   EXPECT_EQ(scheduler.fire(*boundary), RetrainScheduler::BoundaryAction::kNone);
   ASSERT_EQ(scheduler.failures().size(), 1u);
   EXPECT_EQ(scheduler.failures()[0].boundary, *boundary);
-  EXPECT_EQ(scheduler.failures()[0].attempts, 2u);  // max_build_attempts
+  EXPECT_EQ(scheduler.failures()[0].attempts, kMaxBuildAttempts);
   EXPECT_NE(scheduler.failures()[0].error.find("retrain.build"),
             std::string::npos);
 
@@ -239,7 +237,7 @@ TEST_F(RetrainEdgeTest, AsyncBuildFailureSurfacesAtTheAdoptionPoint) {
   // never thrown into the serving path.
   EXPECT_FALSE(scheduler.poll(*boundary + policy.adoption_lag).has_value());
   ASSERT_EQ(scheduler.failures().size(), 1u);
-  EXPECT_EQ(scheduler.failures()[0].attempts, 2u);
+  EXPECT_EQ(scheduler.failures()[0].attempts, kMaxBuildAttempts);
   // A consumed failed build leaves the scheduler free to train again.
   EXPECT_FALSE(scheduler.build_in_flight());
 }

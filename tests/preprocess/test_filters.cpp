@@ -115,7 +115,8 @@ TEST(Filters, LargerThresholdNeverKeepsMoreRecords) {
     stream.push_back(make(t, rng.bernoulli(0.5) ? kLocA : kLocB,
                           static_cast<JobId>(rng.uniform_index(3)),
                           static_cast<CategoryId>(rng.uniform_index(4)),
-                          "m" + std::to_string(rng.uniform_index(4))));
+                          std::string{'m', static_cast<char>(
+                                               '0' + rng.uniform_index(4))}));
   }
   std::size_t previous = stream.size() + 1;
   for (DurationSec threshold : {10, 60, 120, 200, 300, 400}) {

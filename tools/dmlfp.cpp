@@ -19,6 +19,7 @@
 // `train` ships a rule set, `predict` consumes both — the offline
 // rule-generation / online prediction split of paper §5.2.4.
 #include <chrono>
+#include <cstdint>
 #include <cstdio>
 #include <cstring>
 #include <ctime>
@@ -57,15 +58,18 @@ namespace {
 using namespace dml;
 using tools::Flags;
 
+constexpr std::size_t kMinSegmentBytes =
+    storage::kSegmentHeaderSize + storage::kEventRecordSize;
+
 int usage() {
   std::fprintf(
       stderr,
       "usage: dmlfp <command> [flags]\n"
-      "  generate  --machine anl|sdsc [--weeks N] [--seed S] [--scale X]\n"
-      "            [--format text|binary] --out FILE  write a simulated log\n"
-      "            [--chain-coverage X] [--chain-gap SECONDS]\n"
-      "            [--chain-hop P] [--chain-final-lead SECONDS]\n"
-      "            signature families injected into the stream:\n"
+      "  generate  --machine anl|sdsc [--weeks 1..520] [--seed S>=0]\n"
+      "            [--scale 0..100] [--format text|binary] --out FILE\n"
+      "            [--chain-coverage 0..1] [--chain-gap 1..86400 s]\n"
+      "            [--chain-hop 0..1] [--chain-final-lead 1..86400 s]\n"
+      "            write a simulated log; signature families injected:\n"
       "              precursor  unordered precursor sets within one\n"
       "                         prediction window (always on)\n"
       "              decoy      coincidental pairs with bad false-alarm\n"
@@ -75,31 +79,33 @@ int usage() {
       "                         90 s) can exceed the prediction window;\n"
       "                         off unless --chain-coverage > 0\n"
       "  summarize --log FILE                      Tables 2/4-style summary\n"
-      "  ingest    --log FILE --out DIR [--segment-bytes N] [--sync-every N]\n"
-      "            [--threshold 300]               preprocess a raw log into\n"
-      "            a segmented on-disk event repository (refuses success\n"
-      "            unless the written segments read back clean)\n"
+      "  ingest    --log FILE --out DIR [--segment-bytes 56..2^30]\n"
+      "            [--sync-every N>=0] [--threshold 0..604800]  preprocess a\n"
+      "            raw log into a segmented on-disk event repository\n"
+      "            (refuses success unless it reads back clean)\n"
       "  verify    --repo DIR                      full-scan audit of a\n"
       "            repository (CRCs, time order, sidecar indexes)\n"
-      "  compact   --repo DIR --out DIR [--segment-bytes N]  rewrite into\n"
-      "            full segments with fresh indexes\n"
-      "  train     --log FILE [--from-week A] [--to-week B] [--window 300]\n"
-      "            [--no-reviser] [--correlation] --out RULES  mine + revise\n"
-      "            a rule set (--correlation adds the event-correlation\n"
-      "            chain learner)\n"
-      "  predict   --log FILE --rules RULES [--from-week A] [--to-week B]\n"
-      "            [--window 300]                  replay + evaluate\n"
+      "  compact   --repo DIR --out DIR [--segment-bytes 56..2^30]\n"
+      "            rewrite into full segments with fresh indexes\n"
+      "  train     --log FILE [--from-week 0..520] [--to-week 0..520]\n"
+      "            [--window 1..604800] [--no-reviser] [--correlation]\n"
+      "            --out RULES  mine + revise a rule set (--correlation\n"
+      "            adds the event-correlation chain learner)\n"
+      "  predict   --log FILE --rules RULES [--from-week 0..520]\n"
+      "            [--to-week 0..520] [--window 1..604800]  replay + evaluate\n"
       "  run       --log FILE | --repo DIR [--config FILE]\n"
       "            [--mode sliding|whole|static]\n"
-      "            [--training-weeks 26] [--retrain-weeks 4] [--window 300]\n"
-      "            [--no-reviser] [--report FILE]  full dynamic driver\n"
+      "            [--training-weeks 1..520] [--retrain-weeks 1..520]\n"
+      "            [--window 1..604800] [--no-reviser] [--report FILE]\n"
+      "            full dynamic driver; an engine flag takes the values of\n"
+      "            its --config key (see config-template)\n"
       "            [--correlation | --no-correlation]  enable/disable the\n"
       "            correlation-chain learner (overrides --config)\n"
-      "            [--correlation-window N]  graph adjacency window (s)\n"
-      "            [--correlation-min-edge X]  min per-edge confidence\n"
-      "            [--threads N]  N-shard concurrent serving replay\n"
-      "            [--resume-week N]  restart: rebuild training state from\n"
-      "            the repository, serve only from that week on\n"
+      "            [--correlation-window 1..86400]  graph adjacency window\n"
+      "            [--correlation-min-edge 0..1]  min per-edge confidence\n"
+      "            [--threads 1..1024]  N-shard concurrent serving replay\n"
+      "            [--resume-week 0..520]  restart: rebuild training state\n"
+      "            from the repository, serve only from that week on\n"
       "            [--warnings FILE]  dump the warning stream (one per\n"
       "            line) for byte-identity diffs across data planes\n"
       "            [--profile]  print per-stage wall/CPU time and\n"
@@ -108,7 +114,7 @@ int usage() {
       "            [--failpoint NAME=SPEC[,NAME=SPEC...]]  arm fault\n"
       "            injection; SPEC is throw|delay|drop|corrupt|off with\n"
       "            optional :p=PROB :ms=MILLIS :after=N :max=N\n"
-      "            [--failpoint-seed S]  RNG seed for probabilistic faults\n"
+      "            [--failpoint-seed S>=0]  RNG seed for random faults\n"
       "  config-template                           print a config file\n");
   return 2;
 }
@@ -345,7 +351,8 @@ int cmd_generate(const Flags& flags) {
   constexpr std::string_view kFlags[] = {
       "machine", "weeks", "scale", "chain-coverage", "chain-gap",
       "chain-final-lead", "chain-hop", "seed", "format", "out"};
-  if (!flags.all_known("dmlfp generate", {kFlags})) return 2;
+  const char* const who = "dmlfp generate";
+  if (!flags.all_known(who, {kFlags})) return 2;
   const std::string machine = flags.get_or("machine", "sdsc");
   auto profile = machine == "anl" ? loggen::MachineProfile::anl()
                                   : loggen::MachineProfile::sdsc();
@@ -353,17 +360,17 @@ int cmd_generate(const Flags& flags) {
     std::fprintf(stderr, "dmlfp: unknown machine '%s'\n", machine.c_str());
     return 2;
   }
-  profile.weeks = static_cast<int>(flags.get_long("weeks", profile.weeks));
-  profile.scale = flags.get_double("scale", profile.scale);
-  profile.chain_coverage =
-      flags.get_double("chain-coverage", profile.chain_coverage);
-  profile.chain_gap_mean = flags.get_long("chain-gap", profile.chain_gap_mean);
-  profile.chain_final_lead_max =
-      flags.get_long("chain-final-lead", profile.chain_final_lead_max);
-  profile.chain_hop_prob =
-      flags.get_double("chain-hop", profile.chain_hop_prob);
-  const auto seed =
-      static_cast<std::uint64_t>(flags.get_long("seed", 1));
+  std::uint64_t seed = 1;
+  if (!flags.read(who, "weeks", profile.weeks, 1, 520) ||
+      !flags.read(who, "scale", profile.scale, 0, 100) ||
+      !flags.read(who, "chain-coverage", profile.chain_coverage, 0, 1) ||
+      !flags.read(who, "chain-gap", profile.chain_gap_mean, 1, 86400) ||
+      !flags.read(who, "chain-final-lead", profile.chain_final_lead_max, 1,
+                  86400) ||
+      !flags.read(who, "chain-hop", profile.chain_hop_prob, 0, 1) ||
+      !flags.read(who, "seed", seed, 0, UINT64_MAX)) {
+    return 2;
+  }
   const std::string format = flags.get_or("format", "text");
   if (format != "text" && format != "binary") {
     std::fprintf(stderr, "dmlfp generate: unknown format '%s'\n",
@@ -466,18 +473,21 @@ int cmd_ingest(const Flags& flags) {
     std::fprintf(stderr, "dmlfp ingest: --log and --out are required\n");
     return 2;
   }
-  if (!tools::arm_failpoints(flags, "dmlfp ingest")) return 2;
+  storage::LogWriterOptions options;
+  if (!flags.read("dmlfp ingest", "segment-bytes", options.segment_bytes,
+                  kMinSegmentBytes, 1 << 30) ||
+      !flags.read("dmlfp ingest", "sync-every", options.sync_every_records,
+                  0, SIZE_MAX) ||
+      !flags.read("dmlfp ingest", "threshold", options.threshold, 0,
+                  7 * 86400) ||
+      !tools::arm_failpoints(flags, "dmlfp ingest")) {
+    return 2;
+  }
   std::ifstream file(*log_path, std::ios::binary);
   if (!file) {
     std::fprintf(stderr, "dmlfp: cannot open %s\n", log_path->c_str());
     return 1;
   }
-  storage::LogWriterOptions options;
-  options.segment_bytes = static_cast<std::size_t>(flags.get_long(
-      "segment-bytes", static_cast<long>(options.segment_bytes)));
-  options.sync_every_records =
-      static_cast<std::size_t>(flags.get_long("sync-every", 0));
-  options.threshold = flags.get_long("threshold", options.threshold);
 
   AnyRecordReader reader(file, logio::RecordReader::OnError::kSkip);
   preprocess::StreamingPipeline pipeline(options.threshold);
@@ -563,8 +573,10 @@ int cmd_compact(const Flags& flags) {
     return 2;
   }
   storage::LogWriterOptions options;
-  options.segment_bytes = static_cast<std::size_t>(flags.get_long(
-      "segment-bytes", static_cast<long>(options.segment_bytes)));
+  if (!flags.read("dmlfp compact", "segment-bytes", options.segment_bytes,
+                  kMinSegmentBytes, 1 << 30)) {
+    return 2;
+  }
   storage::CompactStats stats;
   try {
     stats = storage::compact_repository(*repo_path, *out_dir, options);
@@ -591,30 +603,34 @@ int cmd_train(const Flags& flags) {
     std::fprintf(stderr, "dmlfp train: --log and --out are required\n");
     return 2;
   }
-  const DurationSec window = flags.get_long("window", 300);
+  online::DriverConfig config;
+  long from_week = 0;
+  long to_week = 0;
+  if (tools::driver_config_from_flags(flags, "dmlfp train", config) != 0 ||
+      !flags.read("dmlfp train", "from-week", from_week, 0, 520) ||
+      !flags.read("dmlfp train", "to-week", to_week, 0, 520)) {
+    return 2;
+  }
+  const DurationSec window = config.prediction_window;
   const auto store = load_events(*log_path, 300);
   if (!store) return 1;
 
   const TimeSec origin = store->first_time();
-  const TimeSec from =
-      origin + flags.get_long("from-week", 0) * kSecondsPerWeek;
-  const TimeSec to =
-      flags.has("to-week")
-          ? origin + flags.get_long("to-week", 0) * kSecondsPerWeek
-          : store->last_time() + 1;
+  const TimeSec from = origin + from_week * kSecondsPerWeek;
+  const TimeSec to = flags.has("to-week")
+                         ? origin + to_week * kSecondsPerWeek
+                         : store->last_time() + 1;
   const auto training = store->between(from, to);
   if (training.empty()) {
     std::fprintf(stderr, "dmlfp train: empty training span\n");
     return 1;
   }
 
-  meta::MetaLearnerConfig learner_config;
-  if (flags.has("correlation")) learner_config.enable_correlation = true;
-  meta::MetaLearner learner{learner_config};
+  meta::MetaLearner learner{config.learner};
   meta::TrainTimes times;
   auto repository = learner.learn(training, window, &times);
   std::size_t removed = 0;
-  if (!flags.has("no-reviser")) {
+  if (config.use_reviser) {
     removed = predict::revise(repository, training, window).removed;
   }
   std::ofstream out(*out_path);
@@ -646,7 +662,15 @@ int cmd_predict(const Flags& flags) {
     std::fprintf(stderr, "dmlfp predict: --log and --rules are required\n");
     return 2;
   }
-  const DurationSec window = flags.get_long("window", 300);
+  online::DriverConfig config;
+  long from_week = 0;
+  long to_week = 0;
+  if (tools::driver_config_from_flags(flags, "dmlfp predict", config) != 0 ||
+      !flags.read("dmlfp predict", "from-week", from_week, 0, 520) ||
+      !flags.read("dmlfp predict", "to-week", to_week, 0, 520)) {
+    return 2;
+  }
+  const DurationSec window = config.prediction_window;
   const auto store = load_events(*log_path, 300);
   if (!store) return 1;
   std::ifstream rules_file(*rules_path);
@@ -663,12 +687,10 @@ int cmd_predict(const Flags& flags) {
   }
 
   const TimeSec origin = store->first_time();
-  const TimeSec from =
-      origin + flags.get_long("from-week", 0) * kSecondsPerWeek;
-  const TimeSec to =
-      flags.has("to-week")
-          ? origin + flags.get_long("to-week", 0) * kSecondsPerWeek
-          : store->last_time() + 1;
+  const TimeSec from = origin + from_week * kSecondsPerWeek;
+  const TimeSec to = flags.has("to-week")
+                         ? origin + to_week * kSecondsPerWeek
+                         : store->last_time() + 1;
 
   predict::Predictor predictor(repository, window);
   for (const auto& event : store->between(from - window, from)) {
@@ -813,6 +835,16 @@ int cmd_run(const Flags& flags) {
                  "dmlfp run: exactly one of --log or --repo is required\n");
     return 2;
   }
+  online::DriverConfig config;
+  if (const int status =
+          tools::driver_config_from_flags(flags, "dmlfp run", config)) {
+    return status;
+  }
+  long threads = 1;
+  if (!flags.read("dmlfp run", "resume-week", config.resume_week, 0, 520) ||
+      !flags.read("dmlfp run", "threads", threads, 1, 1024)) {
+    return 2;
+  }
   // Arm fault injection before touching the log: logio.parse applies to
   // loading as well as the run itself.
   if (!tools::arm_failpoints(flags, "dmlfp run")) return 2;
@@ -851,16 +883,8 @@ int cmd_run(const Flags& flags) {
     repo = &*disk;
   }
 
-  online::DriverConfig config;
-  if (const int status =
-          tools::driver_config_from_flags(flags, "dmlfp run", config)) {
-    return status;
-  }
   config.profile = profile;
-  config.resume_week =
-      static_cast<int>(flags.get_long("resume-week", config.resume_week));
   const auto warnings_path = flags.get("warnings");
-  const long threads = flags.get_long("threads", 1);
   if (threads > 1) {
     return run_sharded(config, *repo, threads, profile, parse_times,
                        preprocess_times, warnings_path);

@@ -37,29 +37,31 @@ int usage() {
       stderr,
       "usage: dmlfpd [flags]\n"
       "  --bind ADDR            listen address (default 127.0.0.1)\n"
-      "  --port N               listen port; 0 = kernel-assigned (default)\n"
+      "  --port 0..65535        listen port; 0 = kernel-assigned (default)\n"
       "  --port-file FILE       write the bound port to FILE once listening\n"
-      "  --reactors N           epoll reactor threads (default 2)\n"
-      "  --shards N             engine shards per stream (0 = hardware)\n"
+      "  --reactors 1..1024     epoll reactor threads (default 2)\n"
+      "  --shards 0..1024       engine shards per stream (0 = hardware)\n"
       "  --repo DIR             durable ingest: segmented per-stream\n"
       "                         repositories under DIR/<stream>\n"
-      "  --config FILE          driver config base (same file as dmlfp run)\n"
-      "  --window S             prediction window Wp, seconds (default 300)\n"
-      "  --training-weeks N     initial training span (default 26)\n"
-      "  --retrain-weeks N      retraining cadence Wr (default 4)\n"
+      "  --config FILE          driver config base (same file as dmlfp run);\n"
+      "                         an engine flag takes its key's values\n"
+      "  --window 1..604800     prediction window Wp, seconds (default 300)\n"
+      "  --training-weeks 1..520  initial training span (default 26)\n"
+      "  --retrain-weeks 1..520 retraining cadence Wr (default 4)\n"
       "  --mode sliding|whole|static\n"
       "  --no-reviser           disable the rule reviser\n"
       "  --correlation | --no-correlation\n"
       "                         enable/disable the correlation-chain\n"
       "                         learner (overrides --config)\n"
-      "  --correlation-window S graph adjacency window, seconds\n"
-      "  --correlation-min-edge X  min per-edge confidence\n"
-      "  --queue-frames N       reactor->pump admission queue (default 64)\n"
-      "  --subscriber-queue N   per-subscriber warning queue (default 65536)\n"
-      "  --retry-ms MS          RETRY_AFTER pacing hint (default 2)\n"
+      "  --correlation-window 1..86400  graph adjacency window, seconds\n"
+      "  --correlation-min-edge 0..1    min per-edge confidence\n"
+      "  --queue-frames 1..2^20 reactor->pump admission queue (default 64)\n"
+      "  --subscriber-queue 1..2^24  per-subscriber warning queue\n"
+      "                         (default 65536)\n"
+      "  --retry-ms 0..60000    RETRY_AFTER pacing hint (default 2)\n"
       "  --failpoint NAME=SPEC[,...]   fault injection (net.accept,\n"
       "                         net.read, net.write, storage.*, ...)\n"
-      "  --failpoint-seed S     RNG seed for probabilistic faults\n"
+      "  --failpoint-seed S>=0  RNG seed for probabilistic faults\n"
       "SIGTERM/SIGINT drain gracefully: streams finish, durable segments\n"
       "seal, subscribers get FINISHED, then a stats report prints.\n");
   return 2;
@@ -112,21 +114,22 @@ int main(int argc, char** argv) {
   if (tools::driver_config_from_flags(flags, "dmlfpd", driver) != 0) return 2;
 
   net::DaemonConfig config;
+  unsigned port = 0;
+  std::size_t shards = 0;
+  if (!flags.read("dmlfpd", "port", port, 0, 65535) ||
+      !flags.read("dmlfpd", "reactors", config.reactors, 1, 1024) ||
+      !flags.read("dmlfpd", "shards", shards, 0, 1024) ||
+      !flags.read("dmlfpd", "queue-frames", config.ingest_queue_frames, 1,
+                  1 << 20) ||
+      !flags.read("dmlfpd", "subscriber-queue",
+                  config.subscriber_queue_warnings, 1, 1 << 24) ||
+      !flags.read("dmlfpd", "retry-ms", config.retry_ms, 0, 60000)) {
+    return 2;
+  }
   config.bind_address = flags.get_or("bind", config.bind_address);
-  config.port = static_cast<std::uint16_t>(flags.get_long("port", 0));
-  config.reactors = static_cast<std::size_t>(flags.get_long(
-      "reactors", static_cast<long>(config.reactors)));
-  config.ingest_queue_frames = static_cast<std::size_t>(flags.get_long(
-      "queue-frames", static_cast<long>(config.ingest_queue_frames)));
-  config.subscriber_queue_warnings =
-      static_cast<std::size_t>(flags.get_long(
-          "subscriber-queue",
-          static_cast<long>(config.subscriber_queue_warnings)));
-  config.retry_ms = static_cast<std::uint32_t>(
-      flags.get_long("retry-ms", config.retry_ms));
+  config.port = static_cast<std::uint16_t>(port);
   config.repo_dir = flags.get_or("repo", "");
-  config.engine = online::sharded_config_from_driver(
-      driver, static_cast<std::size_t>(flags.get_long("shards", 0)));
+  config.engine = online::sharded_config_from_driver(driver, shards);
 
   // Block the shutdown signals before any thread exists, so the
   // daemon's threads inherit the mask and sigwait below is the only

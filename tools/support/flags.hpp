@@ -5,9 +5,10 @@
 #pragma once
 
 #include <algorithm>
+#include <array>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <fstream>
 #include <initializer_list>
 #include <map>
@@ -15,13 +16,45 @@
 #include <span>
 #include <string>
 #include <string_view>
+#include <type_traits>
 #include <variant>
 
 #include "common/failpoint.hpp"
+#include "common/string_util.hpp"
 #include "online/config_file.hpp"
 #include "online/driver.hpp"
 
 namespace dml::tools {
+
+/// The engine flags `dmlfp run` and `dmlfpd` share, each the command-line
+/// form of one `--config` key (online::driver_settings()): a flag takes
+/// exactly the values of its key, and a value-less one gives its key the
+/// value `fixed`.  Applied in this order, so --no-correlation beats
+/// --correlation.
+struct EngineFlag {
+  std::string_view name;
+  std::string_view key;
+  std::string_view fixed = {};
+};
+inline constexpr EngineFlag kEngineFlagRows[] = {
+    {"window", "prediction_window"},
+    {"training-weeks", "training_weeks"},
+    {"retrain-weeks", "retrain_weeks"},
+    {"mode", "mode"},
+    {"no-reviser", "use_reviser", "false"},
+    {"correlation", "enable_correlation", "true"},
+    {"no-correlation", "enable_correlation", "false"},
+    {"correlation-window", "correlation_window"},
+    {"correlation-min-edge", "correlation_min_edge_confidence"}};
+
+/// The flags driver_config_from_flags reads: --config and the engine
+/// flags.
+inline constexpr auto kEngineFlags = [] {
+  std::array<std::string_view, std::size(kEngineFlagRows) + 1> names{"config"};
+  std::ranges::transform(kEngineFlagRows, names.begin() + 1,
+                         &EngineFlag::name);
+  return names;
+}();
 
 /// Minimal --flag value parser: flags are "--name value" pairs.
 class Flags {
@@ -37,8 +70,10 @@ class Flags {
       // Boolean flags across the whole tool family; a value-less flag
       // unknown to one tool is still rejected by that tool's all_known()
       // check, so the union here is harmless.
-      if (key == "no-reviser" || key == "help" || key == "profile" ||
-          key == "correlation" || key == "no-correlation") {
+      if (key == "help" || key == "profile" ||
+          std::ranges::any_of(kEngineFlagRows, [&](const EngineFlag& f) {
+            return !f.fixed.empty() && f.name == key;
+          })) {
         // Move-assigned: assigning the literal itself trips a GCC 12
         // -Wrestrict false positive in every including file.
         values_[key] = std::string("1");
@@ -72,6 +107,20 @@ class Flags {
   double get_double(const std::string& key, double fallback) const {
     const auto value = get(key);
     return value ? std::strtod(value->c_str(), nullptr) : fallback;
+  }
+
+  /// Reads --NAME into `out` as a whole number in [lo, hi]; an absent
+  /// flag leaves `out` alone.  Anything else prints "<who>: --NAME:
+  /// expected ... in [lo, hi]" and returns false; the caller exits 2.
+  template <typename T>
+  bool read(const char* who, const std::string& name, T& out,
+            std::type_identity_t<T> lo, std::type_identity_t<T> hi) const {
+    const auto text = get(name);
+    if (!text) return true;
+    const std::string error = parse_in_range(*text, lo, hi, out);
+    if (error.empty()) return true;
+    std::fprintf(stderr, "%s: --%s: %s\n", who, name.c_str(), error.c_str());
+    return false;
   }
 
   bool has(const std::string& key) const { return values_.contains(key); }
@@ -110,11 +159,12 @@ inline constexpr std::string_view kFailpointFlags[] = {"failpoint",
 
 /// Arms --failpoint/--failpoint-seed.  `who` names the command for
 /// error messages ("dmlfp run", "dmlfpd", ...).  Returns false on a
-/// malformed spec.
+/// malformed spec or seed.
 inline bool arm_failpoints(const Flags& flags, const char* who) {
+  std::uint64_t seed = 0;
+  if (!flags.read(who, "failpoint-seed", seed, 0, UINT64_MAX)) return false;
   if (flags.has("failpoint-seed")) {
-    common::FailpointRegistry::instance().reseed(
-        static_cast<std::uint64_t>(flags.get_long("failpoint-seed", 0)));
+    common::FailpointRegistry::instance().reseed(seed);
   }
   const auto failpoints = flags.get("failpoint");
   if (!failpoints) return true;
@@ -136,20 +186,13 @@ inline bool arm_failpoints(const Flags& flags, const char* who) {
   return true;
 }
 
-/// The flags driver_config_from_flags reads: the engine flags `dmlfp
-/// run` and `dmlfpd` share.
-inline constexpr std::string_view kEngineFlags[] = {
-    "config", "window", "training-weeks", "retrain-weeks", "mode",
-    "no-reviser", "correlation", "no-correlation", "correlation-window",
-    "correlation-min-edge"};
-
 /// The engine flags of `dmlfp run` and `dmlfpd`: a --config file provides
 /// the base, explicit flags override it.  Both front ends map the result
 /// through online::sharded_config_from_driver, so the same flags give
 /// the same warning multiset in batch replay and over the wire.  `who`
 /// names the command for error messages.  Returns 0, or the exit status
 /// for the error it printed: 1 for an unreadable or malformed --config,
-/// 2 for an unknown --mode.
+/// 2 for a flag value its key refuses.
 inline int driver_config_from_flags(const Flags& flags, const char* who,
                                     online::DriverConfig& config) {
   if (const auto config_path = flags.get("config")) {
@@ -166,32 +209,17 @@ inline int driver_config_from_flags(const Flags& flags, const char* who,
     }
     config = std::get<online::DriverConfig>(parsed);
   }
-  config.prediction_window =
-      flags.get_long("window", config.prediction_window);
-  config.clock_tick = config.prediction_window;
-  config.training_weeks = static_cast<int>(
-      flags.get_long("training-weeks", config.training_weeks));
-  config.retrain_weeks =
-      static_cast<int>(flags.get_long("retrain-weeks", config.retrain_weeks));
-  if (flags.has("no-reviser")) config.use_reviser = false;
-  if (flags.has("correlation")) config.learner.enable_correlation = true;
-  if (flags.has("no-correlation")) config.learner.enable_correlation = false;
-  config.learner.correlation.graph.window = flags.get_long(
-      "correlation-window", config.learner.correlation.graph.window);
-  config.learner.correlation.miner.min_edge_confidence =
-      flags.get_double("correlation-min-edge",
-                       config.learner.correlation.miner.min_edge_confidence);
-  const std::string mode =
-      flags.get_or("mode", std::string(to_string(config.mode)));
-  if (mode == "sliding") {
-    config.mode = online::TrainingMode::kSlidingWindow;
-  } else if (mode == "whole") {
-    config.mode = online::TrainingMode::kWholeHistory;
-  } else if (mode == "static") {
-    config.mode = online::TrainingMode::kStatic;
-  } else {
-    std::fprintf(stderr, "%s: unknown mode '%s'\n", who, mode.c_str());
-    return 2;
+  for (const EngineFlag& flag : kEngineFlagRows) {
+    const auto value = flags.get(std::string(flag.name));
+    if (!value) continue;
+    const std::string error = online::find_driver_setting(flag.key)->parse(
+        config, flag.fixed.empty() ? *value : flag.fixed);
+    if (!error.empty()) {
+      std::fprintf(stderr, "%s: --%.*s: %s\n", who,
+                   static_cast<int>(flag.name.size()), flag.name.data(),
+                   error.c_str());
+      return 2;
+    }
   }
   return 0;
 }
