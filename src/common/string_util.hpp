@@ -4,6 +4,7 @@
 #pragma once
 
 #include <charconv>
+#include <cstdio>
 #include <cstdlib>
 #include <optional>
 #include <string>
@@ -56,9 +57,22 @@ std::optional<T> parse_number(std::string_view text) {
   }
 }
 
+/// A number as messages and config-template print it: an integer in
+/// full, a double as printf's %g ("0.999", "1").
+template <typename T>
+std::string format_number(T value) {
+  if constexpr (std::is_floating_point_v<T>) {
+    char buf[32];
+    std::snprintf(buf, sizeof(buf), "%g", value);
+    return buf;
+  } else {
+    return std::to_string(value);
+  }
+}
+
 /// parse_number into `out` when the value lies in [lo, hi]: returns "",
-/// else "expected an integer in [lo, hi]" ("a number" for double) and
-/// leaves `out` alone.
+/// else "expected an integer in [lo, hi]" ("a number" for double, with
+/// the bounds in format_number's form) and leaves `out` alone.
 template <typename T>
 std::string parse_in_range(std::string_view text, std::type_identity_t<T> lo,
                            std::type_identity_t<T> hi, T& out) {
@@ -69,9 +83,9 @@ std::string parse_in_range(std::string_view text, std::type_identity_t<T> lo,
   }
   return std::string(std::is_integral_v<T> ? "expected an integer in ["
                                            : "expected a number in [")
-      .append(std::to_string(lo))
+      .append(format_number<T>(lo))
       .append(", ")
-      .append(std::to_string(hi))
+      .append(format_number<T>(hi))
       .append("]");
 }
 

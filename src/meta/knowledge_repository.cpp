@@ -6,11 +6,7 @@
 namespace dml::meta {
 
 std::uint64_t KnowledgeRepository::add(learners::Rule rule) {
-  StoredRule stored;
-  stored.id = next_id_++;
-  stored.rule = std::move(rule);
-  rules_.push_back(std::move(stored));
-  return rules_.back().id;
+  return rules_.emplace_back(next_id_++, std::move(rule)).id;
 }
 
 bool KnowledgeRepository::remove(std::uint64_t id) {

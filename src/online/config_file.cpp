@@ -1,7 +1,6 @@
 #include "online/config_file.hpp"
 
 #include <algorithm>
-#include <cstdio>
 #include <iterator>
 #include <type_traits>
 
@@ -39,12 +38,8 @@ std::string render_value(const T& value) {
     return value ? "true" : "false";
   } else if constexpr (std::is_same_v<T, TrainingMode>) {
     return std::string(to_string(value));
-  } else if constexpr (std::is_floating_point_v<T>) {
-    char buf[32];
-    std::snprintf(buf, sizeof(buf), "%g", value);
-    return buf;
   } else {
-    return std::to_string(value);
+    return format_number(value);
   }
 }
 

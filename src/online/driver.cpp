@@ -18,7 +18,8 @@ double seconds_since(std::chrono::steady_clock::time_point start) {
 }
 
 /// Maps the driver's per-log configuration onto the engine settings the
-/// driver and ShardedEngine share.
+/// driver and ShardedEngine share (inline builds; ShardedEngine forces
+/// its own).
 OnlineEngineConfig engine_config(const DriverConfig& config) {
   const DurationSec initial_span =
       static_cast<DurationSec>(config.training_weeks) * kSecondsPerWeek;
@@ -34,28 +35,8 @@ OnlineEngineConfig engine_config(const DriverConfig& config) {
   ec.learner = config.learner;
   ec.predictor = config.predictor;
   ec.clock_tick = config.clock_tick;
+  ec.adaptive_window = config.adaptive_window;
   return ec;
-}
-
-/// The replay's retraining policy: synchronous builds, plus the adaptive
-/// window selection only the driver offers.
-RetrainPolicy driver_policy(const DriverConfig& config) {
-  RetrainPolicy policy = make_retrain_policy(engine_config(config));
-  policy.adaptive_window = config.adaptive_window;
-  return policy;
-}
-
-/// Replay parity: ticks re-anchor at the first event after each
-/// adoption, the batch driver's per-interval Predictor::run semantics.
-ServingCore::Options replay_serving_options(DurationSec clock_tick,
-                                            const RetrainPolicy& policy) {
-  ServingCore::Options options;
-  options.clock_tick = clock_tick;
-  options.predictor = policy.predictor;
-  options.tick_anchor = ServingCore::TickAnchor::kInterval;
-  options.tick_follows_window = policy.adaptive_window;
-  options.warm_retention = max_adoptable_window(policy);
-  return options;
 }
 
 }  // namespace
@@ -117,9 +98,11 @@ DriverResult DynamicDriver::run(const storage::EventRepository& repo) const {
   // only what it reports starts at the resume boundary.
   const TimeSec serve_from = resume_boundary(config_, origin);
 
-  RetrainScheduler scheduler(driver_policy(config_));
-  ServingCore serving(
-      replay_serving_options(config_.clock_tick, scheduler.policy()));
+  RetrainScheduler scheduler(engine_config(config_));
+  // Replay parity: ticks re-anchor at the first event after each
+  // adoption, the batch driver's per-interval Predictor::run semantics.
+  ServingCore serving(serving_options(scheduler.config(),
+                                      ServingCore::TickAnchor::kInterval));
   SessionStats& session = result.engine_stats;
   std::optional<SnapshotBuild> last_build;
   std::size_t adoptions = 0;
@@ -137,7 +120,7 @@ DriverResult DynamicDriver::run(const storage::EventRepository& repo) const {
     }
     scratch.clear();
   };
-  // The loop at event time t: a due boundary fires (a synchronous build
+  // The loop at event time t: a due boundary fires (an inline build
   // completes inside fire()), its build is adopted, and the ticks due
   // strictly before t fire.
   const auto step = [&](TimeSec t) {
@@ -151,10 +134,6 @@ DriverResult DynamicDriver::run(const storage::EventRepository& repo) const {
       // Snapshot epoch ordering: adoptions land in nondecreasing time.
       DML_DCHECK(!last_build || last_build->activate_at <= build->activate_at);
       serving.adopt(*build, scratch);
-      session.retrain_build_seconds +=
-          build->train_times.total_seconds() + build->revise_seconds;
-      session.retrain_train_times += build->train_times;
-      session.retrain_revise_seconds += build->revise_seconds;
       last_build = std::move(*build);
       ++adoptions;
     }
@@ -206,7 +185,7 @@ DriverResult DynamicDriver::run(const storage::EventRepository& repo) const {
     fed_until = test_begin;
 
     // Pin the retraining (or static refresh) exactly at the interval
-    // edge; the synchronous build completes and is adopted in this step.
+    // edge; the inline build completes and is adopted in this step.
     const std::size_t adoptions_before = adoptions;
     step(test_begin);
     warnings.clear();  // nothing before the boundary is scored
@@ -256,17 +235,11 @@ DriverResult DynamicDriver::run(const storage::EventRepository& repo) const {
 
     result.intervals.push_back(std::move(interval));
   }
-  session.retrainings = scheduler.retrainings();
-  session.history_size = scheduler.history_size();
-  session.retrain_failures = scheduler.failures().size();
+  fill_retrain_stats(scheduler, session);
   for (const auto& failure : scheduler.failures()) {
     result.degradations.push_back(degradation_of(failure));
   }
-  const storage::IoStats io = repo.io_stats() - io_before;
-  session.log_bytes_read = io.bytes_read;
-  session.log_segments_opened = io.segments_opened;
-  session.log_map_seconds = io.map_seconds;
-  session.log_read_seconds = io.read_seconds;
+  session.log_io = repo.io_stats() - io_before;
   return result;
 }
 

@@ -6,11 +6,12 @@
 // window (dynamic-6mo / dynamic-3mo), or frozen at the initial span
 // (static) — the four regimes of Figure 9.
 //
-// The replay runs the serving loop itself: one synchronous
-// RetrainScheduler and one ServingCore (interval-parity tick anchoring),
-// with boundaries pinned at the interval edges so each build completes
-// and is adopted right at its edge.  The driver streams the log through
-// the pair and scores each interval's warnings.  A resumed run is the
+// The replay runs the serving loop itself: one RetrainScheduler with
+// inline builds and one ServingCore (interval-parity tick anchoring),
+// set up from the OnlineEngineConfig it shares with ShardedEngine, with
+// boundaries pinned at the interval edges so each build completes and is
+// adopted right at its edge.  The driver streams the log through the
+// pair and scores each interval's warnings.  A resumed run is the
 // same replay with the intervals before the resume point left unscored,
 // and the report reads the scored warnings from DriverResult instead of
 // predicting again.
@@ -115,8 +116,8 @@ struct DriverResult {
   /// concatenation of each interval's test-span warnings).
   std::vector<predict::Warning> warnings;
 
-  /// Whole-replay accounting (records, warnings, retrain-build and —
-  /// under DriverConfig::profile — serving wall time).
+  /// Whole-replay accounting (records, warnings, retrain-build times,
+  /// log I/O and — under DriverConfig::profile — serving wall time).
   SessionStats engine_stats;
   /// Every retraining boundary abandoned because all its build attempts
   /// threw (one kRetrainFailure each, in boundary order); the rules in

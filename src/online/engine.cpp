@@ -17,19 +17,13 @@ DegradationEvent degradation_of(const RetrainFailure& failure) {
           failure.attempts, "retraining abandoned: " + failure.error};
 }
 
-RetrainPolicy make_retrain_policy(const OnlineEngineConfig& config) {
-  RetrainPolicy policy;
-  policy.prediction_window = config.prediction_window;
-  policy.retrain_interval = config.retrain_interval;
-  policy.initial_training_delay = config.initial_training_delay;
-  policy.training_span = config.training_span;
-  policy.mode = config.mode;
-  policy.use_reviser = config.use_reviser;
-  policy.reviser = config.reviser;
-  policy.learner = config.learner;
-  policy.predictor = config.predictor;
-  policy.adoption_lag = config.adoption_lag;
-  return policy;
+void fill_retrain_stats(const RetrainScheduler& scheduler,
+                        SessionStats& stats) {
+  stats.retrainings = scheduler.retrainings();
+  stats.history_size = scheduler.history_size();
+  stats.retrain_failures = scheduler.failures().size();
+  stats.retrain_train_times = scheduler.adopted_train_times();
+  stats.retrain_revise_seconds = scheduler.adopted_revise_seconds();
 }
 
 }  // namespace dml::online

@@ -14,10 +14,10 @@ namespace dml::online {
 namespace {
 
 /// Internal carrier for an exhausted retry budget.  Converted into
-/// failure *data* (a failed SnapshotBuild or a RetrainFailure) on the
-/// thread that ran the build — an exception rethrown through the future
-/// would leave the owner reading what() while the pool thread disposes
-/// of the task state that owns it.
+/// failure *data* (a failed SnapshotBuild) on the thread that ran the
+/// build — an exception rethrown through the future would leave the
+/// owner reading what() while the pool thread disposes of the task
+/// state that owns it.
 class BuildFailed : public std::runtime_error {
  public:
   BuildFailed(std::size_t attempts, const std::string& message,
@@ -43,15 +43,15 @@ double seconds_since(std::chrono::steady_clock::time_point start) {
 /// Scores one candidate window by F1 on a validation slice: rules are
 /// learned on `fit`, revised, and replayed over `validation`.
 double score_window(const meta::MetaLearner& learner,
-                    const RetrainPolicy& policy,
+                    const OnlineEngineConfig& config,
                     std::span<const bgl::Event> fit,
                     std::span<const bgl::Event> validation,
                     DurationSec window) {
   auto repository = learner.learn(fit, window);
-  if (policy.use_reviser) {
-    predict::revise(repository, fit, window, policy.reviser);
+  if (config.use_reviser) {
+    predict::revise(repository, fit, window, config.reviser);
   }
-  predict::Predictor predictor(repository, window, policy.predictor);
+  predict::Predictor predictor(repository, window, config.predictor);
   const auto warnings = predictor.run(validation, window);
   const auto evaluation =
       predict::evaluate_predictions(validation, warnings, window);
@@ -61,7 +61,7 @@ double score_window(const meta::MetaLearner& learner,
 /// Picks the best window on the training span's held-out tail; falls
 /// back to `current` when the validation slice is too thin to rank.
 DurationSec choose_window(const meta::MetaLearner& learner,
-                          const RetrainPolicy& policy,
+                          const OnlineEngineConfig& config,
                           std::span<const bgl::Event> training,
                           DurationSec current) {
   if (training.size() < 100) return current;
@@ -77,7 +77,7 @@ DurationSec choose_window(const meta::MetaLearner& learner,
   double best_score = -1.0;
   for (const DurationSec candidate : kWindowCandidates) {
     const double score =
-        score_window(learner, policy, fit, validation, candidate);
+        score_window(learner, config, fit, validation, candidate);
     if (score > best_score) {
       best_score = score;
       best = candidate;
@@ -97,9 +97,9 @@ std::string_view to_string(TrainingMode mode) {
   return "unknown";
 }
 
-DurationSec max_adoptable_window(const RetrainPolicy& policy) {
-  DurationSec window = policy.prediction_window;
-  if (policy.adaptive_window) {
+DurationSec max_adoptable_window(const OnlineEngineConfig& config) {
+  DurationSec window = config.prediction_window;
+  if (config.adaptive_window) {
     for (const DurationSec candidate : kWindowCandidates) {
       window = std::max(window, candidate);
     }
@@ -107,16 +107,16 @@ DurationSec max_adoptable_window(const RetrainPolicy& policy) {
   return window;
 }
 
-RetrainScheduler::RetrainScheduler(RetrainPolicy policy)
-    : policy_(std::move(policy)),
-      window_(policy_.prediction_window),
+RetrainScheduler::RetrainScheduler(OnlineEngineConfig config)
+    : config_(std::move(config)),
+      window_(config_.prediction_window),
       latest_(meta::empty_snapshot()) {
   // Config contracts, checked once at construction: a non-positive
   // cadence would spin boundary_due's skipped-boundary collapse loop
   // forever, and a non-positive window mines rules over an empty span.
-  DML_CHECK_MSG(policy_.retrain_interval > 0,
+  DML_CHECK_MSG(config_.retrain_interval > 0,
                 "retrain cadence must be positive");
-  DML_CHECK_MSG(policy_.prediction_window > 0,
+  DML_CHECK_MSG(config_.prediction_window > 0,
                 "prediction window must be positive");
 }
 
@@ -127,9 +127,9 @@ RetrainScheduler::~RetrainScheduler() {
 std::optional<TimeSec> RetrainScheduler::boundary_due(TimeSec t) {
   if (!anchor_) {
     anchor_ = t;
-    const DurationSec delay = policy_.initial_training_delay > 0
-                                  ? policy_.initial_training_delay
-                                  : policy_.retrain_interval;
+    const DurationSec delay = config_.initial_training_delay > 0
+                                  ? config_.initial_training_delay
+                                  : config_.retrain_interval;
     next_boundary_ = t + delay;
     return std::nullopt;
   }
@@ -137,10 +137,10 @@ std::optional<TimeSec> RetrainScheduler::boundary_due(TimeSec t) {
   // Collapse skipped boundaries (an event gap longer than the cadence)
   // onto the latest one that is due.
   TimeSec boundary = *next_boundary_;
-  while (boundary + policy_.retrain_interval <= t) {
-    boundary += policy_.retrain_interval;
+  while (boundary + config_.retrain_interval <= t) {
+    boundary += config_.retrain_interval;
   }
-  *next_boundary_ = boundary + policy_.retrain_interval;
+  *next_boundary_ = boundary + config_.retrain_interval;
   // The schedule only moves forward: the boundary just returned is in
   // the past of the one armed next (snapshot epoch ordering).
   DML_DCHECK(*next_boundary_ > boundary);
@@ -148,17 +148,17 @@ std::optional<TimeSec> RetrainScheduler::boundary_due(TimeSec t) {
 }
 
 RetrainScheduler::BoundaryAction RetrainScheduler::fire(TimeSec boundary) {
-  if (policy_.mode == TrainingMode::kStatic && trained_once_) {
+  if (config_.mode == TrainingMode::kStatic && trained_once_) {
     return BoundaryAction::kRefresh;
   }
   // One build at a time: if the previous one is still running (or not
   // yet adopted), skip this boundary rather than queueing work the
   // stream has already outpaced.
-  if (pending_.valid() || ready_) return BoundaryAction::kNone;
+  if (pending_.valid()) return BoundaryAction::kNone;
 
-  if (policy_.mode == TrainingMode::kSlidingWindow) {
+  if (config_.mode == TrainingMode::kSlidingWindow) {
     while (!history_.empty() &&
-           history_.front().time < boundary - policy_.training_span) {
+           history_.front().time < boundary - config_.training_span) {
       history_.pop_front();
     }
   }
@@ -166,35 +166,35 @@ RetrainScheduler::BoundaryAction RetrainScheduler::fire(TimeSec boundary) {
 
   ++retrainings_;
   trained_once_ = true;
+  pending_scheduled_ = boundary;
   std::vector<bgl::Event> training(history_.begin(), history_.end());
   meta::RepositorySnapshot previous = latest_;
-  if (policy_.async) {
-    pending_scheduled_ = boundary;
-    pending_ = ThreadPool::shared().submit(
-        [this, training = std::move(training), boundary,
-         previous = std::move(previous)]() mutable -> SnapshotBuild {
-          try {
-            return run_build_with_retry(training, boundary,
-                                        std::move(previous));
-          } catch (const BuildFailed& e) {
-            SnapshotBuild failed;
-            failed.scheduled_at = boundary;
-            failed.failed_attempts = e.attempts();
-            failed.error = e.what();
-            failed.failed_stage = e.stage();
-            return failed;
-          }
-        });
-  } else {
+  auto build = [this, training = std::move(training), boundary,
+                previous = std::move(previous)]() mutable -> SnapshotBuild {
     try {
-      ready_ = run_build_with_retry(training, boundary, std::move(previous));
-      ready_->activate_at = boundary;
+      return run_build_with_retry(training, boundary, std::move(previous));
     } catch (const BuildFailed& e) {
-      failures_.push_back({boundary, e.attempts(), e.what(), e.stage()});
-      return BoundaryAction::kNone;
+      SnapshotBuild failed;
+      failed.scheduled_at = boundary;
+      failed.failed_attempts = e.attempts();
+      failed.error = e.what();
+      failed.failed_stage = e.stage();
+      return failed;
     }
+  };
+  if (config_.pool_builds) {
+    pending_ = ThreadPool::shared().submit(std::move(build));
+    return BoundaryAction::kRetrain;
   }
-  return BoundaryAction::kRetrain;
+  // An inline build waits in the same slot, already satisfied, for the
+  // same adoption rule.  (A set promise, not a deferred future: the
+  // destructor's wait() would run a deferred build.)
+  SnapshotBuild done = build();
+  const bool failed = done.failed();
+  std::promise<SnapshotBuild> slot;
+  slot.set_value(std::move(done));
+  pending_ = slot.get_future();
+  return failed ? BoundaryAction::kNone : BoundaryAction::kRetrain;
 }
 
 SnapshotBuild RetrainScheduler::run_build_with_retry(
@@ -223,9 +223,9 @@ void RetrainScheduler::observe(const bgl::Event& event) {
   history_.push_back(event);
   // Keep memory bounded between boundaries too; the exact per-boundary
   // trim happens in fire().
-  if (policy_.mode == TrainingMode::kSlidingWindow) {
+  if (config_.mode == TrainingMode::kSlidingWindow) {
     while (!history_.empty() &&
-           history_.front().time < event.time - policy_.training_span) {
+           history_.front().time < event.time - config_.training_span) {
       history_.pop_front();
     }
   }
@@ -242,26 +242,26 @@ SnapshotBuild RetrainScheduler::run_build(
   SnapshotBuild build;
   build.scheduled_at = boundary;
 
-  meta::MetaLearnerConfig learner_config = policy_.learner;
-  // An asynchronous build already runs on the shared pool; fanning the
-  // base learners out to the same pool again would have pool tasks
-  // blocking on pool tasks.
-  if (policy_.async) learner_config.parallel_training = false;
+  meta::MetaLearnerConfig learner_config = config_.learner;
+  // A pool build already runs on the shared pool; fanning the base
+  // learners out to the same pool again would have pool tasks blocking
+  // on pool tasks.
+  if (config_.pool_builds) learner_config.parallel_training = false;
   const meta::MetaLearner learner(learner_config);
 
   DurationSec window = window_;
-  if (policy_.adaptive_window) {
-    window = choose_window(learner, policy_, training, window);
+  if (config_.adaptive_window) {
+    window = choose_window(learner, config_, training, window);
   }
   build.window = window;
 
   auto repository = learner.learn(training, window, &build.train_times);
   build.rules_from_meta = repository.size();
   build.churn_meta = meta::KnowledgeRepository::diff(*previous, repository);
-  if (policy_.use_reviser) {
+  if (config_.use_reviser) {
     const auto revise_start = Clock::now();
     const auto report =
-        predict::revise(repository, training, window, policy_.reviser);
+        predict::revise(repository, training, window, config_.reviser);
     build.revise_seconds = seconds_since(revise_start);
     build.rules_removed_by_reviser = report.removed;
   }
@@ -294,34 +294,31 @@ std::optional<SnapshotBuild> RetrainScheduler::take_pending(
 }
 
 std::optional<SnapshotBuild> RetrainScheduler::poll(TimeSec t) {
-  if (ready_) {
-    auto build = std::move(*ready_);
-    ready_.reset();
-    window_ = build.window;
-    latest_ = build.repository;
-    return build;
-  }
   if (!pending_.valid()) return std::nullopt;
   // The one adoption rule: a build is adopted at a fixed event-time
-  // instant, so a replay is exact even though the build raced the
-  // stream.  An unset lag means one prediction window — slack for a
-  // build to finish in the background at realistic event rates.  If the
-  // build is still running when the stream gets there, wait for it.
-  const DurationSec lag = policy_.adoption_lag > 0
-                              ? policy_.adoption_lag
-                              : policy_.prediction_window;
+  // instant, so a replay is exact even though a pool build raced the
+  // stream.  An inline build is adopted at its boundary; a pool build
+  // one adoption lag later, where an unset lag means one prediction
+  // window — slack for a build to finish in the background at realistic
+  // event rates.  If the build is still running when the stream gets
+  // there, wait for it.
+  DurationSec lag = 0;
+  if (config_.pool_builds) {
+    lag = config_.adoption_lag > 0 ? config_.adoption_lag
+                                   : config_.prediction_window;
+  }
   const TimeSec adopt_at = pending_scheduled_ + lag;
   if (t < adopt_at) return std::nullopt;
-  return take_pending(adopt_at);
+  auto build = take_pending(adopt_at);
+  if (build) {
+    adopted_train_times_ += build->train_times;
+    adopted_revise_seconds_ += build->revise_seconds;
+  }
+  return build;
 }
 
-std::optional<SnapshotBuild> RetrainScheduler::join(TimeSec t) {
-  if (!pending_.valid()) return std::nullopt;
-  return take_pending(t);
-}
-
-bool RetrainScheduler::build_in_flight() const {
-  return pending_.valid() || ready_.has_value();
+void RetrainScheduler::join(TimeSec t) {
+  if (pending_.valid()) take_pending(t);
 }
 
 }  // namespace dml::online

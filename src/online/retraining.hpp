@@ -1,17 +1,19 @@
 // Retraining scheduling and snapshot building — the "learn" half of the
-// serving loop, run by DynamicDriver (synchronously) and ShardedEngine
-// (asynchronously).
+// serving loop, run by DynamicDriver (inline builds) and ShardedEngine
+// (builds on the pool), both under one OnlineEngineConfig.
 //
 // The scheduler owns the bounded event history, decides *when* a
 // retraining boundary is due (event time, anchored at the first observed
 // event), and builds each new rule set as an immutable
-// meta::RepositorySnapshot — synchronously for the driver's replay, or
-// on ThreadPool::shared() so the serving path never blocks on training
-// (paper Table 5, Observation #8).  Adoption of an asynchronous build is
-// still expressed in *event* time (`adoption_lag`), which keeps a replay
-// bit-for-bit reproducible even though the build itself raced the
-// stream.  The history is training input only: the serving side warms
-// each fresh predictor from its own trailing buffer (ServingCore).
+// meta::RepositorySnapshot — inline for the driver's replay, or on
+// ThreadPool::shared() so the serving path never blocks on training
+// (paper Table 5, Observation #8).  Either kind of build waits in one
+// slot and is handed out by one adoption rule, expressed in *event*
+// time, which keeps a replay bit-for-bit reproducible even though a
+// pool build raced the stream.  The scheduler also sums what the builds
+// it hands out cost.  The history is training input only: the serving
+// side warms each fresh predictor from its own trailing buffer
+// (ServingCore).
 #pragma once
 
 #include <deque>
@@ -49,42 +51,50 @@ inline constexpr double kValidationFraction = 0.25;
 inline constexpr std::size_t kMaxBuildAttempts = 3;
 inline constexpr std::uint32_t kRetryBackoffMs = 10;
 
-/// Everything a retraining needs to know; a strict subset of the engine
-/// and driver configs.
-struct RetrainPolicy {
+/// The settings of the serving loop, shared by its two owners:
+/// DynamicDriver::run maps its DriverConfig onto one, and ShardedEngine
+/// takes one in ShardedEngineConfig::engine.  The last two fields are
+/// decided by the owner, not by a user.
+struct OnlineEngineConfig {
+  /// Wp: prediction window == rule-generation window.
   DurationSec prediction_window = 300;
+  /// Filtering threshold for inline preprocessing of raw records.
+  DurationSec filter_threshold = 300;
   /// Retraining cadence (event time).
   DurationSec retrain_interval = 4 * kSecondsPerWeek;
   /// Event time between the first event and the first boundary;
   /// 0 = retrain_interval.  The driver sets this to its initial
   /// training span.
   DurationSec initial_training_delay = 0;
-  /// Sliding-window length (kSlidingWindow only); history beyond it is
+  /// Sliding training-set length (kSlidingWindow); history beyond it is
   /// discarded at each boundary (bounded memory).
   DurationSec training_span = 26 * kSecondsPerWeek;
+  /// Training-set regime at each boundary (Figure 9).
   TrainingMode mode = TrainingMode::kSlidingWindow;
   bool use_reviser = true;
   predict::ReviserConfig reviser;
   meta::MetaLearnerConfig learner;
-  /// Predictor options, needed to score candidate windows.
+  /// Predictor options, also used to score candidate windows.
   predict::PredictorOptions predictor;
-  /// Adaptive prediction-window selection (§7 future work); see
-  /// DriverConfig for the semantics.
-  bool adaptive_window = false;
-  /// Build snapshots on ThreadPool::shared() instead of inline.
-  bool async = false;
-  /// Event-time delay from a boundary B to the adoption of its build
-  /// (async only): the build is adopted exactly at B + lag, so a replay
-  /// is deterministic (poll() joins the build if the stream got there
-  /// first).  0 = one prediction window.
+  /// PD self-check cadence; 0 disables ticks.
+  DurationSec clock_tick = 300;
+  /// Event-time delay from a boundary B to the adoption of its pool
+  /// build: it is adopted exactly at B + lag, so a replay is
+  /// deterministic.  0 = one prediction window.
   DurationSec adoption_lag = 0;
+  /// Build on ThreadPool::shared() (ShardedEngine) instead of inline in
+  /// fire() (the driver).
+  bool pool_builds = false;
+  /// Adaptive prediction-window selection (§7 future work; the driver
+  /// only), see DriverConfig::adaptive_window.
+  bool adaptive_window = false;
 };
 
-/// The largest prediction window a build under `policy` can adopt: the
+/// The largest prediction window a build under `config` can adopt: the
 /// configured window, or the largest candidate in adaptive mode.  The
 /// serving side keeps this much trailing history to warm every fresh
 /// predictor (ServingCore::Options::warm_retention).
-DurationSec max_adoptable_window(const RetrainPolicy& policy);
+DurationSec max_adoptable_window(const OnlineEngineConfig& config);
 
 /// One finished retraining: the frozen rule set plus the bookkeeping the
 /// driver reports per interval (Figure 12 churn, Table 5 timings).
@@ -103,10 +113,10 @@ struct SnapshotBuild {
   std::size_t rules_removed_by_reviser = 0;
   meta::TrainTimes train_times;
   double revise_seconds = 0.0;
-  /// Nonzero when every build attempt failed (asynchronous path): the
-  /// failure rides the future as *data* rather than a rethrown
-  /// exception, so the pool thread's disposal of the task state never
-  /// races the owner reading the error text.  `repository` is null.
+  /// Nonzero when every build attempt failed: the failure rides the
+  /// build slot as *data* rather than a rethrown exception, so a pool
+  /// thread's disposal of the task state never races the owner reading
+  /// the error text.  `repository` is null.
   std::size_t failed_attempts = 0;
   std::string error;
   /// Stage that failed: a learner name (learners::to_string) when one
@@ -131,17 +141,18 @@ struct RetrainFailure {
 
 class RetrainScheduler {
  public:
-  explicit RetrainScheduler(RetrainPolicy policy);
+  explicit RetrainScheduler(OnlineEngineConfig config);
 
   RetrainScheduler(const RetrainScheduler&) = delete;
   RetrainScheduler& operator=(const RetrainScheduler&) = delete;
 
-  /// Joins any in-flight build.
+  /// Waits for a build still running on the pool.
   ~RetrainScheduler();
 
   enum class BoundaryAction {
-    kNone,     ///< empty training set, or a build is in flight
-    kRetrain,  ///< a build was started (async) or completed (sync)
+    kNone,     ///< empty training set, a build not yet adopted, or an
+               ///< inline build that failed (poll() records it)
+    kRetrain,  ///< a build was started (pool) or completed (inline)
     kRefresh,  ///< static mode after the first training: rules unchanged,
                ///< but the serving side should refresh its predictor
   };
@@ -152,7 +163,8 @@ class RetrainScheduler {
   std::optional<TimeSec> boundary_due(TimeSec t);
 
   /// Fires a boundary: trims history per mode, skips an empty training
-  /// set, and starts (async) or runs (sync) the build.
+  /// set, and starts the build on the pool or runs it inline.  Either
+  /// kind then waits in the one build slot for poll().
   BoundaryAction fire(TimeSec boundary);
 
   /// Appends one preprocessed event to the training history.  Events at
@@ -160,25 +172,32 @@ class RetrainScheduler {
   /// training set is exactly the events strictly before it.
   void observe(const bgl::Event& event);
 
-  /// Returns a finished build once event time t reaches its adoption
-  /// point: immediately after a synchronous fire(); at scheduled_at +
-  /// adoption_lag (prediction_window when the lag is 0) for async,
-  /// joining the build if it is still running.
+  /// The one adoption rule: hands out the build in the slot once event
+  /// time t reaches its adoption point — its boundary for an inline
+  /// build, boundary + adoption_lag (prediction_window when the lag is
+  /// 0) for a pool build, waiting for it if it is still running.  A
+  /// failed build goes to failures() instead.
   std::optional<SnapshotBuild> poll(TimeSec t);
 
-  /// Forces completion of an outstanding asynchronous build and returns
-  /// it with activate_at = t (end of stream).
-  std::optional<SnapshotBuild> join(TimeSec t);
+  /// End of stream: waits for a build still in the slot and drops it
+  /// unadopted (a failed one still goes to failures()).
+  void join(TimeSec t);
 
-  bool build_in_flight() const;
-  const RetrainPolicy& policy() const { return policy_; }
+  bool build_in_flight() const { return pending_.valid(); }
+  const OnlineEngineConfig& config() const { return config_; }
   std::size_t history_size() const { return history_.size(); }
   /// Number of trainings actually scheduled/run (non-empty boundaries).
   std::uint64_t retrainings() const { return retrainings_; }
+  /// What the builds poll() handed out cost, summed (measured on the
+  /// thread that ran each build).
+  const meta::TrainTimes& adopted_train_times() const {
+    return adopted_train_times_;
+  }
+  double adopted_revise_seconds() const { return adopted_revise_seconds_; }
 
   /// Boundaries abandoned because every build attempt failed (the
   /// degradation log; the snapshot in force was left untouched).  Only
-  /// grows at fire()/poll()/join() — i.e. on the owner's thread.
+  /// grows at poll()/join() — i.e. on the owner's thread.
   const std::vector<RetrainFailure>& failures() const { return failures_; }
 
  private:
@@ -190,7 +209,7 @@ class RetrainScheduler {
                                      meta::RepositorySnapshot previous) const;
   std::optional<SnapshotBuild> take_pending(TimeSec activate_at);
 
-  RetrainPolicy policy_;
+  OnlineEngineConfig config_;
   std::deque<bgl::Event> history_;
   std::optional<TimeSec> anchor_;
   std::optional<TimeSec> next_boundary_;
@@ -198,12 +217,13 @@ class RetrainScheduler {
   DurationSec window_;
   /// Last built (revised) rule set — the `previous` of the next diff.
   meta::RepositorySnapshot latest_;
-  /// Finished synchronous build waiting for the next poll().
-  std::optional<SnapshotBuild> ready_;
-  /// In-flight asynchronous build.
+  /// The one build slot: a pool build in flight, or an inline build
+  /// already satisfied.
   std::future<SnapshotBuild> pending_;
   TimeSec pending_scheduled_ = 0;
   std::uint64_t retrainings_ = 0;
+  meta::TrainTimes adopted_train_times_;
+  double adopted_revise_seconds_ = 0.0;
   std::vector<RetrainFailure> failures_;
 };
 

@@ -93,8 +93,15 @@ void ServingCore::observe_batch(std::span<const bgl::Event> events,
   for (const bgl::Event& event : events) observe(event, out);
 }
 
-void ServingCore::flush(TimeSec end, std::vector<predict::Warning>& out) {
-  advance(end, out);
+ServingCore::Options serving_options(const OnlineEngineConfig& config,
+                                     ServingCore::TickAnchor anchor) {
+  ServingCore::Options options;
+  options.clock_tick = config.clock_tick;
+  options.predictor = config.predictor;
+  options.tick_anchor = anchor;
+  options.tick_follows_window = config.adaptive_window;
+  options.warm_retention = max_adoptable_window(config);
+  return options;
 }
 
 }  // namespace dml::online

@@ -2,9 +2,10 @@
 // predictor in force, adopts retrained snapshots published by the
 // RetrainScheduler, and drives the PD expert's clock ticks.  This is the
 // single implementation of the per-event serving loop; DynamicDriver
-// replays a log through one, and ShardedEngine runs one per shard.  It
-// keeps its own trailing buffer of the events it observed and warms
-// every fresh predictor from it, so an owner only sizes the buffer
+// replays a log through one, and ShardedEngine runs one per shard, both
+// with options from one builder (serving_options).  It keeps its own
+// trailing buffer of the events it observed and warms every fresh
+// predictor from it, so an owner only sizes the buffer
 // (max_adoptable_window) and never supplies history.
 //
 // Two tick-anchoring disciplines are supported:
@@ -63,7 +64,8 @@ class ServingCore {
   /// semantics.
   void refresh(TimeSec at, std::vector<predict::Warning>& out);
 
-  /// Fires every tick due strictly before event time t.
+  /// Fires every tick due strictly before event time t; a heartbeat or
+  /// end-of-stream flush is advance() to its instant.
   void advance(TimeSec t, std::vector<predict::Warning>& out);
 
   /// advance(event.time) + predictor observation + warm-buffer upkeep.
@@ -74,12 +76,6 @@ class ServingCore {
   void observe_batch(std::span<const bgl::Event> events,
                      std::vector<predict::Warning>& out);
 
-  /// End of stream (kAbsolute): fires the remaining ticks strictly
-  /// before `end`, so every shard's grid is flushed to the same global
-  /// instant.
-  void flush(TimeSec end, std::vector<predict::Warning>& out);
-
-  bool serving() const { return predictor_ != nullptr; }
   /// Snapshot currently in force (empty_snapshot before first adoption).
   const meta::RepositorySnapshot& snapshot() const { return snapshot_; }
   DurationSec window() const { return window_; }
@@ -102,5 +98,12 @@ class ServingCore {
   /// Observed events of the last warm_retention seconds, oldest first.
   std::deque<bgl::Event> warm_buffer_;
 };
+
+/// The one options builder for both owners: the config's tick cadence
+/// and predictor options, the owner's tick anchoring, ticks that follow
+/// the adopted window in adaptive mode, and a warm buffer covering the
+/// largest window a build can adopt.
+ServingCore::Options serving_options(const OnlineEngineConfig& config,
+                                     ServingCore::TickAnchor anchor);
 
 }  // namespace dml::online

@@ -212,39 +212,25 @@ struct ShardedEngine::Shard {
   std::exception_ptr error;
 };
 
-namespace {
-
-RetrainPolicy sharded_policy(const OnlineEngineConfig& config) {
-  RetrainPolicy policy = make_retrain_policy(config);
-  policy.predictor.location_scoped = true;
-  policy.predictor.per_scope_state = true;
-  policy.async = true;
-  return policy;
-}
-
-ServingCore::Options sharded_serving_options(DurationSec clock_tick,
-                                             const RetrainPolicy& policy) {
-  ServingCore::Options options;
-  options.clock_tick = clock_tick;
-  options.predictor = policy.predictor;
-  // Absolute grid: every shard ticks at the same instants regardless of
-  // which events it happens to receive.
-  options.tick_anchor = ServingCore::TickAnchor::kAbsolute;
-  options.tick_follows_window = false;
-  options.warm_retention = max_adoptable_window(policy);
-  return options;
-}
-
-}  // namespace
-
 ShardedEngine::ShardedEngine(ShardedEngineConfig config,
                              WarningCallback on_warning)
-    : config_(std::move(config)),
+    : config_([&] {
+        // What the partition and a non-blocking producer need, whatever
+        // the caller asked for: per-scope prediction, builds on the
+        // pool, no adaptive window.
+        config.engine.predictor.location_scoped = true;
+        config.engine.predictor.per_scope_state = true;
+        config.engine.pool_builds = true;
+        config.engine.adaptive_window = false;
+        return std::move(config);
+      }()),
       on_warning_(std::move(on_warning)),
       pipeline_(config_.engine.filter_threshold),
-      scheduler_(sharded_policy(config_.engine)),
-      shard_options_(sharded_serving_options(config_.engine.clock_tick,
-                                             scheduler_.policy())) {
+      scheduler_(config_.engine),
+      // Absolute grid: every shard ticks at the same instants regardless
+      // of which events it happens to receive.
+      shard_options_(serving_options(config_.engine,
+                                     ServingCore::TickAnchor::kAbsolute)) {
   std::size_t n = config_.shards;
   if (n == 0) n = std::max(1u, std::thread::hardware_concurrency());
   merger_ = std::make_unique<WarningMerger>(
@@ -344,10 +330,6 @@ void DML_HOT ShardedEngine::feed_batch(std::span<const bgl::Event> events) {
         DML_ALLOW_ALLOC("snapshot adoption: one shared_ptr per completed "
                         "retrain build, never per event");
         auto shared = std::make_shared<const SnapshotBuild>(std::move(*build));
-        retrain_build_seconds_ +=
-            shared->train_times.total_seconds() + shared->revise_seconds;
-        retrain_train_times_ += shared->train_times;
-        retrain_revise_seconds_ += shared->revise_seconds;
         publisher_.store(shared->repository);
         flush_feed_runs();
         DML_ALLOW_ALLOC("control-plane handoff at snapshot adoption (rare)");
@@ -481,7 +463,7 @@ void ShardedEngine::worker(std::size_t index) {
         } else if (auto* refresh = std::get_if<RefreshMsg>(&message)) {
           core.refresh(refresh->at, out);
         } else if (auto* flush = std::get_if<FlushMsg>(&message)) {
-          core.flush(flush->to, out);
+          core.advance(flush->to, out);
           watermark = std::max(watermark, flush->to);
         }
       } catch (const std::exception& e) {
@@ -564,12 +546,7 @@ ShardedEngine::SessionStats ShardedEngine::collect_stats() const {
     if (shard->error) ++s.shards_quarantined;
   }
   s.warnings_issued = merger_->emitted();
-  s.retrainings = scheduler_.retrainings();
-  s.history_size = scheduler_.history_size();
-  s.retrain_failures = scheduler_.failures().size();
-  s.retrain_build_seconds = retrain_build_seconds_;
-  s.retrain_train_times = retrain_train_times_;
-  s.retrain_revise_seconds = retrain_revise_seconds_;
+  fill_retrain_stats(scheduler_, s);
   return s;
 }
 

@@ -11,7 +11,8 @@
 //    (tests/integration/test_sharded_determinism.cpp).
 //  - Shard queues are bounded in events: a stalled shard back-pressures the
 //    producer instead of growing without bound.
-//  - Retraining always runs on ThreadPool::shared(); the new rule set is
+//  - Retraining always runs on ThreadPool::shared() (the engine forces
+//    pool builds in its OnlineEngineConfig); the new rule set is
 //    published with one atomic snapshot swap and adopted by every shard
 //    at the same event-time instant, so consume() never executes
 //    training work inline.
@@ -60,9 +61,10 @@ struct ShardedEngineConfig {
   /// events are counted as rejected) and finish() returns normally with
   /// the failure in stats()/degradation_log() — serving semantics.
   bool rethrow_worker_errors = true;
-  /// Retraining/serving knobs.  Per-scope prediction is forced
-  /// (per_scope_state, location_scoped, absolute ticks).  Every build
-  /// runs on the shared pool and is adopted at boundary + adoption_lag
+  /// Retraining/serving settings.  The engine forces what its partition
+  /// and producer need: per-scope prediction (per_scope_state,
+  /// location_scoped, absolute ticks), pool builds and no adaptive
+  /// window.  Every build is adopted at boundary + adoption_lag
   /// (default: prediction_window), so replays stay deterministic.
   OnlineEngineConfig engine;
 };
@@ -152,7 +154,7 @@ class ShardedEngine {
 
   preprocess::StreamingPipeline pipeline_;
   RetrainScheduler scheduler_;
-  /// Every shard's ServingCore options, derived once from the policy.
+  /// Every shard's ServingCore options, derived once from the config.
   const ServingCore::Options shard_options_;
   meta::SnapshotPublisher publisher_;
 
@@ -170,12 +172,6 @@ class ShardedEngine {
   /// flush_feed_runs() delivers it to every shard once, after its run.
   std::optional<TimeSec> pending_heartbeat_;
   TimeSec last_event_time_ = 0;
-  /// Build wall time (training + revision) of every adopted snapshot,
-  /// accumulated at publication (SessionStats::retrain_build_seconds),
-  /// with the per-learner decomposition alongside.
-  double retrain_build_seconds_ = 0.0;
-  meta::TrainTimes retrain_train_times_;
-  double retrain_revise_seconds_ = 0.0;
   bool finished_ = false;
   SessionStats final_stats_;
 

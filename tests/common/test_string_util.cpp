@@ -93,7 +93,7 @@ TEST(ParseNumber, InRangeSetsOnlyValidValues) {
   EXPECT_EQ(weeks, 26);
   double confidence = 0.1;
   EXPECT_EQ(parse_in_range(std::string_view("2"), 0.0, 1.0, confidence),
-            "expected a number in [0.000000, 1.000000]");
+            "expected a number in [0, 1]");
   EXPECT_EQ(confidence, 0.1);
 }
 

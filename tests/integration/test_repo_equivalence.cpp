@@ -103,9 +103,9 @@ TEST_F(RepoEquivalence, DriverRunsIdenticallyOffMemoryAndDisk) {
   EXPECT_EQ(from_disk.total_counts(), from_memory.total_counts());
 
   // The disk run accounts its log I/O; the in-memory run has none.
-  EXPECT_GT(from_disk.engine_stats.log_bytes_read, 0u);
-  EXPECT_GT(from_disk.engine_stats.log_segments_opened, 0u);
-  EXPECT_EQ(from_memory.engine_stats.log_bytes_read, 0u);
+  EXPECT_GT(from_disk.engine_stats.log_io.bytes_read, 0u);
+  EXPECT_GT(from_disk.engine_stats.log_io.segments_opened, 0u);
+  EXPECT_EQ(from_memory.engine_stats.log_io.bytes_read, 0u);
 }
 
 TEST_F(RepoEquivalence, ResumedDiskRunMatchesFullDiskRunTail) {

@@ -142,13 +142,35 @@ TEST(DynamicDriver, EngineStatsAccountForTheWholeReplay) {
   EXPECT_EQ(session.failures_seen, store.fatal_times().size());
   // Sliding mode retrains at every interval edge, and no build failed.
   EXPECT_EQ(session.retrainings, result.intervals.size());
-  EXPECT_GT(session.retrain_build_seconds, 0.0);
+  EXPECT_GT(session.retrain_build_seconds(), 0.0);
   EXPECT_EQ(session.retrain_failures, 0u);
   EXPECT_TRUE(result.degradations.empty());
   // Every scored warning was issued; the count also covers the ones
   // emitted at the interval edges, which are not scored.
   ASSERT_FALSE(result.warnings.empty());
   EXPECT_GE(session.warnings_issued, result.warnings.size());
+}
+
+TEST(DynamicDriver, EngineStatsSumTheAdoptedBuildsTimes) {
+  const auto& result = sliding_result();
+  const SessionStats& session = result.engine_stats;
+  // Sliding mode adopts one build per interval, so the session's build
+  // times are the intervals' summed in order (no resume).
+  ASSERT_EQ(session.retrainings, result.intervals.size());
+  meta::TrainTimes train;
+  double revise = 0.0;
+  for (const auto& interval : result.intervals) {
+    train += interval.train_times;
+    revise += interval.revise_seconds;
+  }
+  const meta::TrainTimes& got = session.retrain_train_times;
+  EXPECT_EQ(got.association_seconds, train.association_seconds);
+  EXPECT_EQ(got.statistical_seconds, train.statistical_seconds);
+  EXPECT_EQ(got.distribution_seconds, train.distribution_seconds);
+  EXPECT_EQ(got.correlation_seconds, train.correlation_seconds);
+  EXPECT_EQ(got.ensemble_seconds, train.ensemble_seconds);
+  EXPECT_EQ(session.retrain_revise_seconds, revise);
+  EXPECT_EQ(session.retrain_build_seconds(), train.total_seconds() + revise);
 }
 
 TEST(DynamicDriver, EmptyStoreYieldsEmptyResult) {

@@ -20,10 +20,10 @@ class RetrainEdgeTest : public ::testing::Test {
   void TearDown() override { common::FailpointRegistry::instance().reset(); }
 };
 
-RetrainPolicy edge_policy() {
-  RetrainPolicy policy;
-  policy.retrain_interval = kSecondsPerWeek;
-  return policy;
+OnlineEngineConfig edge_config() {
+  OnlineEngineConfig config;
+  config.retrain_interval = kSecondsPerWeek;
+  return config;
 }
 
 /// Drives the scheduler through the anchoring event and returns the
@@ -35,7 +35,7 @@ std::optional<TimeSec> anchor_and_advance(RetrainScheduler& scheduler,
 }
 
 TEST_F(RetrainEdgeTest, EmptyHistoryBoundaryIsSkippedWithoutTraining) {
-  RetrainScheduler scheduler(edge_policy());
+  RetrainScheduler scheduler(edge_config());
   const auto boundary =
       anchor_and_advance(scheduler, 0, kSecondsPerWeek + 1);
   ASSERT_TRUE(boundary.has_value());
@@ -48,9 +48,9 @@ TEST_F(RetrainEdgeTest, EmptyHistoryBoundaryIsSkippedWithoutTraining) {
 }
 
 TEST_F(RetrainEdgeTest, SlidingWindowTrimmedToZeroEventsIsSkipped) {
-  auto policy = edge_policy();
-  policy.training_span = kSecondsPerWeek;
-  RetrainScheduler scheduler(policy);
+  auto config = edge_config();
+  config.training_span = kSecondsPerWeek;
+  RetrainScheduler scheduler(config);
   const auto& store = testing::shared_store();
   const TimeSec origin = store.first_time();
   scheduler.boundary_due(origin);
@@ -68,10 +68,10 @@ TEST_F(RetrainEdgeTest, SlidingWindowTrimmedToZeroEventsIsSkipped) {
 }
 
 TEST_F(RetrainEdgeTest, AsyncAdoptionLandsExactlyOnTheLagInstant) {
-  auto policy = edge_policy();
-  policy.async = true;
-  policy.adoption_lag = 3600;
-  RetrainScheduler scheduler(policy);
+  auto config = edge_config();
+  config.pool_builds = true;
+  config.adoption_lag = 3600;
+  RetrainScheduler scheduler(config);
   const auto& store = testing::shared_store();
   const TimeSec origin = store.first_time();
   scheduler.boundary_due(origin);
@@ -84,24 +84,51 @@ TEST_F(RetrainEdgeTest, AsyncAdoptionLandsExactlyOnTheLagInstant) {
             RetrainScheduler::BoundaryAction::kRetrain);
   // One tick before the adoption instant: nothing, even if the build
   // already finished (event-time determinism).
-  EXPECT_FALSE(scheduler.poll(*boundary + policy.adoption_lag - 1));
+  EXPECT_FALSE(scheduler.poll(*boundary + config.adoption_lag - 1));
   // Exactly at boundary + lag — e.g. an event timestamped right on the
   // adoption point — the build must be adopted, joining it if needed.
-  const auto build = scheduler.poll(*boundary + policy.adoption_lag);
+  const auto build = scheduler.poll(*boundary + config.adoption_lag);
   ASSERT_TRUE(build.has_value());
   EXPECT_EQ(build->scheduled_at, *boundary);
-  EXPECT_EQ(build->activate_at, *boundary + policy.adoption_lag);
+  EXPECT_EQ(build->activate_at, *boundary + config.adoption_lag);
   EXPECT_TRUE(scheduler.failures().empty());
+}
+
+TEST_F(RetrainEdgeTest, InlineAdoptionLandsExactlyOnItsBoundary) {
+  RetrainScheduler scheduler(edge_config());
+  const auto& store = testing::shared_store();
+  const TimeSec origin = store.first_time();
+  scheduler.boundary_due(origin);
+  for (const auto& event : testing::weeks_of(store, 0, 1)) {
+    scheduler.observe(event);
+  }
+  const auto boundary = scheduler.boundary_due(origin + kSecondsPerWeek + 1);
+  ASSERT_TRUE(boundary.has_value());
+  ASSERT_EQ(scheduler.fire(*boundary),
+            RetrainScheduler::BoundaryAction::kRetrain);
+  // The build already ran inside fire(); it waits in the build slot and
+  // the one adoption rule hands it out at its boundary, with no lag.
+  EXPECT_TRUE(scheduler.build_in_flight());
+  EXPECT_FALSE(scheduler.poll(*boundary - 1).has_value());
+  const auto build = scheduler.poll(*boundary);
+  ASSERT_TRUE(build.has_value());
+  EXPECT_EQ(build->scheduled_at, *boundary);
+  EXPECT_EQ(build->activate_at, build->scheduled_at);
+  EXPECT_FALSE(scheduler.build_in_flight());
+  // What the handed-out build cost is what the scheduler sums.
+  EXPECT_EQ(scheduler.adopted_train_times().total_seconds(),
+            build->train_times.total_seconds());
+  EXPECT_EQ(scheduler.adopted_revise_seconds(), build->revise_seconds);
 }
 
 TEST_F(RetrainEdgeTest, SchedulerTearsDownCleanlyWithBuildInFlight) {
   ASSERT_TRUE(common::FailpointRegistry::instance().arm_from_string(
       "retrain.build=delay:ms=100"));
-  auto policy = edge_policy();
-  policy.async = true;
-  policy.adoption_lag = kSecondsPerWeek;  // adoption far in the future
+  auto config = edge_config();
+  config.pool_builds = true;
+  config.adoption_lag = kSecondsPerWeek;  // adoption far in the future
   {
-    RetrainScheduler scheduler(policy);
+    RetrainScheduler scheduler(config);
     const auto& store = testing::shared_store();
     const TimeSec origin = store.first_time();
     scheduler.boundary_due(origin);
@@ -144,7 +171,7 @@ TEST_F(RetrainEdgeTest, EngineTearsDownCleanlyWithBuildInFlight) {
 TEST_F(RetrainEdgeTest, SyncBuildFailureKeepsSchedulingAndRecordsAttempts) {
   ASSERT_TRUE(common::FailpointRegistry::instance().arm_from_string(
       "retrain.build=throw"));
-  RetrainScheduler scheduler(edge_policy());
+  RetrainScheduler scheduler(edge_config());
   const auto& store = testing::shared_store();
   const TimeSec origin = store.first_time();
   scheduler.boundary_due(origin);
@@ -154,6 +181,9 @@ TEST_F(RetrainEdgeTest, SyncBuildFailureKeepsSchedulingAndRecordsAttempts) {
   const auto boundary = scheduler.boundary_due(origin + kSecondsPerWeek + 1);
   ASSERT_TRUE(boundary.has_value());
   EXPECT_EQ(scheduler.fire(*boundary), RetrainScheduler::BoundaryAction::kNone);
+  // The failed inline build waits in the build slot like any other;
+  // poll() at its boundary records the failure instead of handing it out.
+  EXPECT_FALSE(scheduler.poll(*boundary).has_value());
   ASSERT_EQ(scheduler.failures().size(), 1u);
   EXPECT_EQ(scheduler.failures()[0].boundary, *boundary);
   EXPECT_EQ(scheduler.failures()[0].attempts, kMaxBuildAttempts);
@@ -174,9 +204,9 @@ TEST_F(RetrainEdgeTest, SyncBuildFailureKeepsSchedulingAndRecordsAttempts) {
 TEST_F(RetrainEdgeTest, CorrelationBuildFailureIsAttributedToItsStage) {
   ASSERT_TRUE(common::FailpointRegistry::instance().arm_from_string(
       "learners.correlation.build=throw"));
-  auto policy = edge_policy();
-  policy.learner.enable_correlation = true;
-  RetrainScheduler scheduler(policy);
+  auto config = edge_config();
+  config.learner.enable_correlation = true;
+  RetrainScheduler scheduler(config);
   const auto& store = testing::shared_store();
   const TimeSec origin = store.first_time();
   scheduler.boundary_due(origin);
@@ -186,6 +216,7 @@ TEST_F(RetrainEdgeTest, CorrelationBuildFailureIsAttributedToItsStage) {
   const auto boundary = scheduler.boundary_due(origin + kSecondsPerWeek + 1);
   ASSERT_TRUE(boundary.has_value());
   EXPECT_EQ(scheduler.fire(*boundary), RetrainScheduler::BoundaryAction::kNone);
+  EXPECT_FALSE(scheduler.poll(*boundary).has_value());
   ASSERT_EQ(scheduler.failures().size(), 1u);
   // The RetrainFailure names the base learner that threw, not just
   // "build" — the --profile report leans on this attribution.
@@ -201,6 +232,7 @@ TEST_F(RetrainEdgeTest, CorrelationBuildFailureIsAttributedToItsStage) {
   const auto next = scheduler.boundary_due(origin + 2 * kSecondsPerWeek + 1);
   ASSERT_TRUE(next.has_value());
   EXPECT_EQ(scheduler.fire(*next), RetrainScheduler::BoundaryAction::kNone);
+  EXPECT_FALSE(scheduler.poll(*next).has_value());
   ASSERT_EQ(scheduler.failures().size(), 2u);
   EXPECT_EQ(scheduler.failures()[1].stage, "build");
 
@@ -219,10 +251,10 @@ TEST_F(RetrainEdgeTest, CorrelationBuildFailureIsAttributedToItsStage) {
 TEST_F(RetrainEdgeTest, AsyncBuildFailureSurfacesAtTheAdoptionPoint) {
   ASSERT_TRUE(common::FailpointRegistry::instance().arm_from_string(
       "retrain.build=throw"));
-  auto policy = edge_policy();
-  policy.async = true;
-  policy.adoption_lag = 3600;
-  RetrainScheduler scheduler(policy);
+  auto config = edge_config();
+  config.pool_builds = true;
+  config.adoption_lag = 3600;
+  RetrainScheduler scheduler(config);
   const auto& store = testing::shared_store();
   const TimeSec origin = store.first_time();
   scheduler.boundary_due(origin);
@@ -235,7 +267,7 @@ TEST_F(RetrainEdgeTest, AsyncBuildFailureSurfacesAtTheAdoptionPoint) {
             RetrainScheduler::BoundaryAction::kRetrain);
   // The failure is converted to a RetrainFailure at the adoption point,
   // never thrown into the serving path.
-  EXPECT_FALSE(scheduler.poll(*boundary + policy.adoption_lag).has_value());
+  EXPECT_FALSE(scheduler.poll(*boundary + config.adoption_lag).has_value());
   ASSERT_EQ(scheduler.failures().size(), 1u);
   EXPECT_EQ(scheduler.failures()[0].attempts, kMaxBuildAttempts);
   // A consumed failed build leaves the scheduler free to train again.

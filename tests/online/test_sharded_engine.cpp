@@ -82,6 +82,31 @@ TEST(ShardedEngine, RetrainsOnScheduleAndWarns) {
   EXPECT_GT(stats.failures_seen, 100u);
 }
 
+TEST(ShardedEngine, StatsReportTheAdoptedBuildsPartsAndTheirSum) {
+  ShardedEngine engine(sharded_config(2), nullptr);
+  for (const auto& event : testing::weeks_of(testing::shared_store(), 0, 12)) {
+    engine.consume(event);
+  }
+  const auto finished = engine.finish();
+  const auto stats = engine.stats();
+  // Both builds (weeks 4 and 8) were adopted and measured.
+  EXPECT_EQ(stats.retrainings, 2u);
+  EXPECT_GT(stats.retrain_train_times.total_seconds(), 0.0);
+  EXPECT_GT(stats.retrain_revise_seconds, 0.0);
+  // stats() after finish() reports the parts finish() returned...
+  const meta::TrainTimes& got = stats.retrain_train_times;
+  const meta::TrainTimes& want = finished.retrain_train_times;
+  EXPECT_EQ(got.association_seconds, want.association_seconds);
+  EXPECT_EQ(got.statistical_seconds, want.statistical_seconds);
+  EXPECT_EQ(got.distribution_seconds, want.distribution_seconds);
+  EXPECT_EQ(got.correlation_seconds, want.correlation_seconds);
+  EXPECT_EQ(got.ensemble_seconds, want.ensemble_seconds);
+  EXPECT_EQ(stats.retrain_revise_seconds, finished.retrain_revise_seconds);
+  // ...and the build time is their sum.
+  EXPECT_EQ(stats.retrain_build_seconds(),
+            got.total_seconds() + stats.retrain_revise_seconds);
+}
+
 TEST(ShardedEngine, FirstWarningWaitsForTheAdoptionLag) {
   // The week-4 build is the first rule set; it is adopted at its boundary
   // plus adoption_lag (one prediction window when the lag is 0), and

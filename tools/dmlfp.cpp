@@ -147,13 +147,26 @@ void add_profile_row(online::TablePrinter& table, const char* stage,
                      : "-"});
 }
 
-/// The retrain-build rows of the --profile table: the aggregate build
-/// time, then its per-learner decomposition (summed over every adopted
-/// snapshot) plus ensemble assembly and revision — which base learner
-/// the retrain budget actually goes to.
-void add_retrain_build_rows(online::TablePrinter& table,
-                            const online::SessionStats& stats) {
-  add_profile_row(table, "retrain-builds", stats.retrain_build_seconds, -1.0);
+/// The --profile table of `dmlfp run`, one for both serving paths:
+/// parse, preprocess, log I/O (mmap vs record-decode time, both zero for
+/// in-memory replays), the retrain builds with their per-learner
+/// decomposition, ensemble assembly and revision (which base learner the
+/// retrain budget goes to, summed over every adopted snapshot), serving
+/// and the replay total.  Serving is the driver's per-event observation
+/// or the sum of every shard worker's busy time (which may exceed wall
+/// time when shards overlap); pool builds overlap serving.
+void print_run_profile(const StageTimes& parse, const StageTimes& preprocess,
+                       const online::SessionStats& stats, double wall_seconds,
+                       double cpu_seconds) {
+  online::TablePrinter table({"stage", "wall-s", "cpu-s", "events/s"});
+  add_profile_row(table, "parse", parse.wall, parse.cpu, parse.units);
+  add_profile_row(table, "preprocess", preprocess.wall, preprocess.cpu,
+                  preprocess.units);
+  const storage::IoStats& io = stats.log_io;
+  add_profile_row(table, "log-mmap", io.map_seconds, -1.0);
+  add_profile_row(table, "log-read", io.read_seconds, -1.0);
+  add_profile_row(table, "retrain-builds", stats.retrain_build_seconds(),
+                  -1.0);
   const meta::TrainTimes& t = stats.retrain_train_times;
   add_profile_row(table, "  association", t.association_seconds, -1.0);
   add_profile_row(table, "  correlation", t.correlation_seconds, -1.0);
@@ -161,17 +174,11 @@ void add_retrain_build_rows(online::TablePrinter& table,
   add_profile_row(table, "  distribution", t.distribution_seconds, -1.0);
   add_profile_row(table, "  ensemble", t.ensemble_seconds, -1.0);
   add_profile_row(table, "  revision", stats.retrain_revise_seconds, -1.0);
-}
-
-/// The log-I/O rows of the --profile table — mmap time vs record-decode
-/// time; both zero for in-memory replays.
-void add_log_io_rows(online::TablePrinter& table,
-                     const storage::IoStats& io) {
-  add_profile_row(table, "log-mmap", io.map_seconds, -1.0);
-  add_profile_row(table, "log-read", io.read_seconds, -1.0);
-}
-
-void print_log_io_summary(const storage::IoStats& io) {
+  add_profile_row(table, "serving", stats.serving_seconds, -1.0,
+                  stats.events_after_filtering);
+  add_profile_row(table, "replay-total", wall_seconds, cpu_seconds,
+                  stats.records_consumed);
+  table.print(std::cout);
   if (io.bytes_read == 0 && io.segments_opened == 0) return;
   std::printf("log-io: %.1f MB read, %llu segment open(s)\n",
               static_cast<double>(io.bytes_read) / (1 << 20),
@@ -750,30 +757,14 @@ int run_sharded(const online::DriverConfig& config,
       engine.consume_batch(batch);
     }
   }
-  const auto stats = engine.finish();
+  auto stats = engine.finish();
   const double wall_seconds =
       std::chrono::duration<double>(Clock::now() - wall_start).count();
   const double cpu_seconds = process_cpu_seconds() - cpu_start;
-  const storage::IoStats io = repo.io_stats() - io_before;
-
+  stats.log_io = repo.io_stats() - io_before;
   if (profile) {
-    // Serving is the sum of every shard worker's busy time (may exceed
-    // the run's wall time when shards overlap); retrain builds run on
-    // the shared pool, overlapped with serving.
-    online::TablePrinter profile_table(
-        {"stage", "wall-s", "cpu-s", "events/s"});
-    add_profile_row(profile_table, "parse", parse_times.wall,
-                    parse_times.cpu, parse_times.units);
-    add_profile_row(profile_table, "preprocess", preprocess_times.wall,
-                    preprocess_times.cpu, preprocess_times.units);
-    add_log_io_rows(profile_table, io);
-    add_retrain_build_rows(profile_table, stats);
-    add_profile_row(profile_table, "serving", stats.serving_seconds, -1.0,
-                    stats.events_after_filtering);
-    add_profile_row(profile_table, "replay-total", wall_seconds,
-                    cpu_seconds, stats.records_consumed);
-    profile_table.print(std::cout);
-    print_log_io_summary(io);
+    print_run_profile(parse_times, preprocess_times, stats, wall_seconds,
+                      cpu_seconds);
   }
 
   online::TablePrinter table({"shard", "events", "warnings", "busy-s",
@@ -901,29 +892,10 @@ int cmd_run(const Flags& flags) {
   const double cpu_start = process_cpu_seconds();
   const auto result = online::DynamicDriver(config).run(*repo);
   if (profile) {
-    const double wall_seconds =
-        std::chrono::duration<double>(Clock::now() - wall_start).count();
-    const double cpu_seconds = process_cpu_seconds() - cpu_start;
-    storage::IoStats io;
-    io.bytes_read = result.engine_stats.log_bytes_read;
-    io.segments_opened = result.engine_stats.log_segments_opened;
-    io.map_seconds = result.engine_stats.log_map_seconds;
-    io.read_seconds = result.engine_stats.log_read_seconds;
-    online::TablePrinter profile_table(
-        {"stage", "wall-s", "cpu-s", "events/s"});
-    add_profile_row(profile_table, "parse", parse_times.wall,
-                    parse_times.cpu, parse_times.units);
-    add_profile_row(profile_table, "preprocess", preprocess_times.wall,
-                    preprocess_times.cpu, preprocess_times.units);
-    add_log_io_rows(profile_table, io);
-    add_retrain_build_rows(profile_table, result.engine_stats);
-    add_profile_row(profile_table, "serving",
-                    result.engine_stats.serving_seconds, -1.0,
-                    result.engine_stats.events_after_filtering);
-    add_profile_row(profile_table, "replay-total", wall_seconds,
-                    cpu_seconds, result.engine_stats.records_consumed);
-    profile_table.print(std::cout);
-    print_log_io_summary(io);
+    print_run_profile(
+        parse_times, preprocess_times, result.engine_stats,
+        std::chrono::duration<double>(Clock::now() - wall_start).count(),
+        process_cpu_seconds() - cpu_start);
   }
   if (const auto report_path = flags.get("report")) {
     std::ofstream report(*report_path);
