@@ -1,6 +1,6 @@
 // Deterministic fault injection — named failpoints compiled into the
 // hot paths of the serving stack (preprocess push, log parsing, retrain
-// builds, snapshot publication, shard feed/workers) and armed at runtime
+// builds, shard feed/workers, storage, network) and armed at runtime
 // from tests or `dmlfp run --failpoint name=spec`.
 //
 // A failpoint is free when nothing is armed: the hot-path hook is one
@@ -90,8 +90,6 @@ inline constexpr std::string_view kRetrainBuild = "retrain.build";
 /// failure attribution while serving keeps the last good snapshot.
 inline constexpr std::string_view kCorrelationBuild =
     "learners.correlation.build";
-/// meta::SnapshotPublisher::store — delay stalls publication.
-inline constexpr std::string_view kSnapshotPublish = "snapshot.publish";
 /// ShardedEngine producer, before the shard-queue push — drop discards
 /// the event (counted in SessionStats::records_rejected).
 inline constexpr std::string_view kEngineFeed = "engine.feed";

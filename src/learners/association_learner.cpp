@@ -62,7 +62,7 @@ std::vector<Rule> AssociationLearner::learn(
       rule.consequent = consequent;
       rule.support = support;
       rule.confidence = confidence;
-      rules.emplace_back(Rule::Body(std::move(rule)));
+      rules.emplace_back(std::move(rule));
     }
   }
 

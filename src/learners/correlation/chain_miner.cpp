@@ -100,7 +100,7 @@ std::vector<Rule> mine_chains(const EventGraph& graph,
       miner.out.resize(config.max_chains_per_fatal);
     }
     for (CorrelationChainRule& chain : miner.out) {
-      rules.emplace_back(learners::Rule::Body{std::move(chain)});
+      rules.emplace_back(std::move(chain));
     }
   }
   return rules;

@@ -35,7 +35,7 @@ std::vector<Rule> DistributionLearner::learn(
   rule.cdf_threshold = config_.cdf_threshold;
   rule.elapsed_trigger = static_cast<DurationSec>(
       std::llround(rule.model.quantile(config_.cdf_threshold)));
-  rules.emplace_back(Rule::Body(std::move(rule)));
+  rules.emplace_back(std::move(rule));
   return rules;
 }
 

@@ -14,6 +14,7 @@
 #include <array>
 #include <cstdint>
 #include <string>
+#include <utility>
 #include <variant>
 #include <vector>
 
@@ -94,7 +95,12 @@ class Rule {
                             DistributionRule, CorrelationChainRule>;
 
   Rule() : body_(StatisticalRule{}) {}
-  explicit Rule(Body body) : body_(std::move(body)) {}
+  /// Builds the body in place from one of its alternatives.  (No Body
+  /// temporary: GCC 12 flags moving one whose vector-holding
+  /// alternatives are inactive as -Wmaybe-uninitialized.)
+  template <typename Alternative>
+  explicit Rule(Alternative alternative)
+      : body_(std::in_place_type<Alternative>, std::move(alternative)) {}
 
   RuleSource source() const;
   const Body& body() const { return body_; }

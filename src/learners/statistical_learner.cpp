@@ -45,7 +45,7 @@ std::vector<Rule> StatisticalLearner::learn(
     StatisticalRule rule;
     rule.k = est.k;
     rule.probability = est.probability();
-    rules.emplace_back(Rule::Body(rule));
+    rules.emplace_back(rule);
   }
   // Keep only the smallest qualifying k: any larger-k rule fires strictly
   // less often and predicts the same thing.

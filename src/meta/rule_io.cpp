@@ -42,7 +42,7 @@ std::optional<learners::Rule> parse_association(
   }
   if (rule.antecedent.empty()) return std::nullopt;
   std::sort(rule.antecedent.begin(), rule.antecedent.end());
-  return learners::Rule{learners::Rule::Body(std::move(rule))};
+  return learners::Rule{std::move(rule)};
 }
 
 std::optional<learners::Rule> parse_statistical(
@@ -51,8 +51,10 @@ std::optional<learners::Rule> parse_statistical(
   const auto k = parse_number<std::int64_t>(fields[1]);
   const auto probability = parse_number<double>(fields[2]);
   if (!k || *k < 1 || !probability) return std::nullopt;
-  return learners::Rule{learners::Rule::Body(
-      learners::StatisticalRule{static_cast<int>(*k), *probability})};
+  // Built inside the optional: moving a Rule that holds a StatisticalRule
+  // trips GCC 12's -Wmaybe-uninitialized (see learners::Rule).
+  return std::make_optional<learners::Rule>(
+      learners::StatisticalRule{static_cast<int>(*k), *probability});
 }
 
 // GCC 12's -Wmaybe-uninitialized false-positives on copying a variant
@@ -84,7 +86,7 @@ std::optional<learners::Rule> parse_distribution(
   }
   rule.cdf_threshold = *threshold;
   rule.elapsed_trigger = *trigger;
-  return learners::Rule{learners::Rule::Body(std::move(rule))};
+  return learners::Rule{std::move(rule)};
 }
 #pragma GCC diagnostic pop
 
@@ -113,7 +115,7 @@ std::optional<learners::Rule> parse_correlation(
   }
   // Unlike the AR antecedent, the chain is ordered — no sort.
   if (rule.chain.empty()) return std::nullopt;
-  return learners::Rule{learners::Rule::Body(std::move(rule))};
+  return learners::Rule{std::move(rule)};
 }
 
 }  // namespace

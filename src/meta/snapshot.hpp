@@ -1,17 +1,15 @@
-// RCU-style publication of the knowledge repository.  Retraining builds
-// a fresh KnowledgeRepository off to the side (on ThreadPool::shared()),
-// freezes it behind a shared_ptr-to-const, and publishes it with one
-// atomic swap; readers that loaded the previous snapshot keep a valid
-// reference for as long as they hold the pointer.  This is what lets the
-// prediction path keep serving the old rule set while the next one is
-// being mined (paper Table 5, Observation #8).
+// Immutable rule snapshots.  Retraining builds a fresh
+// KnowledgeRepository off to the side (on ThreadPool::shared() in
+// ShardedEngine) and freezes it behind a shared_ptr-to-const; every
+// serving shard adopts the same pointer, and a reader keeps a valid rule
+// set for as long as it holds it.  This is what lets the prediction path
+// keep serving the old rule set while the next one is being mined (paper
+// Table 5, Observation #8).
 #pragma once
 
 #include <memory>
 #include <utility>
 
-#include "common/annotations.hpp"
-#include "common/failpoint.hpp"
 #include "meta/knowledge_repository.hpp"
 
 namespace dml::meta {
@@ -28,49 +26,5 @@ RepositorySnapshot empty_snapshot();
 inline RepositorySnapshot freeze(KnowledgeRepository repository) {
   return std::make_shared<const KnowledgeRepository>(std::move(repository));
 }
-
-/// The swap point: writers publish with store(), readers pin the current
-/// snapshot with load().  Each is one pointer swap under a micro-mutex —
-/// the critical section is a shared_ptr copy, never rule-set work: the
-/// displaced snapshot is released *outside* the lock, so a writer
-/// dropping the last reference to a large repository cannot stall
-/// readers.  A reader holding an old snapshot keeps it alive until it
-/// lets go (classic read-copy-update double buffering).
-///
-/// (Not std::atomic<shared_ptr>: libstdc++'s implementation unlocks its
-/// internal spinlock with relaxed ordering in load(), which is flagged
-/// by ThreadSanitizer; the mutex form is portable and TSan-clean.)
-class SnapshotPublisher {
- public:
-  SnapshotPublisher() : current_(empty_snapshot()) {}
-  explicit SnapshotPublisher(RepositorySnapshot initial)
-      : current_(std::move(initial)) {}
-
-  SnapshotPublisher(const SnapshotPublisher&) = delete;
-  SnapshotPublisher& operator=(const SnapshotPublisher&) = delete;
-
-  /// Pins and returns the snapshot currently in force.
-  RepositorySnapshot load() const DML_EXCLUDES(mutex_) {
-    common::MutexLock lock(mutex_);
-    return current_;
-  }
-
-  /// Replaces the snapshot in force with one pointer swap.
-  void store(RepositorySnapshot next) DML_EXCLUDES(mutex_) {
-    // Fault injection: `snapshot.publish` can stall (delay) or abort
-    // (throw) a publication before the swap; evaluated outside the lock.
-    common::failpoint(common::failpoints::kSnapshotPublish);
-    RepositorySnapshot displaced;
-    {
-      common::MutexLock lock(mutex_);
-      displaced = std::exchange(current_, std::move(next));
-    }
-    // `displaced` destroyed here, outside the lock.
-  }
-
- private:
-  mutable common::Mutex mutex_;
-  RepositorySnapshot current_ DML_GUARDED_BY(mutex_);
-};
 
 }  // namespace dml::meta

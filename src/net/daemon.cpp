@@ -153,9 +153,6 @@ Daemon::Daemon(DaemonConfig config) : config_(std::move(config)) {
   DML_CHECK_MSG(config_.reactors > 0, "daemon needs at least one reactor");
   DML_CHECK_MSG(config_.ingest_queue_frames > 0,
                 "ingest queue must admit at least one frame");
-  // Serving semantics: a failed shard quarantines instead of killing
-  // the pump thread.
-  config_.engine.rethrow_worker_errors = false;
 }
 
 Daemon::~Daemon() {

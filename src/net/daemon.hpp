@@ -51,8 +51,8 @@ struct DaemonConfig {
   /// 0 = kernel-assigned (the test fixture asks and reads port()).
   std::uint16_t port = 0;
   std::size_t reactors = 2;
-  /// Per-stream engine template.  rethrow_worker_errors is forced off
-  /// (serving semantics: a failed shard degrades, the daemon survives).
+  /// Per-stream engine template (a failed shard degrades its stream;
+  /// the daemon survives).
   online::ShardedEngineConfig engine;
   /// Bounded reactor->pump queue, in INGEST frames.
   std::size_t ingest_queue_frames = 64;

@@ -45,9 +45,6 @@ ShardedEngineConfig sharded_config_from_driver(const DriverConfig& config,
                                                std::size_t shards) {
   ShardedEngineConfig sharded;
   sharded.shards = shards;
-  // Serving semantics: a quarantined shard degrades the run instead of
-  // aborting it.
-  sharded.rethrow_worker_errors = false;
   sharded.engine = engine_config(config);
   return sharded;
 }
@@ -122,12 +119,14 @@ DriverResult DynamicDriver::run(const storage::EventRepository& repo) const {
   };
   // The loop at event time t: a due boundary fires (an inline build
   // completes inside fire()), its build is adopted, and the ticks due
-  // strictly before t fire.
+  // strictly before t fire.  A static-mode boundary adopts the build in
+  // force again, a fresh predictor on the same rules; that is not a new
+  // build, so `adoptions` and `last_build` do not count it.
   const auto step = [&](TimeSec t) {
     if (const auto boundary = scheduler.boundary_due(t)) {
-      const auto action = scheduler.fire(*boundary);
-      if (action == RetrainScheduler::BoundaryAction::kRefresh) {
-        serving.refresh(*boundary, scratch);
+      if (scheduler.fire(*boundary) ==
+          RetrainScheduler::BoundaryAction::kRefresh) {
+        serving.adopt(scheduler.in_force(*boundary), scratch);
       }
     }
     if (auto build = scheduler.poll(t)) {

@@ -132,9 +132,9 @@ struct DriverResult {
 /// The one DriverConfig -> ShardedEngineConfig mapping, shared by every
 /// concurrent front-end (`dmlfp run --threads N` and the dmlfpd network
 /// daemon), so "same flags => same warning multiset" holds across them
-/// by construction.  Serving semantics: shard failures quarantine
-/// instead of rethrowing, adaptive windows stay off, and the first
-/// training fires after the full training span, as in the driver.
+/// by construction.  The first training fires after the full training
+/// span, as in the driver.  ShardedEngine serves fixed windows only, so
+/// a front end refuses `adaptive_window` before calling this.
 struct ShardedEngineConfig;  // online/sharded_engine.hpp
 ShardedEngineConfig sharded_config_from_driver(const DriverConfig& config,
                                                std::size_t shards);

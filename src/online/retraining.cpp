@@ -288,8 +288,6 @@ std::optional<SnapshotBuild> RetrainScheduler::take_pending(
     return std::nullopt;
   }
   build.activate_at = activate_at;
-  window_ = build.window;
-  latest_ = build.repository;
   return build;
 }
 
@@ -311,6 +309,8 @@ std::optional<SnapshotBuild> RetrainScheduler::poll(TimeSec t) {
   if (t < adopt_at) return std::nullopt;
   auto build = take_pending(adopt_at);
   if (build) {
+    window_ = build->window;
+    latest_ = build->repository;
     adopted_train_times_ += build->train_times;
     adopted_revise_seconds_ += build->revise_seconds;
   }
@@ -319,6 +319,15 @@ std::optional<SnapshotBuild> RetrainScheduler::poll(TimeSec t) {
 
 void RetrainScheduler::join(TimeSec t) {
   if (pending_.valid()) take_pending(t);
+}
+
+SnapshotBuild RetrainScheduler::in_force(TimeSec at) const {
+  SnapshotBuild build;
+  build.repository = latest_;
+  build.window = window_;
+  build.scheduled_at = at;
+  build.activate_at = at;
+  return build;
 }
 
 }  // namespace dml::online

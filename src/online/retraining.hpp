@@ -153,8 +153,9 @@ class RetrainScheduler {
     kNone,     ///< empty training set, a build not yet adopted, or an
                ///< inline build that failed (poll() records it)
     kRetrain,  ///< a build was started (pool) or completed (inline)
-    kRefresh,  ///< static mode after the first training: rules unchanged,
-               ///< but the serving side should refresh its predictor
+    kRefresh,  ///< static mode after the first training: the owner
+               ///< adopts in_force(boundary), the same rules on a fresh
+               ///< predictor
   };
 
   /// Advances the boundary schedule to event time t.  Returns the due
@@ -182,6 +183,12 @@ class RetrainScheduler {
   /// End of stream: waits for a build still in the slot and drops it
   /// unadopted (a failed one still goes to failures()).
   void join(TimeSec t);
+
+  /// The build in force, to adopt again at a static-mode boundary: the
+  /// snapshot and window of the last build poll() handed out (the empty
+  /// snapshot and the configured window before the first), scheduled and
+  /// activated at `at`.
+  SnapshotBuild in_force(TimeSec at) const;
 
   bool build_in_flight() const { return pending_.valid(); }
   const OnlineEngineConfig& config() const { return config_; }
@@ -214,8 +221,9 @@ class RetrainScheduler {
   std::optional<TimeSec> anchor_;
   std::optional<TimeSec> next_boundary_;
   bool trained_once_ = false;
+  /// The rule set and window of the last build poll() handed out: the
+  /// ones in force, and the `previous` of the next build's diff.
   DurationSec window_;
-  /// Last built (revised) rule set — the `previous` of the next diff.
   meta::RepositorySnapshot latest_;
   /// The one build slot: a pool build in flight, or an inline build
   /// already satisfied.

@@ -9,7 +9,20 @@ ServingCore::ServingCore(Options options)
       snapshot_(meta::empty_snapshot()),
       window_(300) {}
 
-void ServingCore::rebuild_predictor(TimeSec at) {
+void ServingCore::adopt(const SnapshotBuild& build,
+                        std::vector<predict::Warning>& out) {
+  const TimeSec at = build.activate_at;
+  if (options_.tick_anchor == TickAnchor::kAbsolute) {
+    // Ticks due before the activation instant fire on the old rules; a
+    // tick exactly at it fires on the new ones.
+    advance(at, out);
+  } else {
+    // Replay parity: adoption discards the pending grid; the first event
+    // served by the new predictor re-anchors it.
+    next_tick_.reset();
+  }
+  snapshot_ = build.repository;
+  window_ = build.window;
   predictor_ = std::make_unique<predict::Predictor>(*snapshot_, window_,
                                                     options_.predictor);
   // Warm the fresh predictor's window state on the trailing history so
@@ -23,35 +36,6 @@ void ServingCore::rebuild_predictor(TimeSec at) {
   discard_.clear();
   predictor_->observe_batch(warm_scratch_, discard_);
   discard_.clear();
-}
-
-void ServingCore::adopt(const SnapshotBuild& build,
-                        std::vector<predict::Warning>& out) {
-  if (options_.tick_anchor == TickAnchor::kAbsolute) {
-    // Ticks due before the activation instant fire on the old rules; a
-    // tick exactly at it fires on the new ones.
-    advance(build.activate_at, out);
-  } else {
-    // Replay parity: adoption discards the pending grid; the first event
-    // served by the new predictor re-anchors it.
-    next_tick_.reset();
-  }
-  snapshot_ = build.repository;
-  window_ = build.window;
-  rebuild_predictor(build.activate_at);
-  if (options_.tick_anchor == TickAnchor::kAbsolute && !next_tick_ &&
-      tick_interval() > 0) {
-    next_tick_ = build.activate_at + tick_interval();
-  }
-}
-
-void ServingCore::refresh(TimeSec at, std::vector<predict::Warning>& out) {
-  if (options_.tick_anchor == TickAnchor::kAbsolute) {
-    advance(at, out);
-  } else {
-    next_tick_.reset();
-  }
-  rebuild_predictor(at);
   if (options_.tick_anchor == TickAnchor::kAbsolute && !next_tick_ &&
       tick_interval() > 0) {
     next_tick_ = at + tick_interval();

@@ -1,7 +1,8 @@
 // ServingCore — the "predict" half of the serving core: owns the
-// predictor in force, adopts retrained snapshots published by the
-// RetrainScheduler, and drives the PD expert's clock ticks.  This is the
-// single implementation of the per-event serving loop; DynamicDriver
+// predictor in force, puts rule sets into force through adopt() alone
+// (a new build, or at a static-mode boundary the build already in
+// force), and drives the PD expert's clock ticks.  This is the single
+// implementation of the per-event serving loop; DynamicDriver
 // replays a log through one, and ShardedEngine runs one per shard, both
 // with options from one builder (serving_options).  It keeps its own
 // trailing buffer of the events it observed and warms every fresh
@@ -50,19 +51,17 @@ class ServingCore {
 
   explicit ServingCore(Options options);
 
-  /// Adopts a finished build at build.activate_at: publishes the
-  /// snapshot, rebuilds the predictor, warms its window state on the
-  /// buffered events in [activate_at - window, activate_at) (warm-up
-  /// warnings are discarded) and re-anchors or preserves the tick grid
-  /// per the anchoring discipline.  In kAbsolute mode, ticks still
-  /// pending before the activation instant fire first (into `out`).
+  /// The one way a rule set comes into force, at build.activate_at: puts
+  /// the build's snapshot and window in force, rebuilds the predictor
+  /// (deduplication cleared), warms its window state on the buffered
+  /// events in [activate_at - window, activate_at) (warm-up warnings are
+  /// discarded) and re-anchors or preserves the tick grid per the
+  /// anchoring discipline.  In kAbsolute mode, ticks still pending before
+  /// the activation instant fire first (into `out`).  A static-mode
+  /// boundary adopts the build already in force
+  /// (RetrainScheduler::in_force): the batch driver's
+  /// fresh-Predictor-per-interval semantics.
   void adopt(const SnapshotBuild& build, std::vector<predict::Warning>& out);
-
-  /// Static-mode boundary: same rules, fresh predictor (window state
-  /// rebuilt and warmed as in adopt(), deduplication cleared, ticks
-  /// re-anchored) — the batch driver's fresh-Predictor-per-interval
-  /// semantics.
-  void refresh(TimeSec at, std::vector<predict::Warning>& out);
 
   /// Fires every tick due strictly before event time t; a heartbeat or
   /// end-of-stream flush is advance() to its instant.
@@ -81,7 +80,6 @@ class ServingCore {
   DurationSec window() const { return window_; }
 
  private:
-  void rebuild_predictor(TimeSec at);
   DurationSec tick_interval() const {
     return options_.tick_follows_window ? window_ : options_.clock_tick;
   }

@@ -33,15 +33,12 @@ struct AdoptMsg {
   /// Shared: one build fans out to every shard.
   std::shared_ptr<const SnapshotBuild> build;
 };
-struct RefreshMsg {
-  TimeSec at = 0;
-};
 struct FlushMsg {
   /// Fire ticks strictly before this instant and advance the watermark
   /// to it (heartbeat / end of stream).
   TimeSec to = 0;
 };
-using Message = std::variant<EventBatchMsg, AdoptMsg, RefreshMsg, FlushMsg>;
+using Message = std::variant<EventBatchMsg, AdoptMsg, FlushMsg>;
 
 /// A message's share of a queue's capacity: a run counts its events, a
 /// control message counts one.
@@ -209,19 +206,23 @@ struct ShardedEngine::Shard {
   /// after quarantine.
   std::atomic<std::uint64_t> rejected{0};
   std::atomic<double> busy_seconds{0.0};
-  std::exception_ptr error;
+  /// Set once by the worker when it throws; it drains from then on.
+  std::atomic<bool> quarantined{false};
 };
 
 ShardedEngine::ShardedEngine(ShardedEngineConfig config,
                              WarningCallback on_warning)
     : config_([&] {
+        // Only the driver's replay selects windows adaptively; the front
+        // ends refuse the setting before they build an engine.
+        DML_CHECK_MSG(!config.engine.adaptive_window,
+                      "ShardedEngine serves fixed windows only; "
+                      "adaptive_window runs in the single-threaded replay");
         // What the partition and a non-blocking producer need, whatever
-        // the caller asked for: per-scope prediction, builds on the
-        // pool, no adaptive window.
+        // the caller asked for: per-scope prediction, builds on the pool.
         config.engine.predictor.location_scoped = true;
         config.engine.predictor.per_scope_state = true;
         config.engine.pool_builds = true;
-        config.engine.adaptive_window = false;
         return std::move(config);
       }()),
       on_warning_(std::move(on_warning)),
@@ -237,7 +238,6 @@ ShardedEngine::ShardedEngine(ShardedEngineConfig config,
       n, [this](const predict::Warning& w) {
         if (on_warning_) on_warning_(w);
       });
-  publisher_.store(meta::empty_snapshot());
   shards_.reserve(n);
   for (std::size_t i = 0; i < n; ++i) {
     shards_.push_back(std::make_unique<Shard>(config_.queue_capacity));
@@ -251,7 +251,8 @@ ShardedEngine::~ShardedEngine() {
   try {
     finish();
   } catch (...) {
-    // Destructor swallows worker failures; call finish() to observe them.
+    // A throwing warning callback must not escape the destructor; call
+    // finish() to observe it.
   }
 }
 
@@ -296,6 +297,19 @@ void DML_HOT ShardedEngine::feed_batch(std::span<const bgl::Event> events) {
                     "state");
     feed_runs_.resize(shards_.size());
   }
+  // One build to every shard's queue, after the events that preceded it
+  // in each: a new build, or at a static-mode boundary the build in
+  // force again, so each shard serves the same rules on a fresh
+  // predictor.
+  const auto adopt_everywhere = [this](SnapshotBuild build) {
+    DML_ALLOW_ALLOC("snapshot adoption: one shared_ptr per adopted build "
+                    "or static boundary, never per event");
+    const auto shared =
+        std::make_shared<const SnapshotBuild>(std::move(build));
+    flush_feed_runs();
+    DML_ALLOW_ALLOC("control-plane handoff at snapshot adoption (rare)");
+    for (auto& shard : shards_) shard->queue.push(AdoptMsg{shared});
+  };
   try {
     for (const bgl::Event& event : events) {
       // Fault injection, once per event: `engine.feed` drop/corrupt
@@ -314,27 +328,12 @@ void DML_HOT ShardedEngine::feed_batch(std::span<const bgl::Event> events) {
       // Boundary/adoption decisions happen on the producer so every shard
       // sees them at the same position in its event sequence.
       if (const auto boundary = scheduler_.boundary_due(t)) {
-        const auto action = scheduler_.fire(*boundary);
-        if (action == RetrainScheduler::BoundaryAction::kRefresh) {
-          // Control messages follow the events that preceded them in
-          // every shard's queue.
-          flush_feed_runs();
-          for (auto& shard : shards_) {
-            DML_ALLOW_ALLOC("control-plane handoff at a retrain boundary "
-                            "(rare; bounded by the schedule cadence)");
-            shard->queue.push(RefreshMsg{*boundary});
-          }
+        if (scheduler_.fire(*boundary) ==
+            RetrainScheduler::BoundaryAction::kRefresh) {
+          adopt_everywhere(scheduler_.in_force(*boundary));
         }
       }
-      if (auto build = scheduler_.poll(t)) {
-        DML_ALLOW_ALLOC("snapshot adoption: one shared_ptr per completed "
-                        "retrain build, never per event");
-        auto shared = std::make_shared<const SnapshotBuild>(std::move(*build));
-        publisher_.store(shared->repository);
-        flush_feed_runs();
-        DML_ALLOW_ALLOC("control-plane handoff at snapshot adoption (rare)");
-        for (auto& shard : shards_) shard->queue.push(AdoptMsg{shared});
-      }
+      if (auto build = scheduler_.poll(t)) adopt_everywhere(std::move(*build));
       // Heartbeats never split a run: crossing one only records it, and
       // the next handoff delivers it (flush_feed_runs).
       if (config_.heartbeat_interval > 0 &&
@@ -421,8 +420,10 @@ void ShardedEngine::worker(std::size_t index) {
     watermark = std::max(watermark, event.time);
   };
   // Quarantine bookkeeping happens after the faulting unit is drained,
-  // so the recorded watermark covers it.
+  // so the recorded watermark covers it; the unit's warnings are dropped.
   const auto quarantine = [&](const std::string& what) {
+    shard.quarantined.store(true, std::memory_order_relaxed);
+    out.clear();
     note_quarantine(index, watermark, what);
   };
   while (shard.queue.pop_all(batch)) {
@@ -433,47 +434,37 @@ void ShardedEngine::worker(std::size_t index) {
       // stream was cut into runs.
       if (auto* run = std::get_if<EventBatchMsg>(&message)) {
         for (const bgl::Event& event : run->events) {
-          if (shard.error) {
+          if (shard.quarantined.load(std::memory_order_relaxed)) {
             drain_event(event);
             continue;
           }
           try {
             serve_event(event);
           } catch (const std::exception& e) {
-            shard.error = std::current_exception();
-            out.clear();
             drain_event(event);
             quarantine(e.what());
           } catch (...) {
-            shard.error = std::current_exception();
-            out.clear();
             drain_event(event);
             quarantine("unknown exception");
           }
         }
         continue;
       }
-      if (shard.error) {
+      if (shard.quarantined.load(std::memory_order_relaxed)) {
         drain_control(message);
         continue;
       }
       try {
         if (auto* adopt = std::get_if<AdoptMsg>(&message)) {
           core.adopt(*adopt->build, out);
-        } else if (auto* refresh = std::get_if<RefreshMsg>(&message)) {
-          core.refresh(refresh->at, out);
         } else if (auto* flush = std::get_if<FlushMsg>(&message)) {
           core.advance(flush->to, out);
           watermark = std::max(watermark, flush->to);
         }
       } catch (const std::exception& e) {
-        shard.error = std::current_exception();
-        out.clear();
         drain_control(message);
         quarantine(e.what());
       } catch (...) {
-        shard.error = std::current_exception();
-        out.clear();
         drain_control(message);
         quarantine("unknown exception");
       }
@@ -516,14 +507,7 @@ ShardedEngine::SessionStats ShardedEngine::finish() {
     if (shard->thread.joinable()) shard->thread.join();
   }
   merger_->finish();
-  // Stats first: a rethrow must not lose the session's accounting — the
-  // caller can catch and still read stats()/degradation_log().
   final_stats_ = collect_stats();
-  if (config_.rethrow_worker_errors) {
-    for (auto& shard : shards_) {
-      if (shard->error) std::rethrow_exception(shard->error);
-    }
-  }
   return final_stats_;
 }
 
@@ -543,7 +527,9 @@ ShardedEngine::SessionStats ShardedEngine::collect_stats() const {
     s.failures_seen += shard->fatals.load(std::memory_order_relaxed);
     s.records_rejected += shard->rejected.load(std::memory_order_relaxed);
     s.serving_seconds += shard->busy_seconds.load(std::memory_order_relaxed);
-    if (shard->error) ++s.shards_quarantined;
+    if (shard->quarantined.load(std::memory_order_relaxed)) {
+      ++s.shards_quarantined;
+    }
   }
   s.warnings_issued = merger_->emitted();
   fill_retrain_stats(scheduler_, s);

@@ -12,10 +12,14 @@
 //  - Shard queues are bounded in events: a stalled shard back-pressures the
 //    producer instead of growing without bound.
 //  - Retraining always runs on ThreadPool::shared() (the engine forces
-//    pool builds in its OnlineEngineConfig); the new rule set is
-//    published with one atomic snapshot swap and adopted by every shard
-//    at the same event-time instant, so consume() never executes
-//    training work inline.
+//    pool builds in its OnlineEngineConfig), so consume() never executes
+//    training work inline.  Rules reach the shards only as AdoptMsg: one
+//    shared build, adopted by every shard at the same event-time instant
+//    (a new build, or at a static-mode boundary the build in force).
+//  - A shard whose worker throws is quarantined: it drains, its
+//    watermark keeps advancing so the merged stream and the producer
+//    never stall, and its events count as rejected.  The run goes on and
+//    reports the failure in stats() and degradation_log().
 //  - The warning callback is invoked serially (under the merger lock)
 //    with warnings in nondecreasing issued_at order; ties are broken by
 //    a fixed field order so replays are byte-stable.
@@ -54,18 +58,12 @@ struct ShardedEngineConfig {
   /// heartbeat never splits a run and changes liveness, never output.
   /// 0 disables (warnings then drain fully only at finish()).
   DurationSec heartbeat_interval = 300;
-  /// Worker-exception policy.  true (default): finish() rethrows the
-  /// first shard failure after draining — replay/test semantics.  false:
-  /// a failed shard is quarantined (it drains, its watermark keeps
-  /// advancing so the merged stream and the producer never stall, its
-  /// events are counted as rejected) and finish() returns normally with
-  /// the failure in stats()/degradation_log() — serving semantics.
-  bool rethrow_worker_errors = true;
   /// Retraining/serving settings.  The engine forces what its partition
   /// and producer need: per-scope prediction (per_scope_state,
-  /// location_scoped, absolute ticks), pool builds and no adaptive
-  /// window.  Every build is adopted at boundary + adoption_lag
-  /// (default: prediction_window), so replays stay deterministic.
+  /// location_scoped, absolute ticks) and pool builds.  adaptive_window
+  /// must be off (the driver's replay runs it, no engine does).  Every
+  /// build is adopted at boundary + adoption_lag (default:
+  /// prediction_window), so replays stay deterministic.
   OnlineEngineConfig engine;
 };
 
@@ -99,8 +97,9 @@ class ShardedEngine {
   void consume_batch(std::span<const bgl::Event> events);
 
   /// Flushes every shard to the global last event time, joins the
-  /// workers, drains the merger, and rethrows the first worker failure
-  /// if any.  Idempotent; returns the final aggregate stats.
+  /// workers and drains the merger.  Idempotent; returns the final
+  /// aggregate stats, where a quarantined shard shows as
+  /// shards_quarantined (its incident is in degradation_log()).
   SessionStats finish();
 
   /// Aggregate stats (call from the producer thread; shard counters are
@@ -109,9 +108,11 @@ class ShardedEngine {
 
   std::size_t shard_count() const { return shards_.size(); }
 
-  /// Rule snapshot currently in force (atomic load; any thread).
+  /// Rule snapshot in force: the last one adopted (empty before the
+  /// first).  Producer thread only, like consume(): the scheduler that
+  /// holds it is producer-owned.
   meta::RepositorySnapshot rules_snapshot() const {
-    return publisher_.load();
+    return scheduler_.in_force(last_event_time_).repository;
   }
 
   struct ShardReport {
@@ -156,7 +157,6 @@ class ShardedEngine {
   RetrainScheduler scheduler_;
   /// Every shard's ServingCore options, derived once from the config.
   const ServingCore::Options shard_options_;
-  meta::SnapshotPublisher publisher_;
 
   std::vector<std::unique_ptr<Shard>> shards_;
   std::unique_ptr<WarningMerger> merger_;

@@ -98,7 +98,6 @@ TEST_F(ChaosTest, DelayOnlyFaultsLeaveTheWarningStreamExactlyEqual) {
   ASSERT_TRUE(registry.arm_from_string("shard.worker=delay:ms=1:p=0.002"));
   ASSERT_TRUE(registry.arm_from_string("serving.observe=delay:ms=1:p=0.002"));
   ASSERT_TRUE(registry.arm_from_string("retrain.build=delay:ms=50"));
-  ASSERT_TRUE(registry.arm_from_string("snapshot.publish=delay:ms=5"));
 
   ShardedEngine::SessionStats stats;
   const auto delayed = replay(store, chaos_config(), &stats);
@@ -244,11 +243,9 @@ TEST_F(ChaosTest, QuarantinedShardNeverStallsTheMergedStream) {
   // to completion with the stream ordered (checked inside replay()).
   ASSERT_TRUE(registry.arm_from_string("shard.worker=throw:after=300:max=1"));
 
-  auto config = chaos_config();
-  config.rethrow_worker_errors = false;
   ShardedEngine::SessionStats stats;
   std::vector<DegradationEvent> log;
-  const auto warnings = replay(store, config, &stats, &log);
+  const auto warnings = replay(store, chaos_config(), &stats, &log);
 
   EXPECT_EQ(stats.shards_quarantined, 1u);
   EXPECT_EQ(stats.events_after_filtering + stats.records_rejected,

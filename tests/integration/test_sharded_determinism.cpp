@@ -39,11 +39,13 @@ struct Replay {
   ShardedEngine::SessionStats stats;
 };
 
-Replay replay(std::size_t shards, int weeks) {
+Replay replay(std::size_t shards, int weeks,
+              TrainingMode mode = TrainingMode::kSlidingWindow) {
   ShardedEngineConfig config;
   config.shards = shards;
   config.engine.retrain_interval = 4 * kSecondsPerWeek;
   config.engine.training_span = 12 * kSecondsPerWeek;
+  config.engine.mode = mode;
 
   Replay result;
   std::mutex mutex;
@@ -70,12 +72,7 @@ Replay replay(std::size_t shards, int weeks) {
   return result;
 }
 
-TEST(ShardedDeterminism, FourShardsMatchOneShard) {
-  constexpr int kWeeks = 16;
-  const auto one = replay(1, kWeeks);
-  const auto four = replay(4, kWeeks);
-
-  ASSERT_GT(one.warnings.size(), 20u);
+void expect_same_warnings(const Replay& one, const Replay& four) {
   EXPECT_EQ(one.stats.retrainings, four.stats.retrainings);
   EXPECT_EQ(one.stats.events_after_filtering,
             four.stats.events_after_filtering);
@@ -93,6 +90,25 @@ TEST(ShardedDeterminism, FourShardsMatchOneShard) {
   EXPECT_EQ(one.counts.true_positives, four.counts.true_positives);
   EXPECT_EQ(one.counts.false_positives, four.counts.false_positives);
   EXPECT_EQ(one.counts.false_negatives, four.counts.false_negatives);
+}
+
+TEST(ShardedDeterminism, FourShardsMatchOneShard) {
+  constexpr int kWeeks = 16;
+  const auto one = replay(1, kWeeks);
+  const auto four = replay(4, kWeeks);
+  ASSERT_GT(one.warnings.size(), 20u);
+  expect_same_warnings(one, four);
+}
+
+TEST(ShardedDeterminism, StaticModeFourShardsMatchOneShard) {
+  // Static mode trains once, at week 4, and every later boundary (weeks
+  // 8, 12 and 16) serves the same rules from fresh predictors.
+  constexpr int kWeeks = 20;
+  const auto one = replay(1, kWeeks, TrainingMode::kStatic);
+  const auto four = replay(4, kWeeks, TrainingMode::kStatic);
+  ASSERT_GT(one.warnings.size(), 20u);
+  EXPECT_EQ(one.stats.retrainings, 1u);
+  expect_same_warnings(one, four);
 }
 
 TEST(ShardedDeterminism, TwoShardReplayIsReproducible) {

@@ -15,15 +15,15 @@ AssociationRule sample_ar() {
 }
 
 TEST(Rule, SourceDispatch) {
-  EXPECT_EQ(Rule(Rule::Body(sample_ar())).source(), RuleSource::kAssociation);
-  EXPECT_EQ(Rule(Rule::Body(StatisticalRule{4, 0.99})).source(),
+  EXPECT_EQ(Rule(sample_ar()).source(), RuleSource::kAssociation);
+  EXPECT_EQ(Rule(StatisticalRule{4, 0.99}).source(),
             RuleSource::kStatistical);
-  EXPECT_EQ(Rule(Rule::Body(DistributionRule{})).source(),
+  EXPECT_EQ(Rule(DistributionRule{}).source(),
             RuleSource::kDistribution);
 }
 
 TEST(Rule, AccessorsReturnCorrectVariant) {
-  const Rule rule{Rule::Body(sample_ar())};
+  const Rule rule{sample_ar()};
   EXPECT_NE(rule.as_association(), nullptr);
   EXPECT_EQ(rule.as_statistical(), nullptr);
   EXPECT_EQ(rule.as_distribution(), nullptr);
@@ -34,7 +34,7 @@ TEST(Rule, IdentityStableAcrossStatisticsChanges) {
   AssociationRule b = sample_ar();
   b.support = 0.9;
   b.confidence = 0.2;
-  EXPECT_EQ(Rule(Rule::Body(a)).identity(), Rule(Rule::Body(b)).identity());
+  EXPECT_EQ(Rule(a).identity(), Rule(b).identity());
 }
 
 TEST(Rule, IdentityDistinguishesStructure) {
@@ -43,16 +43,16 @@ TEST(Rule, IdentityDistinguishesStructure) {
   b.consequent = 51;
   AssociationRule c = sample_ar();
   c.antecedent = {3, 8};
-  const auto ida = Rule(Rule::Body(a)).identity();
-  EXPECT_NE(ida, Rule(Rule::Body(b)).identity());
-  EXPECT_NE(ida, Rule(Rule::Body(c)).identity());
+  const auto ida = Rule(a).identity();
+  EXPECT_NE(ida, Rule(b).identity());
+  EXPECT_NE(ida, Rule(c).identity());
 }
 
 TEST(Rule, StatisticalIdentityKeyedOnK) {
-  EXPECT_EQ(Rule(Rule::Body(StatisticalRule{3, 0.9})).identity(),
-            Rule(Rule::Body(StatisticalRule{3, 0.95})).identity());
-  EXPECT_NE(Rule(Rule::Body(StatisticalRule{3, 0.9})).identity(),
-            Rule(Rule::Body(StatisticalRule{4, 0.9})).identity());
+  EXPECT_EQ(Rule(StatisticalRule{3, 0.9}).identity(),
+            Rule(StatisticalRule{3, 0.95}).identity());
+  EXPECT_NE(Rule(StatisticalRule{3, 0.9}).identity(),
+            Rule(StatisticalRule{4, 0.9}).identity());
 }
 
 TEST(Rule, DistributionIdentityBucketsTrigger) {
@@ -64,15 +64,15 @@ TEST(Rule, DistributionIdentityBucketsTrigger) {
   b.elapsed_trigger = 7500;  // same hour bucket
   DistributionRule c = a;
   c.elapsed_trigger = 15000;  // different bucket
-  EXPECT_EQ(Rule(Rule::Body(a)).identity(), Rule(Rule::Body(b)).identity());
-  EXPECT_NE(Rule(Rule::Body(a)).identity(), Rule(Rule::Body(c)).identity());
+  EXPECT_EQ(Rule(a).identity(), Rule(b).identity());
+  EXPECT_NE(Rule(a).identity(), Rule(c).identity());
 }
 
 TEST(Rule, DescribeAssociationLooksLikePaperExample) {
   // Shape: "a, b -> f: 0.79" (cf. "idoStartInfo, bglStartInfo ->
   // fsFailure: 0.79" in §4.1).
   const auto& tax = bgl::taxonomy();
-  const Rule rule{Rule::Body(sample_ar())};
+  const Rule rule{sample_ar()};
   const std::string text = rule.describe(tax);
   EXPECT_NE(text.find(tax.category(3).name), std::string::npos);
   EXPECT_NE(text.find(tax.category(7).name), std::string::npos);
@@ -81,7 +81,7 @@ TEST(Rule, DescribeAssociationLooksLikePaperExample) {
 }
 
 TEST(Rule, DescribeStatistical) {
-  const Rule rule{Rule::Body(StatisticalRule{4, 0.99})};
+  const Rule rule{StatisticalRule{4, 0.99}};
   const std::string text = rule.describe(bgl::taxonomy());
   EXPECT_NE(text.find("4 failures"), std::string::npos);
   EXPECT_NE(text.find("0.99"), std::string::npos);
@@ -94,7 +94,7 @@ TEST(Rule, DescribeDistribution) {
   pd.cdf_threshold = 0.6;
   pd.elapsed_trigger = 20000;
   const std::string text =
-      Rule{Rule::Body(pd)}.describe(bgl::taxonomy());
+      Rule{pd}.describe(bgl::taxonomy());
   EXPECT_NE(text.find("weibull"), std::string::npos);
   EXPECT_NE(text.find("0.60"), std::string::npos);
   EXPECT_NE(text.find("20000"), std::string::npos);

@@ -10,12 +10,12 @@ learners::Rule ar_rule(CategoryId a, CategoryId b, CategoryId consequent) {
   rule.antecedent = {a, b};
   rule.consequent = consequent;
   rule.confidence = 0.5;
-  return learners::Rule{learners::Rule::Body(rule)};
+  return learners::Rule{rule};
 }
 
 learners::Rule sr_rule(int k) {
   return learners::Rule{
-      learners::Rule::Body(learners::StatisticalRule{k, 0.9})};
+      learners::StatisticalRule{k, 0.9}};
 }
 
 TEST(KnowledgeRepository, AddAssignsUniqueIncreasingIds) {

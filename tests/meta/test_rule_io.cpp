@@ -16,7 +16,7 @@ learners::Rule sample_ar() {
   rule.consequent = bgl::taxonomy().fatal_ids().front();
   rule.support = 0.0123;
   rule.confidence = 0.79;
-  return learners::Rule{learners::Rule::Body(std::move(rule))};
+  return learners::Rule{std::move(rule)};
 }
 
 // GCC 12 variant-copy false positive; see the matching note in
@@ -37,7 +37,7 @@ learners::Rule sample_pd(const char* family) {
   }
   rule.cdf_threshold = 0.6;
   rule.elapsed_trigger = 17654;
-  return learners::Rule{learners::Rule::Body(std::move(rule))};
+  return learners::Rule{std::move(rule)};
 }
 #pragma GCC diagnostic pop
 
@@ -55,7 +55,7 @@ TEST(RuleIo, AssociationRoundTrip) {
 
 TEST(RuleIo, StatisticalRoundTrip) {
   const learners::Rule rule{
-      learners::Rule::Body(learners::StatisticalRule{4, 0.99})};
+      learners::StatisticalRule{4, 0.99}};
   const auto parsed = rule_from_line(rule_to_line(rule));
   ASSERT_TRUE(parsed.has_value());
   const auto* sr = parsed->as_statistical();
@@ -128,7 +128,7 @@ learners::Rule sample_cc() {
   rule.confidence = 0.42;
   rule.support = 0.31;
   rule.stage_window = 900;
-  return learners::Rule{learners::Rule::Body(std::move(rule))};
+  return learners::Rule{std::move(rule)};
 }
 
 TEST(RuleIo, CorrelationChainRoundTrip) {
@@ -170,7 +170,7 @@ TEST(RuleIo, MixedRepositoryRoundTripCoversEverySource) {
   repo.add(sample_ar());
   repo.add(sample_cc());
   repo.add(learners::Rule{
-      learners::Rule::Body(learners::StatisticalRule{4, 0.99})});
+      learners::StatisticalRule{4, 0.99}});
   repo.add(sample_pd("weibull"));
 
   std::stringstream stream;

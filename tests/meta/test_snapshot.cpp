@@ -2,10 +2,6 @@
 
 #include <gtest/gtest.h>
 
-#include <atomic>
-#include <thread>
-#include <vector>
-
 #include "learners/rule.hpp"
 
 namespace dml::meta {
@@ -15,7 +11,7 @@ learners::Rule make_rule(int k) {
   learners::StatisticalRule rule;
   rule.k = k;
   rule.probability = 0.9;
-  return learners::Rule(learners::Rule::Body(rule));
+  return learners::Rule(rule);
 }
 
 TEST(Snapshot, EmptySnapshotIsSharedAndEmpty) {
@@ -33,73 +29,6 @@ TEST(Snapshot, FreezeCapturesRepositoryContents) {
   const auto snapshot = freeze(std::move(repo));
   ASSERT_TRUE(snapshot);
   EXPECT_EQ(snapshot->size(), 2u);
-}
-
-TEST(Snapshot, PublisherStartsEmptyAndSwapsAtomically) {
-  SnapshotPublisher publisher;
-  ASSERT_TRUE(publisher.load());
-  EXPECT_EQ(publisher.load()->size(), 0u);
-
-  KnowledgeRepository repo;
-  repo.add(make_rule(1));
-  publisher.store(freeze(std::move(repo)));
-  EXPECT_EQ(publisher.load()->size(), 1u);
-}
-
-TEST(Snapshot, OldSnapshotOutlivesPublication) {
-  // The RCU contract: a reader that pinned the old snapshot keeps a
-  // valid, unchanged repository across any number of later publishes.
-  SnapshotPublisher publisher;
-  KnowledgeRepository first;
-  first.add(make_rule(1));
-  publisher.store(freeze(std::move(first)));
-
-  const RepositorySnapshot pinned = publisher.load();
-  for (int id = 2; id < 10; ++id) {
-    KnowledgeRepository next;
-    next.add(make_rule(id));
-    next.add(make_rule(id + 100));
-    publisher.store(freeze(std::move(next)));
-  }
-  EXPECT_EQ(pinned->size(), 1u);
-  EXPECT_EQ(publisher.load()->size(), 2u);
-}
-
-TEST(Snapshot, ConcurrentLoadsAndStoresAreSafe) {
-  // Readers spin on load() while a writer publishes new snapshots; under
-  // TSan this is the swap's data-race check.  Every loaded snapshot must
-  // be internally consistent (size matches the publish that produced it).
-  SnapshotPublisher publisher;
-  publisher.store(empty_snapshot());
-  std::atomic<bool> stop{false};
-
-  std::vector<std::thread> readers;
-  std::atomic<std::uint64_t> loads{0};
-  for (int r = 0; r < 3; ++r) {
-    readers.emplace_back([&] {
-      // At least 100 loads each, even if the writer finishes first (on
-      // one core the writer can run to completion before any reader).
-      for (int done = 0; done < 100 || !stop.load(std::memory_order_relaxed);
-           ++done) {
-        const auto snapshot = publisher.load();
-        EXPECT_TRUE(snapshot);
-        const auto n = snapshot->size();
-        EXPECT_TRUE(n == 0 || n == 3) << n;
-        loads.fetch_add(1, std::memory_order_relaxed);
-      }
-    });
-  }
-
-  for (int i = 0; i < 500; ++i) {
-    KnowledgeRepository repo;
-    repo.add(make_rule(i * 3 + 1));
-    repo.add(make_rule(i * 3 + 2));
-    repo.add(make_rule(i * 3 + 3));
-    publisher.store(freeze(std::move(repo)));
-  }
-  stop.store(true);
-  for (auto& reader : readers) reader.join();
-  EXPECT_GT(loads.load(), 0u);
 }
 
 }  // namespace

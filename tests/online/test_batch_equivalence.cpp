@@ -246,7 +246,6 @@ TEST_F(BatchEquivalenceFaultTest, MidBatchQuarantineDrainsRemainder) {
   ShardedEngineConfig config;
   config.shards = 1;
   config.engine = engine_config();
-  config.rethrow_worker_errors = false;  // serving semantics: degrade
   ShardedEngine engine(config, nullptr);
   std::size_t offset = 0;
   for (const std::size_t len : chunk_lengths(events.size(), 47)) {

@@ -121,6 +121,39 @@ TEST_F(RetrainEdgeTest, InlineAdoptionLandsExactlyOnItsBoundary) {
   EXPECT_EQ(scheduler.adopted_revise_seconds(), build->revise_seconds);
 }
 
+TEST_F(RetrainEdgeTest, InForceBuildCarriesTheAdoptedRulesAndWindow) {
+  auto config = edge_config();
+  config.prediction_window = 600;
+  RetrainScheduler scheduler(config);
+  // Before the first adoption: the empty snapshot, the configured window.
+  const auto before = scheduler.in_force(1000);
+  EXPECT_EQ(before.repository, meta::empty_snapshot());
+  EXPECT_EQ(before.window, 600);
+  EXPECT_EQ(before.scheduled_at, 1000);
+  EXPECT_EQ(before.activate_at, 1000);
+
+  const auto& store = testing::shared_store();
+  const TimeSec origin = store.first_time();
+  scheduler.boundary_due(origin);
+  for (const auto& event : testing::weeks_of(store, 0, 1)) {
+    scheduler.observe(event);
+  }
+  const auto boundary = scheduler.boundary_due(origin + kSecondsPerWeek + 1);
+  ASSERT_TRUE(boundary.has_value());
+  ASSERT_EQ(scheduler.fire(*boundary),
+            RetrainScheduler::BoundaryAction::kRetrain);
+  const auto adopted = scheduler.poll(*boundary);
+  ASSERT_TRUE(adopted.has_value());
+  ASSERT_FALSE(adopted->repository->empty());
+  // After it: that build's rules and window, at the instant asked for.
+  const TimeSec later = *boundary + kSecondsPerWeek;
+  const auto after = scheduler.in_force(later);
+  EXPECT_EQ(after.repository, adopted->repository);
+  EXPECT_EQ(after.window, adopted->window);
+  EXPECT_EQ(after.scheduled_at, later);
+  EXPECT_EQ(after.activate_at, later);
+}
+
 TEST_F(RetrainEdgeTest, SchedulerTearsDownCleanlyWithBuildInFlight) {
   ASSERT_TRUE(common::FailpointRegistry::instance().arm_from_string(
       "retrain.build=delay:ms=100"));
@@ -155,10 +188,10 @@ TEST_F(RetrainEdgeTest, EngineTearsDownCleanlyWithBuildInFlight) {
   config.engine.retrain_interval = kSecondsPerWeek;
   config.engine.adoption_lag = kSecondsPerWeek;
   {
-    // The publisher is a member of the engine: this is "publisher torn
-    // down while a retrain is in flight" — the engine (and with it the
-    // SnapshotPublisher the workers read from) dies while the build is
-    // still on the pool.  The destructor's finish() must join first.
+    // The engine (and with it the scheduler whose build slot the pool
+    // task fills, and the shards that adopt builds from AdoptMsg) dies
+    // while the build is still on the pool.  The destructor's finish()
+    // must join first.
     ShardedEngine engine(config, nullptr);
     const auto& store = testing::shared_store();
     for (const auto& event : testing::weeks_of(store, 0, 2)) {

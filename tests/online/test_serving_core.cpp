@@ -1,6 +1,7 @@
 // ServingCore on its own: a fresh predictor is warmed from the core's own
-// trailing buffer of observed events, and the two tick-anchoring
-// disciplines decide which rules a clock tick near an adoption runs on.
+// trailing buffer of observed events, the two tick-anchoring disciplines
+// decide which rules a clock tick near an adoption runs on, and a
+// static-mode boundary is an adoption of the rules already in force.
 #include "online/serving.hpp"
 
 #include <gtest/gtest.h>
@@ -27,7 +28,7 @@ meta::KnowledgeRepository association(std::vector<CategoryId> antecedent,
   rule.antecedent = std::move(antecedent);
   rule.consequent = consequent;
   rule.confidence = 0.9;
-  rules.add(learners::Rule{learners::Rule::Body(rule)});
+  rules.add(learners::Rule{rule});
   return rules;
 }
 
@@ -38,7 +39,7 @@ meta::KnowledgeRepository distribution(DurationSec elapsed_trigger) {
       stats::LifetimeModel::Variant(stats::Exponential{1.0 / 10000.0})};
   rule.cdf_threshold = 0.6;
   rule.elapsed_trigger = elapsed_trigger;
-  rules.add(learners::Rule{learners::Rule::Body(rule)});
+  rules.add(learners::Rule{rule});
   return rules;
 }
 
@@ -155,6 +156,63 @@ TEST(ServingCore, AbsoluteTicksBeforeActivationFireOnTheOldRules) {
   EXPECT_EQ(run(1250), (std::vector<TimeSec>{1100, 1200}));
   // A tick exactly at the activation instant runs on the new rules.
   EXPECT_EQ(run(1200), (std::vector<TimeSec>{1100}));
+}
+
+TEST(ServingCore, StaticBoundaryRefreshesThePredictorOnTheSameRules) {
+  // A static-mode boundary at t=1250 keeps the rules and the window but
+  // serves them from a fresh predictor, warmed on the buffered fatal at
+  // t=1000.
+  const auto run = [](ServingCore::TickAnchor anchor) {
+    ServingCore::Options options;
+    options.clock_tick = 100;
+    options.tick_anchor = anchor;
+    options.warm_retention = 300;
+    ServingCore core(options);
+    std::vector<Warning> out;
+    core.adopt(build_of(meta::freeze(distribution(50)), 300, 1000), out);
+    core.observe(ev(1000, 9, /*fatal=*/true), out);
+    // Both grids tick at 1100; its warning holds deduplication to 1700.
+    core.advance(1150, out);
+    core.adopt(build_of(core.snapshot(), core.window(), 1250), out);
+    // Deduplication is cleared: the event at 1260 warns.
+    core.observe(ev(1260, 7), out);
+    // A fatal re-bases the elapsed-time clock, so the next tick warns.
+    core.observe(ev(1270, 9, /*fatal=*/true), out);
+    core.observe(ev(1380, 7), out);
+    return issue_times(out);
+  };
+  // kInterval discards the grid (no tick at 1200 on the fresh predictor)
+  // and the first event after the boundary re-anchors it: 1360.
+  EXPECT_EQ(run(ServingCore::TickAnchor::kInterval),
+            (std::vector<TimeSec>{1100, 1260, 1360}));
+  // kAbsolute keeps its grid: the tick at 1300 comes too early to warn,
+  // so the event at 1380 does.
+  EXPECT_EQ(run(ServingCore::TickAnchor::kAbsolute),
+            (std::vector<TimeSec>{1100, 1260, 1380}));
+
+  // The predictor is fresh, not the old one replayed: with the boundary
+  // at 1350 the fatal at 1000 lies outside the warm span [1050, 1350),
+  // so no elapsed-time clock survives and nothing warns after 1700,
+  // when the old warning's deduplication would have lapsed.
+  const auto forgets = [](ServingCore::TickAnchor anchor) {
+    ServingCore::Options options;
+    options.clock_tick = 100;
+    options.tick_anchor = anchor;
+    options.warm_retention = 300;
+    ServingCore core(options);
+    std::vector<Warning> out;
+    core.adopt(build_of(meta::freeze(distribution(50)), 300, 1000), out);
+    core.observe(ev(1000, 9, /*fatal=*/true), out);
+    core.advance(1150, out);
+    core.adopt(build_of(core.snapshot(), core.window(), 1350), out);
+    core.advance(1900, out);
+    core.observe(ev(1950, 7), out);
+    return issue_times(out);
+  };
+  EXPECT_EQ(forgets(ServingCore::TickAnchor::kInterval),
+            (std::vector<TimeSec>{1100}));
+  EXPECT_EQ(forgets(ServingCore::TickAnchor::kAbsolute),
+            (std::vector<TimeSec>{1100}));
 }
 
 }  // namespace

@@ -24,7 +24,7 @@ meta::KnowledgeRepository ar_repo() {
   rule.antecedent = {1, 2};
   rule.consequent = 50;
   rule.confidence = 0.9;
-  repo.add(learners::Rule{learners::Rule::Body(rule)});
+  repo.add(learners::Rule{rule});
   return repo;
 }
 
@@ -68,7 +68,7 @@ TEST(LocationScoped, UnscopedWarningHasNoLocation) {
 TEST(LocationScoped, StatisticalCountsPerMidplane) {
   meta::KnowledgeRepository repo;
   repo.add(learners::Rule{
-      learners::Rule::Body(learners::StatisticalRule{2, 0.9})});
+      learners::StatisticalRule{2, 0.9}});
   Predictor predictor(repo, 300, scoped());
   // Two fatals on different midplanes: no scoped trigger.
   predictor.observe(ev(1000, 50, true, 0));
@@ -119,12 +119,12 @@ TEST(LocationScoped, EndToEndPrecisionRecallTradeoff) {
 TEST(FlatEnsemble, PdFiresEvenWhenPatternMatched) {
   meta::KnowledgeRepository repo;
   repo.add(learners::Rule{
-      learners::Rule::Body(learners::StatisticalRule{2, 0.9})});
+      learners::StatisticalRule{2, 0.9}});
   learners::DistributionRule pd;
   pd.model = stats::LifetimeModel{
       stats::LifetimeModel::Variant(stats::Exponential{1e-4})};
   pd.elapsed_trigger = 10;
-  repo.add(learners::Rule{learners::Rule::Body(pd)});
+  repo.add(learners::Rule{pd});
 
   PredictorOptions flat;
   flat.mixture_precedence = false;

@@ -114,7 +114,7 @@ TEST(OutcomeMatcher, PerRuleAttributionWithScopedEligibility) {
   learners::AssociationRule ar;
   ar.antecedent = {1, 2};
   ar.consequent = 50;
-  const auto ar_id = repo.add(learners::Rule{learners::Rule::Body(ar)});
+  const auto ar_id = repo.add(learners::Rule{ar});
 
   // Fatals: one of category 50 (covered), one of 50 (missed), one of 51
   // (out of the AR rule's scope).
@@ -132,7 +132,7 @@ TEST(OutcomeMatcher, PerRuleAttributionWithScopedEligibility) {
 TEST(OutcomeMatcher, StatisticalRuleScopeRequiresPrecedingFatals) {
   meta::KnowledgeRepository repo;
   const auto sr_id = repo.add(
-      learners::Rule{learners::Rule::Body(learners::StatisticalRule{2, 0.9})});
+      learners::Rule{learners::StatisticalRule{2, 0.9}});
 
   // Burst of three fatals, then an isolated one.
   const std::vector<bgl::Event> events = {
@@ -152,7 +152,7 @@ TEST(OutcomeMatcher, DistributionRuleScopeRequiresLongGap) {
       stats::LifetimeModel::Variant(stats::Exponential{1e-4})};
   pd.elapsed_trigger = 5000;
   const auto pd_id =
-      repo.add(learners::Rule{learners::Rule::Body(pd)});
+      repo.add(learners::Rule{pd});
 
   const std::vector<bgl::Event> events = {
       ev(1000, 50, true), ev(2000, 50, true),   // gap 1000: out of scope

@@ -20,14 +20,14 @@ meta::KnowledgeRepository ar_repo(std::vector<CategoryId> antecedent,
   rule.antecedent = std::move(antecedent);
   rule.consequent = consequent;
   rule.confidence = 0.9;
-  repo.add(learners::Rule{learners::Rule::Body(rule)});
+  repo.add(learners::Rule{rule});
   return repo;
 }
 
 meta::KnowledgeRepository sr_repo(int k) {
   meta::KnowledgeRepository repo;
   repo.add(learners::Rule{
-      learners::Rule::Body(learners::StatisticalRule{k, 0.95})});
+      learners::StatisticalRule{k, 0.95}});
   return repo;
 }
 
@@ -38,7 +38,7 @@ meta::KnowledgeRepository pd_repo(DurationSec trigger) {
       stats::LifetimeModel::Variant(stats::Exponential{1.0 / 10000.0})};
   rule.cdf_threshold = 0.6;
   rule.elapsed_trigger = trigger;
-  repo.add(learners::Rule{learners::Rule::Body(rule)});
+  repo.add(learners::Rule{rule});
   return repo;
 }
 
@@ -147,7 +147,7 @@ TEST(Predictor, TickRunsOnlyDistributionExpert) {
   pd.model = stats::LifetimeModel{
       stats::LifetimeModel::Variant(stats::Exponential{1e-4})};
   pd.elapsed_trigger = 1000;
-  repo.add(learners::Rule{learners::Rule::Body(pd)});
+  repo.add(learners::Rule{pd});
   Predictor predictor(repo, 300);
   predictor.observe(ev(0, 50, true));
   const auto warnings = predictor.tick(5000);
@@ -184,7 +184,7 @@ TEST(Predictor, MixtureOfExpertsSuppressesPdWhenPatternMatched) {
   pd.model = stats::LifetimeModel{
       stats::LifetimeModel::Variant(stats::Exponential{1e-4})};
   pd.elapsed_trigger = 10;
-  repo.add(learners::Rule{learners::Rule::Body(pd)});
+  repo.add(learners::Rule{pd});
   Predictor predictor(repo, 300);
   predictor.observe(ev(1000, 50, true));
   // Second fatal matches the statistical rule; the PD expert (elapsed

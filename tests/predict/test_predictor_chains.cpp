@@ -34,7 +34,7 @@ meta::KnowledgeRepository chain_repo(std::vector<CategoryId> chain,
   rule.support = 0.5;
   rule.stage_window = stage_window;
   meta::KnowledgeRepository repo;
-  repo.add(learners::Rule{learners::Rule::Body(std::move(rule))});
+  repo.add(learners::Rule{std::move(rule)});
   return repo;
 }
 

@@ -22,7 +22,7 @@ meta::KnowledgeRepository ar_repo(std::vector<CategoryId> antecedent,
   learners::AssociationRule rule;
   rule.antecedent = std::move(antecedent);
   rule.consequent = consequent;
-  repo.add(learners::Rule{learners::Rule::Body(rule)});
+  repo.add(learners::Rule{rule});
   return repo;
 }
 
@@ -54,7 +54,7 @@ TEST(PredictorEdge, TinyWindowExpiresWithinSeconds) {
 TEST(PredictorEdge, HugeStatisticalKNeverFires) {
   meta::KnowledgeRepository repo;
   repo.add(learners::Rule{
-      learners::Rule::Body(learners::StatisticalRule{1000, 0.9})});
+      learners::StatisticalRule{1000, 0.9}});
   Predictor predictor(repo, 300);
   for (int i = 0; i < 100; ++i) {
     EXPECT_TRUE(predictor.observe(ev(1000 + i, 50, true)).empty());

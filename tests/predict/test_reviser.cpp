@@ -47,12 +47,12 @@ meta::KnowledgeRepository two_rule_repo() {
   good.antecedent = {1, 2};
   good.consequent = 50;
   good.confidence = 1.0;
-  repo.add(learners::Rule{learners::Rule::Body(good)});
+  repo.add(learners::Rule{good});
   learners::AssociationRule bad;
   bad.antecedent = {3, 4};
   bad.consequent = 50;
   bad.confidence = 0.2;
-  repo.add(learners::Rule{learners::Rule::Body(bad)});
+  repo.add(learners::Rule{bad});
   return repo;
 }
 
@@ -108,7 +108,7 @@ TEST(Reviser, RuleWithNoTrainingActivityIsRemoved) {
   learners::AssociationRule unused;
   unused.antecedent = {200, 201};
   unused.consequent = 50;
-  repo.add(learners::Rule{learners::Rule::Body(unused)});
+  repo.add(learners::Rule{unused});
   const auto report = revise(repo, mixed_training(), 300);
   EXPECT_EQ(report.removed, 1u);
 }

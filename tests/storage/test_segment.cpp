@@ -55,7 +55,7 @@ TEST(ScanSegment, CleanImage) {
 TEST(ScanSegment, TornTailIsCounted) {
   auto image = segment_image({10, 20, 30});
   // Tear the last record: drop its final 5 bytes.
-  image.resize(image.size() - 5);
+  image.erase(image.end() - 5, image.end());
   const auto scan = scan_segment(image.data(), image.size());
   ASSERT_TRUE(scan.header_ok);
   EXPECT_EQ(scan.valid_records, 2u);

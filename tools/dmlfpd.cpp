@@ -111,7 +111,10 @@ int main(int argc, char** argv) {
   if (!tools::arm_failpoints(flags, "dmlfpd")) return 2;
 
   online::DriverConfig driver;
-  if (tools::driver_config_from_flags(flags, "dmlfpd", driver) != 0) return 2;
+  if (tools::driver_config_from_flags(flags, "dmlfpd", driver) != 0 ||
+      !tools::sharded_config_ok(driver, "dmlfpd")) {
+    return 2;
+  }
 
   net::DaemonConfig config;
   unsigned port = 0;
