@@ -13,6 +13,12 @@
 //   - Correlation graph build (recency lists and in-edge rows vs the
 //     naive backward rescan) and chain-rule serving on a chain-heavy
 //     trace (§14).
+//   - Raw-record preprocessing: StreamingPipeline (bucketed classifier,
+//     copy-free bounded filters) vs the copying reference chain, on
+//     slices of the ANL and SDSC raw logs at the 300 s threshold.
+//   - CRC-32: slicing-by-8 vs the bytewise table loop, on buffers the
+//     size of a wire event (24 B), a mean raw record frame (83 B) and
+//     a 512-record INGEST_RECORDS payload (42 KiB).
 //
 // Both sides of every comparison are checked for identical output before
 // timing — a speedup on diverging results would be meaningless.  Every
@@ -28,13 +34,17 @@
 #include <string>
 #include <vector>
 
+#include "common/crc32.hpp"
+#include "common/rng.hpp"
 #include "common/simd.hpp"
 #include "learners/apriori.hpp"
 #include "learners/correlation/correlation_learner.hpp"
 #include "learners/transactions.hpp"
+#include "logio/record_sink.hpp"
 #include "meta/meta_learner.hpp"
 #include "online/report.hpp"
 #include "predict/predictor.hpp"
+#include "preprocess/streaming_pipeline.hpp"
 #include "reference_impl.hpp"
 #include "support/bench_logs.hpp"
 #include "support/bench_timing.hpp"
@@ -235,6 +245,120 @@ bool run_machine(const Workload& workload, bool quick, double target,
             target, max_reps));
     stage.events_per_second = static_cast<double>(serving.size()) /
                               std::max(stage.optimized_seconds, 1e-12);
+    results.push_back(stage);
+  }
+  return true;
+}
+
+// ---- raw front-end stages ----------------------------------------------
+
+/// StreamingPipeline against the reference chain on a raw-log slice;
+/// false if their events or statistics differ.
+bool run_preprocess_stage(const std::string& machine,
+                          loggen::MachineProfile profile, std::uint64_t seed,
+                          bool quick, double target, int max_reps,
+                          std::vector<StageResult>& results) {
+  constexpr DurationSec kThreshold = 300;  // the paper's production value
+  profile.weeks = quick ? 2 : 8;
+  logio::VectorSink sink;
+  loggen::LogGenerator(profile, seed).generate(sink);
+  const std::vector<bgl::RasRecord>& records = sink.records();
+
+  std::size_t survivors = 0;
+  {
+    preprocess::StreamingPipeline pipeline(kThreshold);
+    reference::PreprocessChain oracle(kThreshold);
+    for (const auto& record : records) {
+      const auto event = pipeline.push(record);
+      if (event != oracle.push(record)) {
+        std::fprintf(stderr, "FAIL: preprocess chains diverge (%s)\n",
+                     machine.c_str());
+        return false;
+      }
+      survivors += event.has_value() ? 1 : 0;
+    }
+    if (!(pipeline.stats() == oracle.stats()) ||
+        !(pipeline.categorizer_stats() == oracle.categorizer_stats())) {
+      std::fprintf(stderr, "FAIL: preprocess statistics diverge (%s)\n",
+                   machine.c_str());
+      return false;
+    }
+  }
+  StageResult stage;
+  stage.stage = "preprocess_push";
+  stage.machine = machine;
+  stage.detail = std::to_string(records.size()) + " raw records over " +
+                 std::to_string(profile.weeks) + " weeks, " +
+                 std::to_string(survivors) + " events";
+  stage.set_timings(
+      bench::min_of_reps(
+          [&] {
+            reference::PreprocessChain oracle(kThreshold);
+            for (const auto& record : records) oracle.push(record);
+            if (oracle.stats().unique_events != survivors) std::abort();
+          },
+          target, max_reps),
+      bench::min_of_reps(
+          [&] {
+            preprocess::StreamingPipeline pipeline(kThreshold);
+            for (const auto& record : records) pipeline.push(record);
+            if (pipeline.stats().unique_events != survivors) std::abort();
+          },
+          target, max_reps));
+  stage.events_per_second = static_cast<double>(records.size()) /
+                            std::max(stage.optimized_seconds, 1e-12);
+  results.push_back(stage);
+  return true;
+}
+
+/// Slicing-by-8 against the bytewise loop over one buffer cut into
+/// `length`-byte calls; events_per_second is bytes per second here.
+bool run_crc32_stages(bool quick, double target, int max_reps,
+                      std::vector<StageResult>& results) {
+  Rng rng(0xC4C);
+  std::vector<unsigned char> bytes(quick ? (1u << 20) : (8u << 20));
+  for (auto& b : bytes) b = static_cast<unsigned char>(rng.next_u64());
+  for (const std::size_t length : {std::size_t{24}, std::size_t{83},
+                                   std::size_t{42 * 1024}}) {
+    const std::size_t calls = bytes.size() / length;
+    const auto checksum_all = [&](auto crc) {
+      std::uint32_t folded = 0;
+      for (std::size_t i = 0; i < calls; ++i) {
+        folded ^= crc(bytes.data() + i * length, length);
+      }
+      return folded;
+    };
+    const auto bytewise = [](const unsigned char* p, std::size_t n) {
+      return reference::crc32_bytewise(p, n);
+    };
+    const auto slicing = [](const unsigned char* p, std::size_t n) {
+      return common::crc32(p, n);
+    };
+    const std::uint32_t expected = checksum_all(bytewise);
+    if (checksum_all(slicing) != expected) {
+      std::fprintf(stderr, "FAIL: crc32 diverges at %zu-byte buffers\n",
+                   length);
+      return false;
+    }
+    StageResult stage;
+    stage.stage = "crc32";
+    stage.machine = "-";
+    stage.detail = std::to_string(calls) + " calls of " +
+                   std::to_string(length) + " B (unit/s = bytes/s)";
+    stage.set_timings(
+        bench::min_of_reps(
+            [&] {
+              if (checksum_all(bytewise) != expected) std::abort();
+            },
+            target, max_reps),
+        bench::min_of_reps(
+            [&] {
+              if (checksum_all(slicing) != expected) std::abort();
+            },
+            target, max_reps));
+    stage.events_per_second =
+        static_cast<double>(calls * length) /
+        std::max(stage.optimized_seconds, 1e-12);
     results.push_back(stage);
   }
   return true;
@@ -732,6 +856,13 @@ int main(int argc, char** argv) {
     if (!run_machine(workload, quick, target, max_reps, results)) return 1;
   }
   if (!run_correlation_stages(quick, target, max_reps, results)) return 1;
+  if (!run_preprocess_stage("anl", bench::anl_profile(), bench::kAnlSeed,
+                            quick, target, max_reps, results) ||
+      !run_preprocess_stage("sdsc", bench::sdsc_profile(), bench::kSdscSeed,
+                            quick, target, max_reps, results) ||
+      !run_crc32_stages(quick, target, max_reps, results)) {
+    return 1;
+  }
   if (scale) {
     // Long single calls: cap repeats well below the paper-scale count so
     // a full --scale run stays in minutes, min-of-N still applies.

@@ -243,6 +243,24 @@ Taxonomy::Taxonomy() : by_facility_(kNumFacilities) {
   DML_CHECK_MSG(nonfatal_ids_.size() == 150,
                 "Table 3: 150 non-fatal categories");
   DML_CHECK_MSG(categories_.size() == 219, "Table 3: 219 categories total");
+
+  // classify()'s rule, precomputed: within one (facility, severity), the
+  // longest pattern wins and the lowest id breaks a tie, so the first
+  // hit in this order is the answer.
+  by_class_.resize(kNumFacilities * kNumSeverities);
+  for (const EventCategory& cat : categories_) {
+    by_class_[class_index(cat.facility, cat.severity)].push_back(cat.id);
+  }
+  for (auto& ids : by_class_) {
+    std::stable_sort(ids.begin(), ids.end(), [&](CategoryId a, CategoryId b) {
+      return categories_[a].pattern.size() > categories_[b].pattern.size();
+    });
+  }
+}
+
+std::size_t Taxonomy::class_index(Facility facility, Severity severity) {
+  return static_cast<std::size_t>(facility) * kNumSeverities +
+         static_cast<std::size_t>(severity);
 }
 
 const EventCategory& Taxonomy::category(CategoryId id) const {
@@ -265,19 +283,12 @@ std::optional<CategoryId> Taxonomy::find_by_name(std::string_view name) const {
 
 std::optional<CategoryId> Taxonomy::classify(
     Facility facility, Severity severity, std::string_view entry_data) const {
-  // Longest-pattern match wins: "uncorrectable error detected in edram
-  // bank (code 1)" must not be shadowed by its un-suffixed sibling.
-  const EventCategory* best = nullptr;
-  for (CategoryId id : facility_ids(facility)) {
-    const EventCategory& cat = categories_[id];
-    if (cat.severity != severity) continue;
-    if (entry_data.find(cat.pattern) == std::string_view::npos) continue;
-    if (best == nullptr || cat.pattern.size() > best->pattern.size()) {
-      best = &cat;
+  for (CategoryId id : by_class_[class_index(facility, severity)]) {
+    if (entry_data.find(categories_[id].pattern) != std::string_view::npos) {
+      return id;
     }
   }
-  if (best == nullptr) return std::nullopt;
-  return best->id;
+  return std::nullopt;
 }
 
 std::vector<Taxonomy::FacilityCount> Taxonomy::facility_counts() const {

@@ -85,8 +85,10 @@ class Taxonomy {
   std::optional<CategoryId> find_by_name(std::string_view name) const;
 
   /// Classifies a raw record's (facility, severity, entry data) into a
-  /// category by longest-pattern substring match; nullopt if no category
-  /// of that facility matches.
+  /// category by longest-pattern substring match, the lowest id winning
+  /// a tie; nullopt if no category of that facility and severity
+  /// matches.  "uncorrectable error detected in edram bank (code 1)"
+  /// must not be shadowed by its un-suffixed sibling.
   std::optional<CategoryId> classify(Facility facility, Severity severity,
                                      std::string_view entry_data) const;
 
@@ -103,6 +105,11 @@ class Taxonomy {
   std::vector<CategoryId> fatal_ids_;
   std::vector<CategoryId> nonfatal_ids_;
   std::vector<std::vector<CategoryId>> by_facility_;
+  /// Per (facility, severity): its categories by descending pattern
+  /// length, ascending id among equal lengths.
+  std::vector<std::vector<CategoryId>> by_class_;
+
+  static std::size_t class_index(Facility facility, Severity severity);
 };
 
 /// Process-wide shared taxonomy (construction is deterministic).

@@ -1,7 +1,8 @@
 // CRC-32 (IEEE 802.3, reflected polynomial 0xEDB88320) — the integrity
-// check stamped on every on-disk record and index block.  Table-driven
-// software implementation; byte-order independent, so checksums written
-// on one host verify on any other.
+// check stamped on every on-disk record and index block and on every
+// wire frame.  Slicing-by-8 software implementation (eight table
+// lookups per eight input bytes); byte-order independent, so checksums
+// written on one host verify on any other.
 #pragma once
 
 #include <cstddef>

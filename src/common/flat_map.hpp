@@ -4,11 +4,13 @@
 // hash plus a short contiguous scan, instead of the pointer chase of
 // std::unordered_map's separate chaining.  The predictor keys recent
 // counts, scoped counts and active-warning deadlines with this; those
-// maps are hit 4-6 times per served event.
+// maps are hit 4-6 times per served event.  The temporal filter keys
+// the last time of each running tuple with it, once per raw record.
 //
 // Not a general-purpose container: keys are values (no sentinel is
 // reserved — occupancy is a per-slot flag), iteration order is
-// unspecified, and pointers/references are invalidated by any insert.
+// unspecified, and pointers/references are invalidated by any insert
+// or erase.
 #pragma once
 
 #include <cstddef>
@@ -57,21 +59,48 @@ class FlatMap {
   }
 
   /// Inserts a default V when absent (like std::unordered_map::operator[]).
-  V& operator[](K key) {
-    if (slots_.empty() || (size_ + 1) * 4 > slots_.size() * 3) grow();
-    // grow() re-established the <= 3/4 load factor, so insertion cannot
-    // fill the table and the probe below terminates.
+  V& operator[](K key) { return *try_emplace(key, V{}).first; }
+
+  /// Inserts `value` when `key` is absent (like
+  /// std::unordered_map::try_emplace).  Returns the key's value and
+  /// whether it was inserted.
+  std::pair<V*, bool> try_emplace(K key, V value) {
+    if (slots_.empty() || (size_ + 1) * 4 > slots_.size() * 3) {
+      rehash(slots_.empty() ? 16 : slots_.size() * 2);
+    }
+    // rehash() re-established the <= 3/4 load factor, so insertion
+    // cannot fill the table and the probe below terminates.
     DML_DCHECK((size_ + 1) * 4 <= slots_.size() * 3);
     std::size_t i = index_of(key);
     while (slots_[i].used) {
-      if (slots_[i].key == key) return slots_[i].value;
+      if (slots_[i].key == key) return {&slots_[i].value, false};
       i = (i + 1) & mask_;
     }
     slots_[i].used = true;
     slots_[i].key = key;
-    slots_[i].value = V{};
+    slots_[i].value = std::move(value);
     ++size_;
-    return slots_[i].value;
+    return {&slots_[i].value, true};
+  }
+
+  /// Removes every entry for which `pred(key, value)` holds, then
+  /// rebuilds the table at the smallest capacity that holds the rest
+  /// (so a map that shrinks gives its memory back).  Returns the number
+  /// removed.
+  template <typename Pred>
+  std::size_t erase_if(Pred&& pred) {
+    const std::size_t before = size_;
+    for (Slot& slot : slots_) {
+      if (slot.used && pred(slot.key, std::as_const(slot.value))) {
+        slot.used = false;
+        --size_;
+      }
+    }
+    std::size_t capacity = 16;
+    while ((size_ + 1) * 4 > capacity * 3) capacity *= 2;
+    // The freed slots broke probe chains: reinsert the survivors.
+    if (!slots_.empty()) rehash(capacity);
+    return before - size_;
   }
 
   /// Removes `key` if present (returns whether it was).  Backward-shift:
@@ -124,8 +153,7 @@ class FlatMap {
     return static_cast<std::size_t>(h) & mask_;
   }
 
-  void grow() {
-    const std::size_t capacity = slots_.empty() ? 16 : slots_.size() * 2;
+  void rehash(std::size_t capacity) {
     // index_of masks with capacity - 1; anything but a power of two
     // would alias probe chains.
     DML_DCHECK((capacity & (capacity - 1)) == 0);
@@ -134,7 +162,7 @@ class FlatMap {
     mask_ = capacity - 1;
     size_ = 0;
     for (Slot& slot : old) {
-      if (slot.used) (*this)[slot.key] = std::move(slot.value);
+      if (slot.used) try_emplace(slot.key, std::move(slot.value));
     }
   }
 

@@ -58,24 +58,21 @@ std::size_t binary_serialized_size(const bgl::RasRecord& record) {
 
 void append_record_frame(std::vector<unsigned char>& out,
                          const bgl::RasRecord& record) {
-  unsigned char prefix[kFramePrefix];
-  encode_prefix(record, prefix);
-  std::uint32_t crc = common::crc32(prefix, kFramePrefix);
-  crc = common::crc32(record.entry_data.data(), record.entry_data.size(), crc);
-  unsigned char trailer[4];
-  put_u32(trailer, crc);
-  out.insert(out.end(), prefix, prefix + kFramePrefix);
-  out.insert(out.end(), record.entry_data.begin(), record.entry_data.end());
-  out.insert(out.end(), trailer, trailer + 4);
+  const std::size_t entry_len = record.entry_data.size();
+  const std::size_t start = out.size();
+  out.resize(start + kFramePrefix + entry_len + 4);
+  unsigned char* frame = out.data() + start;
+  encode_prefix(record, frame);
+  std::memcpy(frame + kFramePrefix, record.entry_data.data(), entry_len);
+  put_u32(frame + kFramePrefix + entry_len,
+          common::crc32(frame, kFramePrefix + entry_len));
 }
 
-RecordFrameStatus decode_record_frame(const unsigned char* data,
-                                      std::size_t size, bgl::RasRecord* out,
-                                      std::size_t* consumed,
-                                      std::string* reason) {
+RecordFrameStatus check_record_frame(const unsigned char* data,
+                                     std::size_t size, std::size_t* consumed,
+                                     std::string* reason) {
   const auto bad = [&](const char* why) {
     if (reason != nullptr) *reason = why;
-    *consumed = 0;
     return RecordFrameStatus::kBad;
   };
   *consumed = 0;
@@ -85,25 +82,44 @@ RecordFrameStatus decode_record_frame(const unsigned char* data,
   const std::size_t frame = kFramePrefix + entry_len + 4;
   if (size < frame) return RecordFrameStatus::kNeedMore;
 
-  std::uint32_t crc = common::crc32(data, kFramePrefix + entry_len);
+  const std::uint32_t crc = common::crc32(data, kFramePrefix + entry_len);
   if (crc != get_u32(data + kFramePrefix + entry_len)) {
     return bad("record CRC mismatch");
   }
   if (data[24] > 2) return bad("bad event type");
   if (data[25] >= bgl::kNumFacilities) return bad("bad facility");
   if (data[26] >= kNumSeverities) return bad("bad severity");
-
-  out->record_id = get_u64(data);
-  out->event_time = static_cast<TimeSec>(get_u64(data + 8));
-  out->job_id = get_u32(data + 16);
-  out->location = bgl::Location::from_packed(get_u32(data + 20));
-  out->event_type = static_cast<bgl::EventType>(data[24]);
-  out->facility = static_cast<bgl::Facility>(data[25]);
-  out->severity = static_cast<Severity>(data[26]);
-  out->entry_data.assign(reinterpret_cast<const char*>(data) + kFramePrefix,
-                         entry_len);
   *consumed = frame;
   return RecordFrameStatus::kOk;
+}
+
+std::size_t read_record_frame(const unsigned char* frame,
+                              bgl::RasRecord* out) {
+  out->record_id = get_u64(frame);
+  out->event_time = static_cast<TimeSec>(get_u64(frame + 8));
+  out->job_id = get_u32(frame + 16);
+  out->location = bgl::Location::from_packed(get_u32(frame + 20));
+  out->event_type = static_cast<bgl::EventType>(frame[24]);
+  out->facility = static_cast<bgl::Facility>(frame[25]);
+  out->severity = static_cast<Severity>(frame[26]);
+  const std::uint32_t entry_len = get_u32(frame + 28);
+  out->entry_data.assign(reinterpret_cast<const char*>(frame) + kFramePrefix,
+                         entry_len);
+  return kFramePrefix + entry_len + 4;
+}
+
+TimeSec record_frame_time(const unsigned char* frame) {
+  return static_cast<TimeSec>(get_u64(frame + 8));
+}
+
+RecordFrameStatus decode_record_frame(const unsigned char* data,
+                                      std::size_t size, bgl::RasRecord* out,
+                                      std::size_t* consumed,
+                                      std::string* reason) {
+  const RecordFrameStatus status =
+      check_record_frame(data, size, consumed, reason);
+  if (status == RecordFrameStatus::kOk) read_record_frame(data, out);
+  return status;
 }
 
 BinaryStreamSink::BinaryStreamSink(std::ostream& out, std::string_view machine)
@@ -160,8 +176,8 @@ BinaryRecordReader::BinaryRecordReader(std::istream& in, OnError on_error)
 
 std::optional<bgl::RasRecord> BinaryRecordReader::next() {
   while (!done_) {
-    unsigned char prefix[kFramePrefix];
-    in_.read(reinterpret_cast<char*>(prefix), kFramePrefix);
+    frame_.resize(kFramePrefix);
+    in_.read(reinterpret_cast<char*>(frame_.data()), kFramePrefix);
     const std::streamsize got = in_.gcount();
     if (got == 0) return std::nullopt;  // clean end of stream
 
@@ -186,48 +202,35 @@ std::optional<bgl::RasRecord> BinaryRecordReader::next() {
     const common::FailAction action =
         common::failpoint(common::failpoints::kLogioParse);
     if (action == common::FailAction::kCorrupt) {
-      prefix[0] ^= 0xFF;  // the CRC check below must now reject it
+      frame_[0] ^= 0xFF;  // the CRC check below must now reject it
     }
 
-    const std::uint32_t entry_len = get_u32(prefix + 28);
+    const std::uint32_t entry_len = get_u32(frame_.data() + 28);
     if (entry_len > kMaxEntryData) {
       return reject("entry length " + std::to_string(entry_len) +
                     " exceeds limit");
     }
+    const std::size_t rest = std::size_t{entry_len} + 4;
+    frame_.resize(kFramePrefix + rest);
+    in_.read(reinterpret_cast<char*>(frame_.data() + kFramePrefix),
+             static_cast<std::streamsize>(rest));
+    if (in_.gcount() != static_cast<std::streamsize>(rest)) {
+      return reject("truncated record body");
+    }
+    offset_ += frame_.size();
 
     bgl::RasRecord record;
-    record.entry_data.resize(entry_len);
-    in_.read(record.entry_data.data(), entry_len);
-    unsigned char trailer[4];
-    std::streamsize tail_got = 0;
-    if (in_.gcount() == static_cast<std::streamsize>(entry_len)) {
-      in_.read(reinterpret_cast<char*>(trailer), 4);
-      tail_got = in_.gcount();
+    std::size_t consumed = 0;
+    std::string reason;
+    if (decode_record_frame(frame_.data(), frame_.size(), &record, &consumed,
+                            &reason) != RecordFrameStatus::kOk) {
+      return reject(reason);
     }
-    if (tail_got != 4) return reject("truncated record body");
-    offset_ += kFramePrefix + entry_len + 4;
-
-    std::uint32_t crc = common::crc32(prefix, kFramePrefix);
-    crc = common::crc32(record.entry_data.data(), entry_len, crc);
-    if (crc != get_u32(trailer)) return reject("record CRC mismatch");
-
     if (action == common::FailAction::kDrop) {
       stats_.note_skip(static_cast<std::size_t>(ordinal),
                        "record dropped by failpoint");
       continue;  // frame fully consumed; the stream is still aligned
     }
-
-    if (prefix[24] > 2) return reject("bad event type");
-    if (prefix[25] >= bgl::kNumFacilities) return reject("bad facility");
-    if (prefix[26] >= kNumSeverities) return reject("bad severity");
-
-    record.record_id = get_u64(prefix);
-    record.event_time = static_cast<TimeSec>(get_u64(prefix + 8));
-    record.job_id = get_u32(prefix + 16);
-    record.location = bgl::Location::from_packed(get_u32(prefix + 20));
-    record.event_type = static_cast<bgl::EventType>(prefix[24]);
-    record.facility = static_cast<bgl::Facility>(prefix[25]);
-    record.severity = static_cast<Severity>(prefix[26]);
     ++stats_.parsed;
     return record;
   }

@@ -89,6 +89,8 @@ class BinaryRecordReader {
   OnError on_error_;
   std::string machine_;
   std::uint64_t offset_ = 0;  ///< stream offset of the next frame
+  /// The frame being read, checked by decode_record_frame.
+  std::vector<unsigned char> frame_;
   bool done_ = false;
   ReadStats stats_;
 };
@@ -108,13 +110,28 @@ void append_record_frame(std::vector<unsigned char>& out,
                          const bgl::RasRecord& record);
 
 enum class RecordFrameStatus {
-  kOk,        ///< *out filled, *consumed = whole frame
+  kOk,        ///< the frame is whole and valid; *consumed = its length
   kNeedMore,  ///< buffer ends mid-frame (*consumed = 0)
   kBad,       ///< CRC or field validation failed (*reason says why)
 };
 
-/// Decodes one framed record from the front of [data, data + size),
-/// with the same CRC and field validation as the stream reader.
+/// Checks the framed record at the front of [data, data + size) — its
+/// CRC and every enum field — without reading it.  The one validation
+/// of a record frame: decode_record_frame (and through it the stream
+/// reader) and the wire's INGEST_RECORDS decoders are built on it.
+RecordFrameStatus check_record_frame(const unsigned char* data,
+                                     std::size_t size, std::size_t* consumed,
+                                     std::string* reason = nullptr);
+
+/// Reads a frame that check_record_frame accepted into `*out`, reusing
+/// its ENTRY_DATA capacity.  Returns the frame's length.
+std::size_t read_record_frame(const unsigned char* frame,
+                              bgl::RasRecord* out);
+
+/// EVENT_TIME of a frame that check_record_frame accepted.
+TimeSec record_frame_time(const unsigned char* frame);
+
+/// check_record_frame, then read_record_frame on success.
 RecordFrameStatus decode_record_frame(const unsigned char* data,
                                       std::size_t size, bgl::RasRecord* out,
                                       std::size_t* consumed,

@@ -12,6 +12,7 @@
 
 #include "common/check.hpp"
 #include "common/failpoint.hpp"
+#include "logio/binary_format.hpp"
 
 namespace dml::net {
 namespace {
@@ -30,11 +31,27 @@ bool plain_path_component(std::string_view name) {
 /// of it is served.
 struct Batch {
   std::vector<bgl::Event> events;
-  std::vector<bgl::RasRecord> records;
+  /// One INGEST_RECORDS frame's record frames, already checked by
+  /// net::check_ingest_records; the pump reads them one at a time.
+  std::vector<unsigned char> record_frames;
   bool finish = false;
 };
 
 }  // namespace
+
+/// An INGEST frame the reactor has decoded (events) or checked (raw
+/// records): the work for the pump and what admission tests of it.
+struct Daemon::Ingest {
+  std::uint32_t stream_id = 0;
+  std::uint64_t seq = 0;
+  /// Events or records in the frame.
+  std::size_t count = 0;
+  TimeSec first_time = 0;
+  TimeSec last_time = 0;
+  /// Times never decrease within the frame.
+  bool ordered = true;
+  Batch batch;
+};
 
 /// One subscription: the bounded warning queue between a stream's
 /// engine callback and a subscriber connection.  The callback side
@@ -282,19 +299,39 @@ void DML_REACTOR_CONTEXT Daemon::on_frame(ReactorConnection& conn,
                    /*fatal=*/true);
         return;
       }
-      handle_ingest(conn, session, msg->stream_id, msg->seq,
-                    std::move(msg->events), {});
+      Ingest ingest;
+      ingest.stream_id = msg->stream_id;
+      ingest.seq = msg->seq;
+      ingest.count = msg->events.size();
+      if (!msg->events.empty()) {
+        ingest.first_time = msg->events.front().time;
+        ingest.last_time = ingest.first_time;
+        for (const bgl::Event& event : msg->events) {
+          if (event.time < ingest.last_time) ingest.ordered = false;
+          ingest.last_time = event.time;
+        }
+      }
+      ingest.batch.events = std::move(msg->events);
+      handle_ingest(conn, session, std::move(ingest));
       return;
     }
     case FrameType::kIngestRecords: {
-      auto msg = decode_ingest_records(payload);
+      const auto msg = check_ingest_records(payload);
       if (!msg) {
         send_error(conn, ErrorCode::kProtocol, 0, "bad INGEST_RECORDS",
                    /*fatal=*/true);
         return;
       }
-      handle_ingest(conn, session, msg->stream_id, msg->seq, {},
-                    std::move(msg->records));
+      Ingest ingest;
+      ingest.stream_id = msg->stream_id;
+      ingest.seq = msg->seq;
+      ingest.count = msg->count;
+      ingest.first_time = msg->first_time;
+      ingest.last_time = msg->last_time;
+      ingest.ordered = msg->ordered;
+      ingest.batch.record_frames.assign(msg->frames.begin(),
+                                        msg->frames.end());
+      handle_ingest(conn, session, std::move(ingest));
       return;
     }
     case FrameType::kFinishStream: {
@@ -425,9 +462,9 @@ std::shared_ptr<Daemon::Stream> Daemon::create_stream(
 
 void DML_REACTOR_CONTEXT Daemon::handle_ingest(ReactorConnection& conn,
                                                Session& session,
-                           std::uint32_t stream_id, std::uint64_t seq,
-                           std::vector<bgl::Event> events,
-                           std::vector<bgl::RasRecord> records) {
+                                               Ingest ingest) {
+  const std::uint32_t stream_id = ingest.stream_id;
+  const std::uint64_t seq = ingest.seq;
   auto it = session.ingest.find(stream_id);
   if (it == session.ingest.end()) {
     send_error(conn, ErrorCode::kUnknownStream, stream_id,
@@ -437,34 +474,13 @@ void DML_REACTOR_CONTEXT Daemon::handle_ingest(ReactorConnection& conn,
   }
   Stream& stream = *it->second;
 
-  if (!records.empty() && stream.appender != nullptr) {
+  if (!ingest.batch.record_frames.empty() && stream.appender != nullptr) {
     send_error(conn, ErrorCode::kProtocol, stream_id,
                "durable streams ingest categorized events only",
                /*fatal=*/true);
     return;
   }
-
-  // Time-order validation: the whole batch must be non-decreasing and
-  // start no earlier than everything already admitted.
-  TimeSec first = 0;
-  TimeSec last = 0;
-  bool ordered = true;
-  if (!events.empty()) {
-    first = events.front().time;
-    last = first;
-    for (const bgl::Event& event : events) {
-      if (event.time < last) ordered = false;
-      last = event.time;
-    }
-  } else if (!records.empty()) {
-    first = records.front().event_time;
-    last = first;
-    for (const bgl::RasRecord& record : records) {
-      if (record.event_time < last) ordered = false;
-      last = record.event_time;
-    }
-  }
-  const std::size_t count = events.size() + records.size();
+  const std::size_t count = ingest.count;
 
   common::MutexLock lock(stream.state_mutex);
   if (stream.finishing || stream.finished) {
@@ -495,7 +511,10 @@ void DML_REACTOR_CONTEXT Daemon::handle_ingest(ReactorConnection& conn,
     conn.send(out);
     return;
   }
-  if (count > 0 && (!ordered || first < stream.last_event_time)) {
+  // Time-order validation: the whole batch must be non-decreasing and
+  // start no earlier than everything already admitted.
+  if (count > 0 &&
+      (!ingest.ordered || ingest.first_time < stream.last_event_time)) {
     ++stream.batches_refused;
     lock.unlock();
     send_error(conn, ErrorCode::kOutOfOrder, stream_id,
@@ -503,12 +522,9 @@ void DML_REACTOR_CONTEXT Daemon::handle_ingest(ReactorConnection& conn,
     return;
   }
 
-  Batch batch;
-  batch.events = std::move(events);
-  batch.records = std::move(records);
-  stream.queue.push_back(std::move(batch));
+  stream.queue.push_back(std::move(ingest.batch));
   ++stream.expected_seq;
-  if (count > 0) stream.last_event_time = last;
+  if (count > 0) stream.last_event_time = ingest.last_time;
   stream.events_ingested += count;
   IngestAckMsg ack{stream_id, stream.expected_seq,
                    static_cast<std::uint32_t>(config_.ingest_queue_frames -
@@ -648,6 +664,8 @@ void DML_REACTOR_CONTEXT Daemon::on_disconnect(ReactorConnection& conn,
 
 void Daemon::pump_main(std::shared_ptr<Stream> stream) {
   std::string error;
+  // Every raw record is read into this one, reusing its ENTRY_DATA.
+  bgl::RasRecord record;
   try {
     while (true) {
       Batch batch;
@@ -666,7 +684,9 @@ void Daemon::pump_main(std::shared_ptr<Stream> stream) {
       // One engine crossing per wire batch: the sharded producer hands
       // each shard its whole run in one queue push.
       stream->engine->consume_batch(batch.events);
-      for (const bgl::RasRecord& record : batch.records) {
+      for (std::size_t at = 0; at < batch.record_frames.size();) {
+        at += logio::read_record_frame(batch.record_frames.data() + at,
+                                       &record);
         stream->engine->consume(record);
       }
     }

@@ -122,6 +122,7 @@ class Daemon : private ReactorHandler {
   struct Subscriber;
   struct Stream;
   struct Session;
+  struct Ingest;
 
   // ReactorHandler (reactor threads).
   void on_frame(ReactorConnection& conn, FrameType type,
@@ -141,9 +142,7 @@ class Daemon : private ReactorHandler {
   void handle_open_stream(ReactorConnection& conn, Session& session,
                           const OpenStreamMsg& msg);
   void handle_ingest(ReactorConnection& conn, Session& session,
-                     std::uint32_t stream_id, std::uint64_t seq,
-                     std::vector<bgl::Event> events,
-                     std::vector<bgl::RasRecord> records);
+                     Ingest ingest);
   void handle_finish(ReactorConnection& conn, Session& session,
                      const FinishStreamMsg& msg);
   void handle_stats(ReactorConnection& conn, const StatsMsg& msg);

@@ -17,20 +17,46 @@ std::uint32_t get_u32(const unsigned char* in) {
          static_cast<std::uint32_t>(in[3]) << 24;
 }
 
-/// Frame-sized common header of every INGEST_* payload.
+/// Bytes of the common header of every INGEST_* payload: stream id,
+/// sequence number and item count.
+constexpr std::size_t kIngestHeader = 16;
+
+/// Starts a frame of `type` in `out`: a length prefix that end_frame
+/// fills in, then the type byte.  Returns the type byte's offset, where
+/// the frame CRC begins; the payload is appended straight after it.
+std::size_t begin_frame(std::vector<unsigned char>& out, FrameType type) {
+  put_u32(out, 0);
+  out.push_back(static_cast<unsigned char>(type));
+  return out.size() - 1;
+}
+
+/// Completes the frame begun at `type_at`: its length prefix and the
+/// CRC over its type byte and payload.
+void end_frame(std::vector<unsigned char>& out, std::size_t type_at) {
+  const std::size_t payload = out.size() - type_at - 1;
+  DML_CHECK_MSG(payload <= kMaxFramePayload,
+                "frame payload exceeds protocol limit");
+  const auto length = static_cast<std::uint32_t>(payload);
+  for (int i = 0; i < 4; ++i) {
+    out[type_at - 4 + i] = static_cast<unsigned char>(length >> (8 * i));
+  }
+  put_u32(out, common::crc32(out.data() + type_at, payload + 1));
+}
+
+/// Reserves room for `bytes` more, keeping the vector's geometric
+/// growth when one buffer collects many frames.
+void reserve_more(std::vector<unsigned char>& out, std::size_t bytes) {
+  if (out.capacity() - out.size() < bytes) {
+    out.reserve(std::max(out.size() + bytes, 2 * out.capacity()));
+  }
+}
+
 void put_ingest_header(std::vector<unsigned char>& out,
                        std::uint32_t stream_id, std::uint64_t seq,
                        std::uint32_t count) {
   put_u32(out, stream_id);
   put_u64(out, seq);
   put_u32(out, count);
-}
-
-/// Emits the frame bytes for a payload already staged in `scratch`.
-void finish_frame(std::vector<unsigned char>& out, FrameType type,
-                  const std::vector<unsigned char>& scratch) {
-  append_frame(out, type,
-               std::span<const unsigned char>(scratch.data(), scratch.size()));
 }
 
 void put_stream_stats(std::vector<unsigned char>& out,
@@ -164,14 +190,9 @@ const unsigned char* ByteReader::raw(std::size_t n) {
 
 void append_frame(std::vector<unsigned char>& out, FrameType type,
                   std::span<const unsigned char> payload) {
-  DML_CHECK_MSG(payload.size() <= kMaxFramePayload,
-                "frame payload exceeds protocol limit");
-  put_u32(out, static_cast<std::uint32_t>(payload.size()));
-  out.push_back(static_cast<unsigned char>(type));
+  const std::size_t type_at = begin_frame(out, type);
   out.insert(out.end(), payload.begin(), payload.end());
-  std::uint32_t crc = common::crc32(&out[out.size() - payload.size() - 1],
-                                    payload.size() + 1);
-  put_u32(out, crc);
+  end_frame(out, type_at);
 }
 
 DecodedFrame decode_frame(const unsigned char* data, std::size_t size) {
@@ -209,15 +230,15 @@ DecodedFrame decode_frame(const unsigned char* data, std::size_t size) {
 // ---- HELLO / HELLO_ACK --------------------------------------------------
 
 void append_hello(std::vector<unsigned char>& out, const HelloMsg& msg) {
-  std::vector<unsigned char> payload;
-  put_u32(payload, msg.version);
-  finish_frame(out, FrameType::kHello, payload);
+  const std::size_t type_at = begin_frame(out, FrameType::kHello);
+  put_u32(out, msg.version);
+  end_frame(out, type_at);
 }
 
 void append_hello_ack(std::vector<unsigned char>& out, const HelloMsg& msg) {
-  std::vector<unsigned char> payload;
-  put_u32(payload, msg.version);
-  finish_frame(out, FrameType::kHelloAck, payload);
+  const std::size_t type_at = begin_frame(out, FrameType::kHelloAck);
+  put_u32(out, msg.version);
+  end_frame(out, type_at);
 }
 
 std::optional<HelloMsg> decode_hello(std::span<const unsigned char> payload) {
@@ -232,11 +253,11 @@ std::optional<HelloMsg> decode_hello(std::span<const unsigned char> payload) {
 
 void append_open_stream(std::vector<unsigned char>& out,
                         const OpenStreamMsg& msg) {
-  std::vector<unsigned char> payload;
-  payload.push_back(msg.flags);
-  put_u32(payload, static_cast<std::uint32_t>(msg.name.size()));
-  payload.insert(payload.end(), msg.name.begin(), msg.name.end());
-  finish_frame(out, FrameType::kOpenStream, payload);
+  const std::size_t type_at = begin_frame(out, FrameType::kOpenStream);
+  out.push_back(msg.flags);
+  put_u32(out, static_cast<std::uint32_t>(msg.name.size()));
+  out.insert(out.end(), msg.name.begin(), msg.name.end());
+  end_frame(out, type_at);
 }
 
 std::optional<OpenStreamMsg> decode_open_stream(
@@ -256,10 +277,10 @@ std::optional<OpenStreamMsg> decode_open_stream(
 
 void append_stream_opened(std::vector<unsigned char>& out,
                           const StreamOpenedMsg& msg) {
-  std::vector<unsigned char> payload;
-  put_u32(payload, msg.stream_id);
-  put_u64(payload, msg.next_seq);
-  finish_frame(out, FrameType::kStreamOpened, payload);
+  const std::size_t type_at = begin_frame(out, FrameType::kStreamOpened);
+  put_u32(out, msg.stream_id);
+  put_u64(out, msg.next_seq);
+  end_frame(out, type_at);
 }
 
 std::optional<StreamOpenedMsg> decode_stream_opened(
@@ -277,16 +298,18 @@ std::optional<StreamOpenedMsg> decode_stream_opened(
 void append_ingest_events(std::vector<unsigned char>& out,
                           std::uint32_t stream_id, std::uint64_t seq,
                           std::span<const bgl::Event> events) {
-  std::vector<unsigned char> payload;
-  payload.reserve(16 + events.size() * storage::kEventRecordSize);
-  put_ingest_header(payload, stream_id, seq,
+  reserve_more(out, kFrameOverhead + kIngestHeader +
+                        events.size() * storage::kEventRecordSize);
+  const std::size_t type_at = begin_frame(out, FrameType::kIngestEvents);
+  put_ingest_header(out, stream_id, seq,
                     static_cast<std::uint32_t>(events.size()));
-  unsigned char record[storage::kEventRecordSize];
+  std::size_t at = out.size();
+  out.resize(at + events.size() * storage::kEventRecordSize);
   for (const bgl::Event& event : events) {
-    storage::encode_event(event, record);
-    payload.insert(payload.end(), record, record + storage::kEventRecordSize);
+    storage::encode_event(event, out.data() + at);
+    at += storage::kEventRecordSize;
   }
-  finish_frame(out, FrameType::kIngestEvents, payload);
+  end_frame(out, type_at);
 }
 
 std::optional<IngestEventsMsg> decode_ingest_events(
@@ -316,39 +339,65 @@ std::optional<IngestEventsMsg> decode_ingest_events(
 void append_ingest_records(std::vector<unsigned char>& out,
                            std::uint32_t stream_id, std::uint64_t seq,
                            std::span<const bgl::RasRecord> records) {
-  std::vector<unsigned char> payload;
-  put_ingest_header(payload, stream_id, seq,
+  std::size_t payload = kIngestHeader;
+  for (const bgl::RasRecord& record : records) {
+    payload += logio::binary_serialized_size(record);
+  }
+  reserve_more(out, kFrameOverhead + payload);
+  const std::size_t type_at = begin_frame(out, FrameType::kIngestRecords);
+  put_ingest_header(out, stream_id, seq,
                     static_cast<std::uint32_t>(records.size()));
   for (const bgl::RasRecord& record : records) {
-    logio::append_record_frame(payload, record);
+    logio::append_record_frame(out, record);
   }
-  finish_frame(out, FrameType::kIngestRecords, payload);
+  end_frame(out, type_at);
+}
+
+std::optional<CheckedIngestRecords> check_ingest_records(
+    std::span<const unsigned char> payload) {
+  ByteReader reader(payload);
+  CheckedIngestRecords msg;
+  msg.stream_id = reader.u32();
+  msg.seq = reader.u64();
+  msg.count = reader.u32();
+  if (!reader.ok()) return std::nullopt;
+  msg.frames = payload.subspan(kIngestHeader);
+  const unsigned char* cursor = msg.frames.data();
+  std::size_t left = msg.frames.size();
+  for (std::uint32_t i = 0; i < msg.count; ++i) {
+    std::size_t consumed = 0;
+    if (logio::check_record_frame(cursor, left, &consumed) !=
+        logio::RecordFrameStatus::kOk) {
+      return std::nullopt;
+    }
+    const TimeSec time = logio::record_frame_time(cursor);
+    if (i == 0) {
+      msg.first_time = time;
+    } else if (time < msg.last_time) {
+      msg.ordered = false;
+    }
+    msg.last_time = time;
+    cursor += consumed;
+    left -= consumed;
+  }
+  if (left != 0) return std::nullopt;
+  return msg;
 }
 
 std::optional<IngestRecordsMsg> decode_ingest_records(
     std::span<const unsigned char> payload) {
-  ByteReader reader(payload);
+  const auto checked = check_ingest_records(payload);
+  if (!checked) return std::nullopt;
   IngestRecordsMsg msg;
-  msg.stream_id = reader.u32();
-  msg.seq = reader.u64();
-  const std::uint32_t count = reader.u32();
-  if (!reader.ok()) return std::nullopt;
-  msg.records.reserve(count);
-  const unsigned char* cursor = payload.data() + (payload.size() -
-                                                  reader.remaining());
-  std::size_t left = reader.remaining();
-  for (std::uint32_t i = 0; i < count; ++i) {
-    bgl::RasRecord record;
-    std::size_t consumed = 0;
-    if (logio::decode_record_frame(cursor, left, &record, &consumed) !=
-        logio::RecordFrameStatus::kOk) {
-      return std::nullopt;
-    }
-    cursor += consumed;
-    left -= consumed;
-    msg.records.push_back(std::move(record));
+  msg.stream_id = checked->stream_id;
+  msg.seq = checked->seq;
+  // Sized only now: check_ingest_records found `count` whole frames.
+  msg.records.resize(checked->count);
+  std::size_t offset = 0;
+  for (bgl::RasRecord& record : msg.records) {
+    offset += logio::read_record_frame(checked->frames.data() + offset,
+                                       &record);
   }
-  if (left != 0) return std::nullopt;
   return msg;
 }
 
@@ -356,11 +405,11 @@ std::optional<IngestRecordsMsg> decode_ingest_records(
 
 void append_ingest_ack(std::vector<unsigned char>& out,
                        const IngestAckMsg& msg) {
-  std::vector<unsigned char> payload;
-  put_u32(payload, msg.stream_id);
-  put_u64(payload, msg.next_seq);
-  put_u32(payload, msg.queue_free);
-  finish_frame(out, FrameType::kIngestAck, payload);
+  const std::size_t type_at = begin_frame(out, FrameType::kIngestAck);
+  put_u32(out, msg.stream_id);
+  put_u64(out, msg.next_seq);
+  put_u32(out, msg.queue_free);
+  end_frame(out, type_at);
 }
 
 std::optional<IngestAckMsg> decode_ingest_ack(
@@ -376,11 +425,11 @@ std::optional<IngestAckMsg> decode_ingest_ack(
 
 void append_retry_after(std::vector<unsigned char>& out,
                         const RetryAfterMsg& msg) {
-  std::vector<unsigned char> payload;
-  put_u32(payload, msg.stream_id);
-  put_u64(payload, msg.expected_seq);
-  put_u32(payload, msg.retry_ms);
-  finish_frame(out, FrameType::kRetryAfter, payload);
+  const std::size_t type_at = begin_frame(out, FrameType::kRetryAfter);
+  put_u32(out, msg.stream_id);
+  put_u64(out, msg.expected_seq);
+  put_u32(out, msg.retry_ms);
+  end_frame(out, type_at);
 }
 
 std::optional<RetryAfterMsg> decode_retry_after(
@@ -403,19 +452,19 @@ constexpr std::uint8_t kWarnHasLocation = 2;
 
 void append_warning(std::vector<unsigned char>& out, const WarningMsg& msg) {
   const predict::Warning& w = msg.warning;
-  std::vector<unsigned char> payload;
-  put_u32(payload, msg.stream_id);
-  put_i64(payload, w.issued_at);
-  put_i64(payload, w.deadline);
+  const std::size_t type_at = begin_frame(out, FrameType::kWarning);
+  put_u32(out, msg.stream_id);
+  put_i64(out, w.issued_at);
+  put_i64(out, w.deadline);
   std::uint8_t flags = 0;
   if (w.category.has_value()) flags |= kWarnHasCategory;
   if (w.location.has_value()) flags |= kWarnHasLocation;
-  payload.push_back(flags);
-  put_u32(payload, w.category.has_value() ? *w.category : 0);
-  put_u32(payload, w.location.has_value() ? w.location->packed() : 0);
-  put_u64(payload, w.rule_id);
-  payload.push_back(static_cast<unsigned char>(w.source));
-  finish_frame(out, FrameType::kWarning, payload);
+  out.push_back(flags);
+  put_u32(out, w.category.has_value() ? *w.category : 0);
+  put_u32(out, w.location.has_value() ? w.location->packed() : 0);
+  put_u64(out, w.rule_id);
+  out.push_back(static_cast<unsigned char>(w.source));
+  end_frame(out, type_at);
 }
 
 std::optional<WarningMsg> decode_warning(
@@ -455,10 +504,10 @@ std::optional<WarningMsg> decode_warning(
 
 void append_finish_stream(std::vector<unsigned char>& out,
                           const FinishStreamMsg& msg) {
-  std::vector<unsigned char> payload;
-  put_u32(payload, msg.stream_id);
-  put_u64(payload, msg.seq);
-  finish_frame(out, FrameType::kFinishStream, payload);
+  const std::size_t type_at = begin_frame(out, FrameType::kFinishStream);
+  put_u32(out, msg.stream_id);
+  put_u64(out, msg.seq);
+  end_frame(out, type_at);
 }
 
 std::optional<FinishStreamMsg> decode_finish_stream(
@@ -473,16 +522,16 @@ std::optional<FinishStreamMsg> decode_finish_stream(
 
 void append_finished(std::vector<unsigned char>& out,
                      const StreamStatsMsg& msg) {
-  std::vector<unsigned char> payload;
-  put_stream_stats(payload, msg);
-  finish_frame(out, FrameType::kFinished, payload);
+  const std::size_t type_at = begin_frame(out, FrameType::kFinished);
+  put_stream_stats(out, msg);
+  end_frame(out, type_at);
 }
 
 void append_stats_reply(std::vector<unsigned char>& out,
                         const StreamStatsMsg& msg) {
-  std::vector<unsigned char> payload;
-  put_stream_stats(payload, msg);
-  finish_frame(out, FrameType::kStatsReply, payload);
+  const std::size_t type_at = begin_frame(out, FrameType::kStatsReply);
+  put_stream_stats(out, msg);
+  end_frame(out, type_at);
 }
 
 std::optional<StreamStatsMsg> decode_stream_stats(
@@ -504,9 +553,9 @@ std::optional<StreamStatsMsg> decode_stream_stats(
 }
 
 void append_stats(std::vector<unsigned char>& out, const StatsMsg& msg) {
-  std::vector<unsigned char> payload;
-  put_u32(payload, msg.stream_id);
-  finish_frame(out, FrameType::kStats, payload);
+  const std::size_t type_at = begin_frame(out, FrameType::kStats);
+  put_u32(out, msg.stream_id);
+  end_frame(out, type_at);
 }
 
 std::optional<StatsMsg> decode_stats(std::span<const unsigned char> payload) {
@@ -520,12 +569,12 @@ std::optional<StatsMsg> decode_stats(std::span<const unsigned char> payload) {
 // ---- ERROR / BYE ---------------------------------------------------------
 
 void append_error(std::vector<unsigned char>& out, const ErrorMsg& msg) {
-  std::vector<unsigned char> payload;
-  put_u16(payload, static_cast<std::uint16_t>(msg.code));
-  put_u32(payload, msg.stream_id);
-  put_u32(payload, static_cast<std::uint32_t>(msg.message.size()));
-  payload.insert(payload.end(), msg.message.begin(), msg.message.end());
-  finish_frame(out, FrameType::kError, payload);
+  const std::size_t type_at = begin_frame(out, FrameType::kError);
+  put_u16(out, static_cast<std::uint16_t>(msg.code));
+  put_u32(out, msg.stream_id);
+  put_u32(out, static_cast<std::uint32_t>(msg.message.size()));
+  out.insert(out.end(), msg.message.begin(), msg.message.end());
+  end_frame(out, type_at);
 }
 
 std::optional<ErrorMsg> decode_error(std::span<const unsigned char> payload) {

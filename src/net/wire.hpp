@@ -199,6 +199,26 @@ struct IngestRecordsMsg {
 void append_ingest_records(std::vector<unsigned char>& out,
                            std::uint32_t stream_id, std::uint64_t seq,
                            std::span<const bgl::RasRecord> records);
+
+/// An INGEST_RECORDS payload whose `count` record frames each passed
+/// logio::check_record_frame, and nothing follows them.  The records
+/// stay bytes: logio::read_record_frame reads them when needed.
+struct CheckedIngestRecords {
+  std::uint32_t stream_id = 0;
+  std::uint64_t seq = 0;
+  std::uint32_t count = 0;
+  /// The record frames: a view into the checked payload.
+  std::span<const unsigned char> frames;
+  /// Event times of the first and last record (0 when count is 0).
+  TimeSec first_time = 0;
+  TimeSec last_time = 0;
+  /// No record's time is below its predecessor's.
+  bool ordered = true;
+};
+/// Validates exactly what decode_ingest_records does, reading no record.
+std::optional<CheckedIngestRecords> check_ingest_records(
+    std::span<const unsigned char> payload);
+/// check_ingest_records, then every record read out.
 std::optional<IngestRecordsMsg> decode_ingest_records(
     std::span<const unsigned char> payload);
 

@@ -2,24 +2,20 @@
 
 namespace dml::preprocess {
 
-std::optional<CategorizedRecord> Categorizer::categorize(
+const bgl::EventCategory* Categorizer::classify(
     const bgl::RasRecord& record) {
   const auto category = taxonomy_->classify(record.facility, record.severity,
                                             record.entry_data);
   if (!category) {
     ++stats_.unclassified;
-    return std::nullopt;
+    return nullptr;
   }
   ++stats_.classified;
-  const auto& cat = taxonomy_->category(*category);
+  const bgl::EventCategory& cat = taxonomy_->category(*category);
   if (record.is_fatal_severity() && !cat.fatal) {
     ++stats_.demoted_nominal_fatal;
   }
-  CategorizedRecord out;
-  out.record = record;
-  out.category = *category;
-  out.fatal = cat.fatal;
-  return out;
+  return &cat;
 }
 
 }  // namespace dml::preprocess

@@ -1,29 +1,34 @@
 #include "preprocess/spatial_filter.hpp"
 
 #include <functional>
+#include <string>
 
 namespace dml::preprocess {
 
-std::optional<CategorizedRecord> SpatialFilter::push(
-    const CategorizedRecord& record) {
+bool SpatialFilter::admit(const bgl::RasRecord& record) {
   if (threshold_ <= 0) {
     ++passed_;
-    return record;
+    return true;
   }
-  const Key key{std::hash<std::string>{}(record.record.entry_data),
-                record.record.job_id};
-  const TimeSec t = record.record.event_time;
+  const TimeSec t = record.event_time;
+  window_.observe(t);
+  const Key key{std::hash<std::string>{}(record.entry_data), record.job_id};
   auto [it, inserted] = last_seen_.try_emplace(key, t);
   if (!inserted) {
-    if (t - it->second <= threshold_) {
-      it->second = t;
-      ++merged_;
-      return std::nullopt;
-    }
+    const bool extends = window_.extends(it->second, t);
     it->second = t;
+    if (extends) {
+      ++merged_;
+      return false;
+    }
+  } else if (window_.due(last_seen_.size())) {
+    std::erase_if(last_seen_, [&](const auto& entry) {
+      return window_.stale(entry.second);
+    });
+    window_.swept(last_seen_.size());
   }
   ++passed_;
-  return record;
+  return true;
 }
 
 }  // namespace dml::preprocess

@@ -5,25 +5,30 @@
 #pragma once
 
 #include <cstdint>
-#include <optional>
-#include <string>
 #include <unordered_map>
 
+#include "bgl/record.hpp"
 #include "common/types.hpp"
-#include "preprocess/categorizer.hpp"
+#include "preprocess/tuple_window.hpp"
 
 namespace dml::preprocess {
 
 class SpatialFilter {
  public:
   /// threshold <= 0 disables compression.
-  explicit SpatialFilter(DurationSec threshold) : threshold_(threshold) {}
+  explicit SpatialFilter(DurationSec threshold)
+      : threshold_(threshold), window_(threshold) {}
 
-  std::optional<CategorizedRecord> push(const CategorizedRecord& record);
+  /// True if the record starts a new tuple of its (entry data, job);
+  /// false if it extends the running one.  Exact for input in time
+  /// order or out of order by at most one threshold (tuple_window.hpp).
+  bool admit(const bgl::RasRecord& record);
 
   std::uint64_t passed() const { return passed_; }
   std::uint64_t merged() const { return merged_; }
   DurationSec threshold() const { return threshold_; }
+  /// Keys remembered now (bounded by the forgetting rule).
+  std::size_t keys() const { return last_seen_.size(); }
 
  private:
   struct Key {
@@ -41,6 +46,7 @@ class SpatialFilter {
   };
 
   DurationSec threshold_;
+  TupleWindow window_;
   std::unordered_map<Key, TimeSec, KeyHash> last_seen_;
   std::uint64_t passed_ = 0;
   std::uint64_t merged_ = 0;

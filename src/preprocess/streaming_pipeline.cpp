@@ -21,27 +21,22 @@ std::optional<bgl::Event> StreamingPipeline::push(
     default:
       break;
   }
-  auto categorized = categorizer_.categorize(record);
-  if (!categorized) {
+  const bgl::EventCategory* category = categorizer_.classify(record);
+  if (category == nullptr) {
     ++stats_.unclassified;
     return std::nullopt;
   }
-  auto after_temporal = temporal_.push(*categorized);
-  if (!after_temporal) return std::nullopt;
+  if (!temporal_.admit(record, category->id)) return std::nullopt;
   ++stats_.after_temporal;
-  auto survivor = spatial_.push(*after_temporal);
-  if (!survivor) return std::nullopt;
+  if (!spatial_.admit(record)) return std::nullopt;
 
   ++stats_.unique_events;
-  ++stats_.unique_per_facility[static_cast<std::size_t>(
-      survivor->record.facility)];
-  bgl::Event event;
-  event.time = survivor->record.event_time;
-  event.category = survivor->category;
-  event.job_id = survivor->record.job_id;
-  event.location = survivor->record.location;
-  event.fatal = survivor->fatal;
-  return event;
+  ++stats_.unique_per_facility[static_cast<std::size_t>(record.facility)];
+  return bgl::Event{.time = record.event_time,
+                    .category = category->id,
+                    .job_id = record.job_id,
+                    .location = record.location,
+                    .fatal = category->fatal};
 }
 
 }  // namespace dml::preprocess

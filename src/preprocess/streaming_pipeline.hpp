@@ -4,7 +4,8 @@
 // the chain; the batch pipeline (preprocess::PreprocessPipeline), the
 // serving front-end (online::ShardedEngine) and the ingest path
 // (`dmlfp ingest`) all consume it rather than re-inlining the three
-// stages.
+// stages.  Memory stays bounded on an endless stream: each filter
+// forgets keys more than two thresholds old.
 #pragma once
 
 #include <array>
@@ -29,6 +30,9 @@ struct PipelineStats {
   /// Unique events per facility (one Table 4 column).
   std::array<std::uint64_t, bgl::kNumFacilities> unique_per_facility{};
 
+  friend bool operator==(const PipelineStats&,
+                         const PipelineStats&) = default;
+
   double compression_rate() const {
     if (raw_records == 0) return 0.0;
     return 1.0 - static_cast<double>(unique_events) /
@@ -43,9 +47,16 @@ class StreamingPipeline {
   explicit StreamingPipeline(DurationSec threshold,
                              const bgl::Taxonomy& taxonomy = bgl::taxonomy());
 
-  /// Feeds one raw record through the chain.  Returns the surviving
-  /// unique event, or nullopt when the record is unclassified or
-  /// swallowed by a filter.  Records must arrive in time order.
+  /// Feeds one raw record through the chain: classifies it once, then
+  /// asks each filter to admit it, copying nothing.  Returns the
+  /// surviving unique event, or nullopt when the record is unclassified
+  /// or swallowed by a filter.
+  ///
+  /// Records must arrive in time order (the daemon refuses a frame whose
+  /// times regress).  Input out of order by at most one threshold still
+  /// gives exactly the events an unbounded filter would; beyond that,
+  /// a key the filters have forgotten (tuple_window.hpp) may start a
+  /// new tuple where an unbounded filter would have merged.
   std::optional<bgl::Event> push(const bgl::RasRecord& record);
 
   const PipelineStats& stats() const { return stats_; }

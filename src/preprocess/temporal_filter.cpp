@@ -1,33 +1,40 @@
 #include "preprocess/temporal_filter.hpp"
 
 namespace dml::preprocess {
+namespace {
 
-TemporalFilter::Key TemporalFilter::make_key(const CategorizedRecord& r) {
-  // location (32) | job (hashed into 16) | category (16)
-  const std::uint64_t loc = r.record.location.packed();
-  const std::uint64_t job = r.record.job_id * 0x9E37ULL;
-  return Key{(loc << 32) ^ (job << 16) ^ r.category};
+std::uint64_t key_of(const bgl::RasRecord& record, CategoryId category) {
+  const std::uint64_t loc = record.location.packed();
+  const std::uint64_t job = record.job_id * 0x9E37ULL;
+  return (loc << 32) ^ (job << 16) ^ category;
 }
 
-std::optional<CategorizedRecord> TemporalFilter::push(
-    const CategorizedRecord& record) {
+}  // namespace
+
+bool TemporalFilter::admit(const bgl::RasRecord& record,
+                           CategoryId category) {
   if (threshold_ <= 0) {
     ++passed_;
-    return record;
+    return true;
   }
-  const Key key = make_key(record);
-  const TimeSec t = record.record.event_time;
-  auto [it, inserted] = last_seen_.try_emplace(key, t);
+  const TimeSec t = record.event_time;
+  window_.observe(t);
+  const auto [last, inserted] =
+      last_seen_.try_emplace(key_of(record, category), t);
   if (!inserted) {
-    if (t - it->second <= threshold_) {
-      it->second = t;  // gap-based: the tuple window slides forward
+    const bool extends = window_.extends(*last, t);
+    *last = t;  // gap-based: the tuple window slides forward
+    if (extends) {
       ++merged_;
-      return std::nullopt;
+      return false;
     }
-    it->second = t;
+  } else if (window_.due(last_seen_.size())) {
+    last_seen_.erase_if(
+        [&](std::uint64_t, TimeSec seen) { return window_.stale(seen); });
+    window_.swept(last_seen_.size());
   }
   ++passed_;
-  return record;
+  return true;
 }
 
 }  // namespace dml::preprocess

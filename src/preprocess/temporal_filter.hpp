@@ -10,46 +10,38 @@
 #pragma once
 
 #include <cstdint>
-#include <optional>
-#include <unordered_map>
 
+#include "bgl/record.hpp"
+#include "common/flat_map.hpp"
 #include "common/types.hpp"
-#include "preprocess/categorizer.hpp"
+#include "preprocess/tuple_window.hpp"
 
 namespace dml::preprocess {
 
 class TemporalFilter {
  public:
   /// threshold <= 0 disables compression (every record passes).
-  explicit TemporalFilter(DurationSec threshold) : threshold_(threshold) {}
+  explicit TemporalFilter(DurationSec threshold)
+      : threshold_(threshold), window_(threshold) {}
 
-  /// Returns the record if it starts a new tuple, nullopt if it is a
-  /// duplicate of the running tuple.  Records must arrive in
-  /// non-decreasing time order per key.
-  std::optional<CategorizedRecord> push(const CategorizedRecord& record);
+  /// True if the record, classified as `category`, starts a new tuple;
+  /// false if it extends the running tuple of its key.  Exact for input
+  /// in time order or out of order by at most one threshold
+  /// (tuple_window.hpp).
+  bool admit(const bgl::RasRecord& record, CategoryId category);
 
   std::uint64_t passed() const { return passed_; }
   std::uint64_t merged() const { return merged_; }
   DurationSec threshold() const { return threshold_; }
+  /// Keys remembered now (bounded by the forgetting rule).
+  std::size_t keys() const { return last_seen_.size(); }
 
  private:
-  struct Key {
-    std::uint64_t bits;
-    friend bool operator==(const Key&, const Key&) = default;
-  };
-  struct KeyHash {
-    std::size_t operator()(const Key& k) const {
-      std::uint64_t z = k.bits + 0x9e3779b97f4a7c15ULL;
-      z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
-      z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
-      return static_cast<std::size_t>(z ^ (z >> 31));
-    }
-  };
-
-  static Key make_key(const CategorizedRecord& record);
-
   DurationSec threshold_;
-  std::unordered_map<Key, TimeSec, KeyHash> last_seen_;
+  TupleWindow window_;
+  /// location (32) | job (hashed into 16) | category (16) -> time of
+  /// the key's last record.
+  common::FlatMap<std::uint64_t, TimeSec> last_seen_;
   std::uint64_t passed_ = 0;
   std::uint64_t merged_ = 0;
 };

@@ -90,7 +90,7 @@ TEST(FlatMap, FuzzMatchesUnorderedMap) {
   // Small key universe keeps collisions and erase-reinsert cycles hot.
   for (int step = 0; step < 60000; ++step) {
     const std::uint64_t key = rng.uniform_index(512) << 32 | 7;
-    switch (rng.uniform_index(3)) {
+    switch (rng.uniform_index(5)) {
       case 0: {
         const auto value =
             static_cast<std::uint32_t>(rng.uniform_index(1u << 20));
@@ -100,6 +100,27 @@ TEST(FlatMap, FuzzMatchesUnorderedMap) {
       }
       case 1: {
         EXPECT_EQ(map.erase(key), oracle.erase(key) > 0);
+        break;
+      }
+      case 2: {
+        const auto value =
+            static_cast<std::uint32_t>(rng.uniform_index(1u << 20));
+        const auto [got, inserted] = map.try_emplace(key, value);
+        const auto [it, oracle_inserted] = oracle.try_emplace(key, value);
+        EXPECT_EQ(inserted, oracle_inserted);
+        EXPECT_EQ(*got, it->second);
+        break;
+      }
+      case 3: {
+        // Rare bulk sweeps: drop every value below a random cut.
+        if (rng.uniform_index(64) != 0) break;
+        const auto cut =
+            static_cast<std::uint32_t>(rng.uniform_index(1u << 20));
+        const auto erased = map.erase_if(
+            [&](std::uint64_t, std::uint32_t value) { return value < cut; });
+        EXPECT_EQ(erased, std::erase_if(oracle, [&](const auto& entry) {
+                    return entry.second < cut;
+                  }));
         break;
       }
       default: {

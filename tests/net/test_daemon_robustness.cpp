@@ -4,19 +4,26 @@
 // predictor state intact for reconnect-with-resume; and protocol
 // violations (busy stream, raw records into a durable stream, a durable
 // stream name that is not one plain path component or already holds a
-// repository, event time regression) surface as typed ERROR frames, not
-// as corrupted engine state or a dead daemon.
+// repository, event time regression, a records frame the reactor's
+// check refuses) surface as typed ERROR frames, not as corrupted engine
+// state or a dead daemon.
+#include <poll.h>
+#include <sys/socket.h>
+
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <filesystem>
+#include <functional>
 #include <memory>
+#include <optional>
 #include <span>
 #include <string>
 #include <vector>
 
 #include "loggen/generator.hpp"
 #include "net/client.hpp"
+#include "net/socket.hpp"
 #include "online/sharded_engine.hpp"
 #include "storage/disk_repository.hpp"
 #include "support/socket_fixture.hpp"
@@ -291,6 +298,144 @@ TEST(DaemonRobustnessTest, EventTimeRegressionIsRefusedAsOutOfOrder) {
     ASSERT_TRUE(e.code().has_value());
     EXPECT_EQ(*e.code(), ErrorCode::kOutOfOrder);
   }
+}
+
+/// A bare protocol connection, for frames the Client will not build.
+class RawConnection {
+ public:
+  explicit RawConnection(std::uint16_t port)
+      : fd_(connect_tcp("127.0.0.1", port)) {}
+
+  void send(const std::vector<unsigned char>& bytes) {
+    std::size_t sent = 0;
+    while (sent < bytes.size()) {
+      const ssize_t n = ::send(fd_.get(), bytes.data() + sent,
+                               bytes.size() - sent, MSG_NOSIGNAL);
+      ASSERT_GT(n, 0) << "send failed";
+      sent += static_cast<std::size_t>(n);
+    }
+  }
+
+  /// The daemon's next frame; nullopt once it closes the connection.
+  std::optional<std::pair<FrameType, std::vector<unsigned char>>> next() {
+    while (true) {
+      const DecodedFrame frame = decode_frame(buffer_.data(), buffer_.size());
+      if (frame.status == DecodeStatus::kFrame) {
+        std::pair<FrameType, std::vector<unsigned char>> result{
+            frame.type, {frame.payload.begin(), frame.payload.end()}};
+        buffer_.erase(buffer_.begin(),
+                      buffer_.begin() +
+                          static_cast<std::ptrdiff_t>(frame.consumed));
+        return result;
+      }
+      EXPECT_EQ(frame.status, DecodeStatus::kNeedMore) << frame.error;
+      pollfd pfd{fd_.get(), POLLIN, 0};
+      if (::poll(&pfd, 1, 10000) <= 0) {
+        ADD_FAILURE() << "no reply from the daemon within 10 s";
+        return std::nullopt;
+      }
+      unsigned char chunk[4096];
+      const ssize_t n = ::recv(fd_.get(), chunk, sizeof chunk, 0);
+      if (n <= 0) return std::nullopt;
+      buffer_.insert(buffer_.end(), chunk, chunk + n);
+    }
+  }
+
+  /// Sends `frame` and returns the type of the daemon's reply.
+  std::optional<FrameType> exchange(const std::vector<unsigned char>& frame) {
+    send(frame);
+    const auto reply = next();
+    if (!reply) return std::nullopt;
+    last_payload_ = reply->second;
+    return reply->first;
+  }
+
+  const std::vector<unsigned char>& last_payload() const {
+    return last_payload_;
+  }
+
+ private:
+  FdHandle fd_;
+  std::vector<unsigned char> buffer_;
+  std::vector<unsigned char> last_payload_;
+};
+
+std::vector<bgl::RasRecord> raw_records(std::size_t n, TimeSec first = 1000) {
+  std::vector<bgl::RasRecord> records(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    records[i].record_id = i;
+    records[i].event_time = first + static_cast<TimeSec>(i);
+    records[i].location = bgl::Location::midplane_scope(0, 0);
+    records[i].entry_data = "raw record " + std::to_string(i);
+  }
+  return records;
+}
+
+/// Opens an ingest stream on a raw connection, admits one valid frame
+/// of `admitted` records, then sends `bad` (a payload for seq 1): the
+/// reply must be a fatal kProtocol ERROR with the stream's admitted
+/// count untouched, and a second connection must still be served.
+void expect_refused_records_frame(
+    const std::function<std::vector<unsigned char>(std::uint32_t)>& bad) {
+  testing::DaemonFixture fixture(testing::daemon_test_config());
+  RawConnection raw(fixture.port());
+  std::vector<unsigned char> frame;
+  append_hello(frame, HelloMsg{});
+  ASSERT_EQ(raw.exchange(frame), FrameType::kHelloAck);
+  frame.clear();
+  append_open_stream(frame, OpenStreamMsg{kOpenIngest, "raw"});
+  ASSERT_EQ(raw.exchange(frame), FrameType::kStreamOpened);
+  const auto opened = decode_stream_opened(raw.last_payload());
+  ASSERT_TRUE(opened.has_value());
+  const std::uint32_t stream_id = opened->stream_id;
+
+  const auto admitted = raw_records(16);
+  frame.clear();
+  append_ingest_records(frame, stream_id, 0, admitted);
+  ASSERT_EQ(raw.exchange(frame), FrameType::kIngestAck);
+
+  frame.clear();
+  append_frame(frame, FrameType::kIngestRecords, bad(stream_id));
+  ASSERT_EQ(raw.exchange(frame), FrameType::kError);
+  const auto error = decode_error(raw.last_payload());
+  ASSERT_TRUE(error.has_value());
+  EXPECT_EQ(error->code, ErrorCode::kProtocol);
+  EXPECT_FALSE(raw.next().has_value()) << "a fatal ERROR closes the connection";
+
+  // The daemon is alive, the stream admitted nothing more, and a new
+  // connection resumes it at the next sequence number.
+  Client second("127.0.0.1", fixture.port());
+  EXPECT_EQ(second.stats(stream_id).events_ingested, admitted.size());
+  const auto reopened = second.open_stream("raw");
+  EXPECT_EQ(reopened.next_seq, 1u);
+  second.send_records(stream_id, raw_records(8, 2000));
+  const StreamStatsMsg stats = second.finish_stream(stream_id);
+  EXPECT_EQ(stats.events_ingested, admitted.size() + 8);
+  EXPECT_TRUE(stats.finished);
+}
+
+TEST(DaemonRobustnessTest, HostileRecordCountIsAProtocolErrorNotAnAbort) {
+  // count = 2^32 - 1 in a 25-byte frame: before the check bounded the
+  // count by the bytes present, the reactor's reserve() threw
+  // std::bad_alloc and nothing caught it.
+  expect_refused_records_frame([](std::uint32_t stream_id) {
+    std::vector<unsigned char> payload;
+    put_u32(payload, stream_id);
+    put_u64(payload, 1);
+    put_u32(payload, 0xFFFFFFFFu);
+    return payload;
+  });
+}
+
+TEST(DaemonRobustnessTest, RecordWithABadCrcIsAProtocolError) {
+  // A valid frame CRC around one record whose own CRC fails.
+  expect_refused_records_frame([](std::uint32_t stream_id) {
+    std::vector<unsigned char> frame;
+    append_ingest_records(frame, stream_id, 1, raw_records(4));
+    std::vector<unsigned char> payload(frame.begin() + 5, frame.end() - 4);
+    payload.back() ^= 0x01;  // the last record's CRC trailer
+    return payload;
+  });
 }
 
 }  // namespace

@@ -14,6 +14,7 @@
 #include "bgl/location.hpp"
 #include "common/crc32.hpp"
 #include "common/rng.hpp"
+#include "logio/binary_format.hpp"
 #include "storage/format.hpp"
 #include "support/test_fixtures.hpp"
 
@@ -55,6 +56,19 @@ const std::vector<unsigned char> kGoldenIngestEvents = {
     0x00, 0x09, 0x00, 0x01, 0x00, 0x79, 0xee, 0x3a, 0xaa, 0xca,
     0x28, 0x9d, 0x42};
 
+const std::vector<unsigned char> kGoldenIngestRecords = {
+    0x5d, 0x00, 0x00, 0x00, 0x06, 0x02, 0x00, 0x00, 0x00, 0x05,
+    0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x02, 0x00, 0x00,
+    0x00, 0x01, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x64,
+    0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x07, 0x00, 0x00,
+    0x00, 0x00, 0x02, 0x14, 0x00, 0x00, 0x05, 0x04, 0x00, 0x05,
+    0x00, 0x00, 0x00, 0x65, 0x64, 0x72, 0x61, 0x6d, 0xa8, 0x53,
+    0xac, 0xec, 0x02, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
+    0xa0, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x09, 0x00,
+    0x00, 0x00, 0x65, 0x00, 0x00, 0x00, 0x01, 0x08, 0x00, 0x00,
+    0x00, 0x00, 0x00, 0x00, 0x97, 0x08, 0x6f, 0x00, 0x88, 0xa3,
+    0x8b, 0xaf};
+
 predict::Warning golden_warning() {
   predict::Warning w;
   w.issued_at = 1000;
@@ -77,6 +91,39 @@ std::vector<bgl::Event> golden_events() {
   e2.fatal = true;
   e2.location = bgl::Location::compute_chip(0, 0, 3, 2, 1);
   return {e1, e2};
+}
+
+/// Two raw records, one with an empty ENTRY_DATA (the 36-byte minimum
+/// record frame).
+std::vector<bgl::RasRecord> golden_records() {
+  bgl::RasRecord r1;
+  r1.record_id = 1;
+  r1.event_time = 100;
+  r1.job_id = 7;
+  r1.location = bgl::Location::midplane_scope(0, 1);
+  r1.event_type = bgl::EventType::kRas;
+  r1.facility = bgl::Facility::kKernel;
+  r1.severity = Severity::kFatal;
+  r1.entry_data = "edram";
+  bgl::RasRecord r2;
+  r2.record_id = 2;
+  r2.event_time = 160;
+  r2.job_id = 9;
+  r2.location = bgl::Location::compute_chip(0, 0, 3, 2, 1);
+  r2.event_type = bgl::EventType::kMmcs;
+  r2.facility = bgl::Facility::kMonitor;
+  r2.severity = Severity::kInfo;
+  return {r1, r2};
+}
+
+/// The payload of one encoded frame.
+template <typename Append>
+std::vector<unsigned char> payload_of(Append append) {
+  std::vector<unsigned char> frame;
+  append(frame);
+  const DecodedFrame decoded = decode_frame(frame.data(), frame.size());
+  EXPECT_EQ(decoded.status, DecodeStatus::kFrame);
+  return {decoded.payload.begin(), decoded.payload.end()};
 }
 
 /// Hand-assembles a frame per the documented grammar, independent of
@@ -165,6 +212,41 @@ TEST(WireGoldenTest, IngestEventsFrameEmbedsStorageRecords) {
                                            storage::kEventRecordSize),
             std::vector<unsigned char>(record,
                                        record + storage::kEventRecordSize));
+}
+
+TEST(WireGoldenTest, IngestRecordsFrameEmbedsBinaryLogRecords) {
+  std::vector<unsigned char> out;
+  const auto records = golden_records();
+  append_ingest_records(out, 2, 5, records);
+  EXPECT_EQ(out, kGoldenIngestRecords);
+
+  // Batch payload = u32 stream | u64 seq | u32 count | count binary-log
+  // record frames; each record region is byte-identical to
+  // logio::append_record_frame — the wire and the binary log share one
+  // record encoding.
+  std::size_t at = kFrameOverhead - 4 + 16;
+  for (const bgl::RasRecord& record : records) {
+    std::vector<unsigned char> frame;
+    logio::append_record_frame(frame, record);
+    ASSERT_LE(at + frame.size(), out.size());
+    EXPECT_EQ(std::vector<unsigned char>(out.begin() + at,
+                                         out.begin() + at + frame.size()),
+              frame);
+    at += frame.size();
+  }
+  EXPECT_EQ(at + 4, out.size());  // then only the frame CRC
+
+  const DecodedFrame decoded = decode_frame(out.data(), out.size());
+  ASSERT_EQ(decoded.status, DecodeStatus::kFrame);
+  const auto checked = check_ingest_records(decoded.payload);
+  ASSERT_TRUE(checked.has_value());
+  EXPECT_EQ(checked->count, 2u);
+  EXPECT_EQ(checked->first_time, 100);
+  EXPECT_EQ(checked->last_time, 160);
+  EXPECT_TRUE(checked->ordered);
+  const auto msg = decode_ingest_records(decoded.payload);
+  ASSERT_TRUE(msg.has_value());
+  EXPECT_EQ(msg->records, records);
 }
 
 // ---- Round-trip fuzz ---------------------------------------------------
@@ -432,6 +514,30 @@ TEST(WireRejectionTest, UnknownFrameTypeIsBadEvenWithValidCrc) {
   }
 }
 
+TEST(WireRejectionTest, HostileRecordCountIsRefusedNotAllocated) {
+  // A 25-byte frame claiming 2^32 - 1 records: nothing may be sized
+  // from the count before the bytes present bound it.
+  std::vector<unsigned char> payload;
+  put_u32(payload, 2);
+  put_u64(payload, 5);
+  put_u32(payload, 0xFFFFFFFFu);
+  const auto frame =
+      raw_frame(static_cast<std::uint8_t>(FrameType::kIngestRecords), payload);
+  ASSERT_EQ(frame.size(), 25u);
+  const DecodedFrame decoded = decode_frame(frame.data(), frame.size());
+  ASSERT_EQ(decoded.status, DecodeStatus::kFrame);
+  EXPECT_NO_THROW({
+    EXPECT_FALSE(check_ingest_records(decoded.payload).has_value());
+    EXPECT_FALSE(decode_ingest_records(decoded.payload).has_value());
+  });
+  // The same count ahead of one genuine record.
+  logio::append_record_frame(payload, golden_records()[0]);
+  EXPECT_NO_THROW({
+    EXPECT_FALSE(check_ingest_records(payload).has_value());
+    EXPECT_FALSE(decode_ingest_records(payload).has_value());
+  });
+}
+
 TEST(WireRejectionTest, MessageDecodersRejectSemanticGarbage) {
   // OPEN_STREAM: no intent flags, unknown flag bits, empty name.
   std::vector<unsigned char> payload;
@@ -479,11 +585,115 @@ TEST(WireRejectionTest, MessageDecodersRejectSemanticGarbage) {
   record_corrupt.back() ^= 0x01;  // inside the last record's CRC
   EXPECT_FALSE(decode_ingest_events(record_corrupt).has_value());
 
+  // INGEST_RECORDS: both decoders refuse every one of these.
+  const auto records_payload = payload_of([](auto& out) {
+    append_ingest_records(out, 2, 5, golden_records());
+  });
+  const auto expect_refused = [](const std::vector<unsigned char>& bad,
+                                 const char* why) {
+    EXPECT_FALSE(check_ingest_records(bad).has_value()) << why;
+    EXPECT_FALSE(decode_ingest_records(bad).has_value()) << why;
+  };
+  ASSERT_TRUE(check_ingest_records(records_payload).has_value());
+  // Record frames start after the 16-byte ingest header; the first is
+  // a 32-byte prefix, "edram" and a 4-byte CRC.
+  constexpr std::size_t kFirst = 16;
+  constexpr std::size_t kSecond = kFirst + 32 + 5 + 4;
+  {
+    auto bad = records_payload;
+    bad[12] = 3;  // count 3, records 2
+    expect_refused(bad, "count above the records present");
+    bad[12] = 1;  // count 1: the second record is trailing garbage
+    expect_refused(bad, "count below the records present");
+  }
+  {
+    auto bad = records_payload;
+    bad[kFirst + 32 + 1] ^= 0x04;  // inside "edram", under the record CRC
+    expect_refused(bad, "bit flipped in a record's CRC region");
+  }
+  // Out-of-range enums behind a valid record CRC: only the field check
+  // can refuse them.
+  const auto with_field = [&](std::size_t offset, unsigned char value) {
+    auto bad = records_payload;
+    bad[kSecond + offset] = value;
+    const std::uint32_t crc = common::crc32(bad.data() + kSecond, 36 - 4);
+    for (int i = 0; i < 4; ++i) {
+      bad[kSecond + 32 + i] = static_cast<unsigned char>(crc >> (8 * i));
+    }
+    return bad;
+  };
+  expect_refused(with_field(25, 10), "facility 10");
+  expect_refused(with_field(26, 6), "severity 6");
+  expect_refused(with_field(24, 3), "event type 3");
+  {
+    auto bad = records_payload;
+    const std::uint32_t too_long = logio::kMaxEntryData + 1;
+    for (int i = 0; i < 4; ++i) {
+      bad[kFirst + 28 + i] = static_cast<unsigned char>(too_long >> (8 * i));
+    }
+    expect_refused(bad, "entry length above kMaxEntryData");
+  }
+  {
+    auto bad = records_payload;
+    bad.push_back(0x00);
+    expect_refused(bad, "trailing byte");
+  }
+
   // Trailing bytes after a complete message are a framing bug.
   std::vector<unsigned char> hello_payload;
   put_u32(hello_payload, kProtocolVersion);
   hello_payload.push_back(0x00);
   EXPECT_FALSE(decode_hello(hello_payload).has_value());
+}
+
+TEST(WireRejectionTest, MutatedIngestPayloadsNeverThrow) {
+  // 1-8 random bytes of a valid payload overwritten: no decoder may
+  // throw, and the reactor's check must accept exactly what decoding
+  // accepts.
+  Rng rng(testing::fuzz_seed(12002));
+  std::vector<bgl::RasRecord> records;
+  std::vector<bgl::Event> events;
+  TimeSec t = 1000;
+  for (int i = 0; i < 6; ++i) {
+    bgl::RasRecord record = golden_records()[static_cast<std::size_t>(i % 2)];
+    record.event_time = t += static_cast<TimeSec>(rng.uniform_index(50));
+    record.entry_data.assign(rng.uniform_index(40), 'x');
+    records.push_back(record);
+    events.push_back(random_event(rng, t));
+  }
+  const auto records_payload = payload_of(
+      [&](auto& out) { append_ingest_records(out, 1, 9, records); });
+  const auto events_payload = payload_of(
+      [&](auto& out) { append_ingest_events(out, 1, 9, events); });
+  std::size_t records_accepted = 0;
+  for (int round = 0; round < 4000; ++round) {
+    const bool raw = round % 2 == 0;
+    auto bytes = raw ? records_payload : events_payload;
+    const std::size_t flips = 1 + rng.uniform_index(8);
+    for (std::size_t i = 0; i < flips; ++i) {
+      bytes[rng.uniform_index(bytes.size())] =
+          static_cast<unsigned char>(rng.next_u64());
+    }
+    if (!raw) {
+      EXPECT_NO_THROW(decode_ingest_events(bytes)) << "round " << round;
+      continue;
+    }
+    std::optional<CheckedIngestRecords> checked;
+    std::optional<IngestRecordsMsg> decoded;
+    ASSERT_NO_THROW({
+      checked = check_ingest_records(bytes);
+      decoded = decode_ingest_records(bytes);
+    }) << "round " << round;
+    ASSERT_EQ(checked.has_value(), decoded.has_value()) << "round " << round;
+    if (checked) {
+      ++records_accepted;
+      EXPECT_EQ(checked->count, decoded->records.size());
+    }
+  }
+  // Mutations that only touch the header's stream id and sequence bytes
+  // (or rewrite a byte to itself) still decode: both verdicts occur.
+  EXPECT_GT(records_accepted, 0u);
+  EXPECT_LT(records_accepted, 2000u);
 }
 
 TEST(WireRejectionTest, ByteReaderLatchesOnOverrun) {

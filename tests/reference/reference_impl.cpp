@@ -1,6 +1,7 @@
 #include "reference_impl.hpp"
 
 #include <algorithm>
+#include <array>
 #include <cmath>
 #include <map>
 #include <unordered_set>
@@ -508,6 +509,141 @@ std::vector<ReferencePredictor::Warning> ReferencePredictor::run(
     all.insert(all.end(), warnings.begin(), warnings.end());
   }
   return all;
+}
+
+// ---- CRC-32 ---------------------------------------------------------------
+
+std::uint32_t crc32_bytewise(const void* data, std::size_t size,
+                             std::uint32_t crc) {
+  static const std::array<std::uint32_t, 256> table = [] {
+    std::array<std::uint32_t, 256> t{};
+    for (std::uint32_t i = 0; i < 256; ++i) {
+      std::uint32_t c = i;
+      for (int k = 0; k < 8; ++k) {
+        c = (c & 1) ? 0xEDB88320u ^ (c >> 1) : c >> 1;
+      }
+      t[i] = c;
+    }
+    return t;
+  }();
+  const auto* bytes = static_cast<const unsigned char*>(data);
+  crc = ~crc;
+  for (std::size_t i = 0; i < size; ++i) {
+    crc = table[(crc ^ bytes[i]) & 0xFFu] ^ (crc >> 8);
+  }
+  return ~crc;
+}
+
+// ---- Preprocess chain ---------------------------------------------------
+
+std::optional<CategoryId> classify(const bgl::Taxonomy& taxonomy,
+                                   bgl::Facility facility, Severity severity,
+                                   std::string_view entry_data) {
+  // Longest-pattern match wins: "uncorrectable error detected in edram
+  // bank (code 1)" must not be shadowed by its un-suffixed sibling.
+  const bgl::EventCategory* best = nullptr;
+  for (CategoryId id : taxonomy.facility_ids(facility)) {
+    const bgl::EventCategory& cat = taxonomy.category(id);
+    if (cat.severity != severity) continue;
+    if (entry_data.find(cat.pattern) == std::string_view::npos) continue;
+    if (best == nullptr || cat.pattern.size() > best->pattern.size()) {
+      best = &cat;
+    }
+  }
+  if (best == nullptr) return std::nullopt;
+  return best->id;
+}
+
+PreprocessChain::PreprocessChain(DurationSec threshold,
+                                 const bgl::Taxonomy& taxonomy)
+    : taxonomy_(&taxonomy), threshold_(threshold) {}
+
+std::size_t PreprocessChain::SpatialKeyHash::operator()(
+    const SpatialKey& k) const {
+  std::uint64_t z = k.entry_hash ^ (static_cast<std::uint64_t>(k.job) << 32);
+  z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
+  return static_cast<std::size_t>(z ^ (z >> 31));
+}
+
+std::optional<PreprocessChain::CategorizedRecord> PreprocessChain::categorize(
+    const bgl::RasRecord& record) {
+  const auto category = classify(*taxonomy_, record.facility, record.severity,
+                                 record.entry_data);
+  if (!category) {
+    ++categorizer_stats_.unclassified;
+    return std::nullopt;
+  }
+  ++categorizer_stats_.classified;
+  const auto& cat = taxonomy_->category(*category);
+  if (record.is_fatal_severity() && !cat.fatal) {
+    ++categorizer_stats_.demoted_nominal_fatal;
+  }
+  CategorizedRecord out;
+  out.record = record;
+  out.category = *category;
+  out.fatal = cat.fatal;
+  return out;
+}
+
+std::optional<PreprocessChain::CategorizedRecord> PreprocessChain::temporal(
+    const CategorizedRecord& record) {
+  if (threshold_ <= 0) return record;
+  // location (32) | job (hashed into 16) | category (16)
+  const std::uint64_t loc = record.record.location.packed();
+  const std::uint64_t job = record.record.job_id * 0x9E37ULL;
+  const std::uint64_t key = (loc << 32) ^ (job << 16) ^ record.category;
+  const TimeSec t = record.record.event_time;
+  auto [it, inserted] = temporal_last_.try_emplace(key, t);
+  if (!inserted) {
+    if (t - it->second <= threshold_) {
+      it->second = t;  // gap-based: the tuple window slides forward
+      return std::nullopt;
+    }
+    it->second = t;
+  }
+  return record;
+}
+
+std::optional<PreprocessChain::CategorizedRecord> PreprocessChain::spatial(
+    const CategorizedRecord& record) {
+  if (threshold_ <= 0) return record;
+  const SpatialKey key{std::hash<std::string>{}(record.record.entry_data),
+                       record.record.job_id};
+  const TimeSec t = record.record.event_time;
+  auto [it, inserted] = spatial_last_.try_emplace(key, t);
+  if (!inserted) {
+    if (t - it->second <= threshold_) {
+      it->second = t;
+      return std::nullopt;
+    }
+    it->second = t;
+  }
+  return record;
+}
+
+std::optional<bgl::Event> PreprocessChain::push(const bgl::RasRecord& record) {
+  ++stats_.raw_records;
+  auto categorized = categorize(record);
+  if (!categorized) {
+    ++stats_.unclassified;
+    return std::nullopt;
+  }
+  auto after_temporal = temporal(*categorized);
+  if (!after_temporal) return std::nullopt;
+  ++stats_.after_temporal;
+  auto survivor = spatial(*after_temporal);
+  if (!survivor) return std::nullopt;
+
+  ++stats_.unique_events;
+  ++stats_.unique_per_facility[static_cast<std::size_t>(
+      survivor->record.facility)];
+  bgl::Event event;
+  event.time = survivor->record.event_time;
+  event.category = survivor->category;
+  event.job_id = survivor->record.job_id;
+  event.location = survivor->record.location;
+  event.fatal = survivor->fatal;
+  return event;
 }
 
 }  // namespace dml::reference

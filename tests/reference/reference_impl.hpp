@@ -1,7 +1,9 @@
 // Pre-optimization reference implementations of the hot paths rewritten
 // in DESIGN.md §9: the horizontal std::includes Apriori miner, the
-// rescan-per-stride negative-window sampler, and the hash-map Predictor;
-// plus the rescanning correlation-graph builder (DESIGN.md §14.1).
+// rescan-per-stride negative-window sampler, the hash-map Predictor and
+// the copying preprocess chain (per-facility classifier scan, unbounded
+// unordered_map filters); plus the rescanning correlation-graph builder
+// (DESIGN.md §14.1).
 // They are kept verbatim (modulo naming) as the equivalence oracle for
 // the golden tests and the "before" side of bench_hot_paths — the
 // optimized implementations must reproduce their itemset multisets,
@@ -26,6 +28,7 @@
 #include "learners/correlation/event_graph.hpp"
 #include "meta/knowledge_repository.hpp"
 #include "predict/predictor.hpp"
+#include "preprocess/streaming_pipeline.hpp"
 
 namespace dml::reference {
 
@@ -71,6 +74,62 @@ class NaiveEventGraph {
   std::unordered_map<std::uint32_t, Edge> edges_;
   /// Non-fatal occurrences per category.
   std::unordered_map<CategoryId, std::uint32_t> occurrences_;
+};
+
+/// CRC-32 (reflected 0xEDB88320) one table lookup per byte: what the
+/// slicing-by-8 common::crc32 must return, for any incremental split.
+std::uint32_t crc32_bytewise(const void* data, std::size_t size,
+                             std::uint32_t crc = 0);
+
+/// Scans every category of the facility and keeps the longest matching
+/// pattern, the first (lowest id) among equal lengths: what
+/// bgl::Taxonomy::classify must return.
+std::optional<CategoryId> classify(const bgl::Taxonomy& taxonomy,
+                                   bgl::Facility facility, Severity severity,
+                                   std::string_view entry_data);
+
+/// The Figure 1 chain as it ran before classification was bucketed and
+/// the filters were bounded: each stage copies the record it passes on,
+/// and both filters remember every key forever.  Same contract and
+/// statistics as preprocess::StreamingPipeline (minus its failpoint),
+/// which must emit the same events and counts.
+class PreprocessChain {
+ public:
+  explicit PreprocessChain(DurationSec threshold,
+                           const bgl::Taxonomy& taxonomy = bgl::taxonomy());
+
+  std::optional<bgl::Event> push(const bgl::RasRecord& record);
+
+  const preprocess::PipelineStats& stats() const { return stats_; }
+  const preprocess::Categorizer::Stats& categorizer_stats() const {
+    return categorizer_stats_;
+  }
+
+ private:
+  struct CategorizedRecord {
+    bgl::RasRecord record;
+    CategoryId category = kInvalidCategory;
+    bool fatal = false;
+  };
+  struct SpatialKey {
+    std::uint64_t entry_hash;
+    JobId job;
+    friend bool operator==(const SpatialKey&, const SpatialKey&) = default;
+  };
+  struct SpatialKeyHash {
+    std::size_t operator()(const SpatialKey& k) const;
+  };
+
+  std::optional<CategorizedRecord> categorize(const bgl::RasRecord& record);
+  std::optional<CategorizedRecord> temporal(const CategorizedRecord& record);
+  std::optional<CategorizedRecord> spatial(const CategorizedRecord& record);
+
+  const bgl::Taxonomy* taxonomy_;
+  DurationSec threshold_;
+  std::unordered_map<std::uint64_t, TimeSec> temporal_last_;
+  std::unordered_map<SpatialKey, TimeSec, SpatialKeyHash> spatial_last_;
+  preprocess::PipelineStats stats_;
+  preprocess::Categorizer::Stats categorizer_stats_;
 };
 
 /// The hash-map predictor (paper Algorithm 2), emitting the same
