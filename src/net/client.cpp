@@ -3,11 +3,13 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
-#include <algorithm>
 #include <cerrno>
 #include <chrono>
 #include <cstring>
+#include <string>
 #include <thread>
+
+#include "logio/binary_format.hpp"
 
 namespace dml::net {
 namespace {
@@ -244,12 +246,26 @@ void Client::send_events(std::uint32_t stream_id,
 
 void Client::send_records(std::uint32_t stream_id,
                           std::span<const bgl::RasRecord> records) {
+  for (const bgl::RasRecord& record : records) {
+    if (kIngestHeader + logio::binary_serialized_size(record) >
+        kMaxFramePayload) {
+      throw ClientError("record " + std::to_string(record.record_id) +
+                        " does not fit in one frame: " +
+                        std::to_string(record.entry_data.size()) +
+                        " bytes of entry data");
+    }
+  }
   StreamState& state = state_of(stream_id);
   flush_pending(stream_id, state);
   std::size_t offset = 0;
   while (offset < records.size()) {
-    const std::size_t n =
-        std::min(config_.batch_events, records.size() - offset);
+    std::size_t n = 0;
+    std::size_t payload = kIngestHeader;
+    while (offset + n < records.size() && n < config_.batch_events) {
+      payload += logio::binary_serialized_size(records[offset + n]);
+      if (payload > kMaxFramePayload) break;
+      ++n;
+    }
     std::vector<unsigned char> frame;
     append_ingest_records(frame, stream_id, state.next_seq,
                           records.subspan(offset, n));

@@ -42,7 +42,8 @@ class ClientError : public std::runtime_error {
 };
 
 struct ClientConfig {
-  /// Events per INGEST_EVENTS frame.
+  /// Events per INGEST_EVENTS frame, and the most records per
+  /// INGEST_RECORDS frame.
   std::size_t batch_events = 512;
   /// In-flight (unacknowledged) frames before send_events() blocks on
   /// the ack stream.
@@ -72,7 +73,10 @@ class Client {
   void send_events(std::uint32_t stream_id,
                    std::span<const bgl::Event> events);
 
-  /// Same, carrying raw RAS records (INGEST_RECORDS frames).
+  /// Same, carrying raw RAS records (INGEST_RECORDS frames).  A frame
+  /// closes at batch_events records or before the record that would
+  /// carry its payload past kMaxFramePayload; a record too large for any
+  /// frame throws ClientError before anything is sent.
   void send_records(std::uint32_t stream_id,
                     std::span<const bgl::RasRecord> records);
 

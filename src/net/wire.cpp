@@ -17,10 +17,6 @@ std::uint32_t get_u32(const unsigned char* in) {
          static_cast<std::uint32_t>(in[3]) << 24;
 }
 
-/// Bytes of the common header of every INGEST_* payload: stream id,
-/// sequence number and item count.
-constexpr std::size_t kIngestHeader = 16;
-
 /// Starts a frame of `type` in `out`: a length prefix that end_frame
 /// fills in, then the type byte.  Returns the type byte's offset, where
 /// the frame CRC begins; the payload is appended straight after it.

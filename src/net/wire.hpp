@@ -49,6 +49,9 @@ inline constexpr std::uint32_t kProtocolVersion = 1;
 inline constexpr std::size_t kMaxFramePayload = 1u << 20;
 /// Bytes of framing around a payload: length prefix + type + CRC.
 inline constexpr std::size_t kFrameOverhead = 9;
+/// Bytes of the common header of every INGEST_* payload: stream id,
+/// sequence number and item count.
+inline constexpr std::size_t kIngestHeader = 16;
 
 enum class FrameType : std::uint8_t {
   kHello = 1,         // C->S  version

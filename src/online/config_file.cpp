@@ -105,7 +105,6 @@ constexpr DriverSetting kSettings[] = {
     }),
     row("location_scoped",
         [](auto& c) -> auto& { return c.predictor.location_scoped; }),
-    row("adaptive_window", [](auto& c) -> auto& { return c.adaptive_window; }),
 };
 
 }  // namespace

@@ -35,7 +35,6 @@ OnlineEngineConfig engine_config(const DriverConfig& config) {
   ec.learner = config.learner;
   ec.predictor = config.predictor;
   ec.clock_tick = config.clock_tick;
-  ec.adaptive_window = config.adaptive_window;
   return ec;
 }
 
@@ -213,8 +212,6 @@ DriverResult DynamicDriver::run(const storage::EventRepository& repo) const {
       interval.churn.unchanged = rules_in_force;
     }
     interval.rules_active = rules_in_force;
-    const DurationSec window = serving.window();
-    interval.window_used = window;
 
     const std::vector<bgl::Event> test_events =
         storage::materialize(repo, test_begin, test_end);
@@ -223,8 +220,8 @@ DriverResult DynamicDriver::run(const storage::EventRepository& repo) const {
     fed_until = test_begin + retrain_span;
     interval.predict_seconds = seconds_since(predict_start);
 
-    const auto evaluation =
-        predict::evaluate_predictions(test_events, warnings, window);
+    const auto evaluation = predict::evaluate_predictions(
+        test_events, warnings, config_.prediction_window);
     interval.counts = evaluation.overall;
     interval.per_source = evaluation.per_source;
     interval.fatal_count = evaluation.total_fatals;

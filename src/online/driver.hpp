@@ -47,12 +47,6 @@ struct DriverConfig {
   /// Cadence of the predictor's periodic self-check (PD expert) during
   /// replay; 0 disables ticks.  Defaults to Wp.
   DurationSec clock_tick = 300;
-  /// §7 future work: "adaptively changing this window size such that the
-  /// system can automatically tune its size".  When enabled, each
-  /// retraining holds out the tail of the training set, scores every
-  /// candidate window by F1 on it, and adopts the winner for the next
-  /// interval (prediction_window is then only the starting value).
-  bool adaptive_window = false;
   /// Time the serving path (per-event observation); surfaced as
   /// DriverResult::engine_stats.serving_seconds.
   bool profile = false;
@@ -99,10 +93,6 @@ struct IntervalResult {
   double revise_seconds = 0.0;
   double predict_seconds = 0.0;
 
-  /// The prediction window actually used this interval (differs from the
-  /// configured one only in adaptive-window mode).
-  DurationSec window_used = 0;
-
   std::size_t fatal_count = 0;
   std::size_t warning_count = 0;
 
@@ -133,8 +123,7 @@ struct DriverResult {
 /// concurrent front-end (`dmlfp run --threads N` and the dmlfpd network
 /// daemon), so "same flags => same warning multiset" holds across them
 /// by construction.  The first training fires after the full training
-/// span, as in the driver.  ShardedEngine serves fixed windows only, so
-/// a front end refuses `adaptive_window` before calling this.
+/// span, as in the driver.
 struct ShardedEngineConfig;  // online/sharded_engine.hpp
 ShardedEngineConfig sharded_config_from_driver(const DriverConfig& config,
                                                std::size_t shards);

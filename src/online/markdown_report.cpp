@@ -39,7 +39,7 @@ void write_markdown_report(std::ostream& out, const DriverConfig& config,
   out << "- mode: " << to_string(config.mode) << ", training "
       << config.training_weeks << " wk, retrain every "
       << config.retrain_weeks << " wk, window " << config.prediction_window
-      << " s" << (config.adaptive_window ? " (adaptive)" : "") << "\n";
+      << " s\n";
   out << "- reviser: " << (config.use_reviser ? "on" : "off")
       << " (MinROC " << config.reviser.min_roc << ")\n\n";
 

@@ -1,6 +1,5 @@
 #include "online/retraining.hpp"
 
-#include <algorithm>
 #include <chrono>
 #include <thread>
 #include <utility>
@@ -8,7 +7,6 @@
 #include "common/check.hpp"
 #include "common/failpoint.hpp"
 #include "common/thread_pool.hpp"
-#include "predict/outcome_matcher.hpp"
 
 namespace dml::online {
 namespace {
@@ -40,52 +38,6 @@ double seconds_since(std::chrono::steady_clock::time_point start) {
       .count();
 }
 
-/// Scores one candidate window by F1 on a validation slice: rules are
-/// learned on `fit`, revised, and replayed over `validation`.
-double score_window(const meta::MetaLearner& learner,
-                    const OnlineEngineConfig& config,
-                    std::span<const bgl::Event> fit,
-                    std::span<const bgl::Event> validation,
-                    DurationSec window) {
-  auto repository = learner.learn(fit, window);
-  if (config.use_reviser) {
-    predict::revise(repository, fit, window, config.reviser);
-  }
-  predict::Predictor predictor(repository, window, config.predictor);
-  const auto warnings = predictor.run(validation, window);
-  const auto evaluation =
-      predict::evaluate_predictions(validation, warnings, window);
-  return stats::f1_score(evaluation.overall);
-}
-
-/// Picks the best window on the training span's held-out tail; falls
-/// back to `current` when the validation slice is too thin to rank.
-DurationSec choose_window(const meta::MetaLearner& learner,
-                          const OnlineEngineConfig& config,
-                          std::span<const bgl::Event> training,
-                          DurationSec current) {
-  if (training.size() < 100) return current;
-  const auto split = static_cast<std::size_t>(
-      static_cast<double>(training.size()) * (1.0 - kValidationFraction));
-  const auto fit = training.subspan(0, split);
-  const auto validation = training.subspan(split);
-  std::size_t validation_fatals = 0;
-  for (const auto& e : validation) validation_fatals += e.fatal ? 1 : 0;
-  if (validation_fatals < 10) return current;
-
-  DurationSec best = current;
-  double best_score = -1.0;
-  for (const DurationSec candidate : kWindowCandidates) {
-    const double score =
-        score_window(learner, config, fit, validation, candidate);
-    if (score > best_score) {
-      best_score = score;
-      best = candidate;
-    }
-  }
-  return best;
-}
-
 }  // namespace
 
 std::string_view to_string(TrainingMode mode) {
@@ -97,20 +49,8 @@ std::string_view to_string(TrainingMode mode) {
   return "unknown";
 }
 
-DurationSec max_adoptable_window(const OnlineEngineConfig& config) {
-  DurationSec window = config.prediction_window;
-  if (config.adaptive_window) {
-    for (const DurationSec candidate : kWindowCandidates) {
-      window = std::max(window, candidate);
-    }
-  }
-  return window;
-}
-
 RetrainScheduler::RetrainScheduler(OnlineEngineConfig config)
-    : config_(std::move(config)),
-      window_(config_.prediction_window),
-      latest_(meta::empty_snapshot()) {
+    : config_(std::move(config)), latest_(meta::empty_snapshot()) {
   // Config contracts, checked once at construction: a non-positive
   // cadence would spin boundary_due's skipped-boundary collapse loop
   // forever, and a non-positive window mines rules over an empty span.
@@ -249,10 +189,7 @@ SnapshotBuild RetrainScheduler::run_build(
   if (config_.pool_builds) learner_config.parallel_training = false;
   const meta::MetaLearner learner(learner_config);
 
-  DurationSec window = window_;
-  if (config_.adaptive_window) {
-    window = choose_window(learner, config_, training, window);
-  }
+  const DurationSec window = config_.prediction_window;
   build.window = window;
 
   auto repository = learner.learn(training, window, &build.train_times);
@@ -309,7 +246,6 @@ std::optional<SnapshotBuild> RetrainScheduler::poll(TimeSec t) {
   if (t < adopt_at) return std::nullopt;
   auto build = take_pending(adopt_at);
   if (build) {
-    window_ = build->window;
     latest_ = build->repository;
     adopted_train_times_ += build->train_times;
     adopted_revise_seconds_ += build->revise_seconds;
@@ -324,7 +260,7 @@ void RetrainScheduler::join(TimeSec t) {
 SnapshotBuild RetrainScheduler::in_force(TimeSec at) const {
   SnapshotBuild build;
   build.repository = latest_;
-  build.window = window_;
+  build.window = config_.prediction_window;
   build.scheduled_at = at;
   build.activate_at = at;
   return build;

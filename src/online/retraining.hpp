@@ -41,10 +41,6 @@ enum class TrainingMode {
 
 std::string_view to_string(TrainingMode mode);
 
-/// Adaptive window selection (§7): the windows a retraining ranks, and
-/// the share of its training span held out to rank them on.
-inline constexpr DurationSec kWindowCandidates[] = {60, 300, 900, 1800};
-inline constexpr double kValidationFraction = 0.25;
 /// A throwing build (learner, reviser or `retrain.build` failpoint) is
 /// tried this many times, with a wall backoff from kRetryBackoffMs that
 /// doubles per retry, before its boundary goes to failures().
@@ -53,8 +49,8 @@ inline constexpr std::uint32_t kRetryBackoffMs = 10;
 
 /// The settings of the serving loop, shared by its two owners:
 /// DynamicDriver::run maps its DriverConfig onto one, and ShardedEngine
-/// takes one in ShardedEngineConfig::engine.  The last two fields are
-/// decided by the owner, not by a user.
+/// takes one in ShardedEngineConfig::engine.  The last field is decided
+/// by the owner, not by a user.
 struct OnlineEngineConfig {
   /// Wp: prediction window == rule-generation window.
   DurationSec prediction_window = 300;
@@ -74,7 +70,6 @@ struct OnlineEngineConfig {
   bool use_reviser = true;
   predict::ReviserConfig reviser;
   meta::MetaLearnerConfig learner;
-  /// Predictor options, also used to score candidate windows.
   predict::PredictorOptions predictor;
   /// PD self-check cadence; 0 disables ticks.
   DurationSec clock_tick = 300;
@@ -85,23 +80,14 @@ struct OnlineEngineConfig {
   /// Build on ThreadPool::shared() (ShardedEngine) instead of inline in
   /// fire() (the driver).
   bool pool_builds = false;
-  /// Adaptive prediction-window selection (§7 future work; the driver
-  /// only), see DriverConfig::adaptive_window.
-  bool adaptive_window = false;
 };
-
-/// The largest prediction window a build under `config` can adopt: the
-/// configured window, or the largest candidate in adaptive mode.  The
-/// serving side keeps this much trailing history to warm every fresh
-/// predictor (ServingCore::Options::warm_retention).
-DurationSec max_adoptable_window(const OnlineEngineConfig& config);
 
 /// One finished retraining: the frozen rule set plus the bookkeeping the
 /// driver reports per interval (Figure 12 churn, Table 5 timings).
 struct SnapshotBuild {
   meta::RepositorySnapshot repository;
   /// Prediction window the rules were mined with (== the window the
-  /// predictor must serve them with).
+  /// predictor must serve them with): the config's prediction_window.
   DurationSec window = 300;
   /// Boundary that scheduled the build.
   TimeSec scheduled_at = 0;
@@ -185,9 +171,8 @@ class RetrainScheduler {
   void join(TimeSec t);
 
   /// The build in force, to adopt again at a static-mode boundary: the
-  /// snapshot and window of the last build poll() handed out (the empty
-  /// snapshot and the configured window before the first), scheduled and
-  /// activated at `at`.
+  /// snapshot of the last build poll() handed out (the empty snapshot
+  /// before the first), scheduled and activated at `at`.
   SnapshotBuild in_force(TimeSec at) const;
 
   bool build_in_flight() const { return pending_.valid(); }
@@ -221,9 +206,8 @@ class RetrainScheduler {
   std::optional<TimeSec> anchor_;
   std::optional<TimeSec> next_boundary_;
   bool trained_once_ = false;
-  /// The rule set and window of the last build poll() handed out: the
-  /// ones in force, and the `previous` of the next build's diff.
-  DurationSec window_;
+  /// The rule set of the last build poll() handed out: the one in
+  /// force, and the `previous` of the next build's diff.
   meta::RepositorySnapshot latest_;
   /// The one build slot: a pool build in flight, or an inline build
   /// already satisfied.

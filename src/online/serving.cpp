@@ -5,9 +5,7 @@
 namespace dml::online {
 
 ServingCore::ServingCore(Options options)
-    : options_(options),
-      snapshot_(meta::empty_snapshot()),
-      window_(300) {}
+    : options_(options), snapshot_(meta::empty_snapshot()) {}
 
 void ServingCore::adopt(const SnapshotBuild& build,
                         std::vector<predict::Warning>& out) {
@@ -22,14 +20,13 @@ void ServingCore::adopt(const SnapshotBuild& build,
     next_tick_.reset();
   }
   snapshot_ = build.repository;
-  window_ = build.window;
-  predictor_ = std::make_unique<predict::Predictor>(*snapshot_, window_,
+  predictor_ = std::make_unique<predict::Predictor>(*snapshot_, build.window,
                                                     options_.predictor);
   // Warm the fresh predictor's window state on the trailing history so
   // in-flight patterns survive the swap; warm-up warnings are discarded.
   warm_scratch_.clear();
   for (const bgl::Event& event : warm_buffer_) {
-    if (event.time >= at - window_ && event.time < at) {
+    if (event.time >= at - build.window && event.time < at) {
       warm_scratch_.push_back(event);
     }
   }
@@ -37,15 +34,15 @@ void ServingCore::adopt(const SnapshotBuild& build,
   predictor_->observe_batch(warm_scratch_, discard_);
   discard_.clear();
   if (options_.tick_anchor == TickAnchor::kAbsolute && !next_tick_ &&
-      tick_interval() > 0) {
-    next_tick_ = at + tick_interval();
+      options_.clock_tick > 0) {
+    next_tick_ = at + options_.clock_tick;
   }
 }
 
 void ServingCore::advance(TimeSec t, std::vector<predict::Warning>& out) {
   while (predictor_ && next_tick_ && *next_tick_ < t) {
     predictor_->tick_into(*next_tick_, out);
-    *next_tick_ += tick_interval();
+    *next_tick_ += options_.clock_tick;
   }
 }
 
@@ -57,8 +54,8 @@ void ServingCore::observe(const bgl::Event& event,
   common::failpoint(common::failpoints::kServingObserve);
   advance(event.time, out);
   if (options_.tick_anchor == TickAnchor::kInterval && predictor_ &&
-      !next_tick_ && tick_interval() > 0) {
-    next_tick_ = event.time + tick_interval();
+      !next_tick_ && options_.clock_tick > 0) {
+    next_tick_ = event.time + options_.clock_tick;
   }
   if (predictor_) {
     predictor_->observe_batch({&event, 1}, out);
@@ -83,8 +80,7 @@ ServingCore::Options serving_options(const OnlineEngineConfig& config,
   options.clock_tick = config.clock_tick;
   options.predictor = config.predictor;
   options.tick_anchor = anchor;
-  options.tick_follows_window = config.adaptive_window;
-  options.warm_retention = max_adoptable_window(config);
+  options.warm_retention = config.prediction_window;
   return options;
 }
 

@@ -6,8 +6,8 @@
 // replays a log through one, and ShardedEngine runs one per shard, both
 // with options from one builder (serving_options).  It keeps its own
 // trailing buffer of the events it observed and warms every fresh
-// predictor from it, so an owner only sizes the buffer
-// (max_adoptable_window) and never supplies history.
+// predictor from it, so an owner only sizes the buffer (one prediction
+// window) and never supplies history.
 //
 // Two tick-anchoring disciplines are supported:
 //  - kInterval (replay parity): ticks re-anchor at the first event after
@@ -39,20 +39,16 @@ class ServingCore {
     DurationSec clock_tick = 300;
     predict::PredictorOptions predictor;
     TickAnchor tick_anchor = TickAnchor::kInterval;
-    /// Ticks fire every `window` of the adopted snapshot instead of
-    /// clock_tick (the adaptive-window driver's replay semantics).
-    bool tick_follows_window = false;
     /// Trailing event-time span of observed events kept for warming fresh
-    /// predictors; must cover the largest window a build can adopt
-    /// (max_adoptable_window).  0 keeps nothing: fresh predictors start
-    /// cold.
+    /// predictors; must cover the window of every build adopted.  0 keeps
+    /// nothing: fresh predictors start cold.
     DurationSec warm_retention = 0;
   };
 
   explicit ServingCore(Options options);
 
   /// The one way a rule set comes into force, at build.activate_at: puts
-  /// the build's snapshot and window in force, rebuilds the predictor
+  /// the build's snapshot in force, rebuilds the predictor for its window
   /// (deduplication cleared), warms its window state on the buffered
   /// events in [activate_at - window, activate_at) (warm-up warnings are
   /// discarded) and re-anchors or preserves the tick grid per the
@@ -77,16 +73,10 @@ class ServingCore {
 
   /// Snapshot currently in force (empty_snapshot before first adoption).
   const meta::RepositorySnapshot& snapshot() const { return snapshot_; }
-  DurationSec window() const { return window_; }
 
  private:
-  DurationSec tick_interval() const {
-    return options_.tick_follows_window ? window_ : options_.clock_tick;
-  }
-
   Options options_;
   meta::RepositorySnapshot snapshot_;
-  DurationSec window_;
   std::unique_ptr<predict::Predictor> predictor_;
   std::optional<TimeSec> next_tick_;
   /// Scratch for adoption warm-up: the buffered events inside the new
@@ -98,9 +88,8 @@ class ServingCore {
 };
 
 /// The one options builder for both owners: the config's tick cadence
-/// and predictor options, the owner's tick anchoring, ticks that follow
-/// the adopted window in adaptive mode, and a warm buffer covering the
-/// largest window a build can adopt.
+/// and predictor options, the owner's tick anchoring, and a warm buffer
+/// of one prediction window.
 ServingCore::Options serving_options(const OnlineEngineConfig& config,
                                      ServingCore::TickAnchor anchor);
 

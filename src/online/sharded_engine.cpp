@@ -213,11 +213,6 @@ struct ShardedEngine::Shard {
 ShardedEngine::ShardedEngine(ShardedEngineConfig config,
                              WarningCallback on_warning)
     : config_([&] {
-        // Only the driver's replay selects windows adaptively; the front
-        // ends refuse the setting before they build an engine.
-        DML_CHECK_MSG(!config.engine.adaptive_window,
-                      "ShardedEngine serves fixed windows only; "
-                      "adaptive_window runs in the single-threaded replay");
         // What the partition and a non-blocking producer need, whatever
         // the caller asked for: per-scope prediction, builds on the pool.
         config.engine.predictor.location_scoped = true;

@@ -60,10 +60,9 @@ struct ShardedEngineConfig {
   DurationSec heartbeat_interval = 300;
   /// Retraining/serving settings.  The engine forces what its partition
   /// and producer need: per-scope prediction (per_scope_state,
-  /// location_scoped, absolute ticks) and pool builds.  adaptive_window
-  /// must be off (the driver's replay runs it, no engine does).  Every
-  /// build is adopted at boundary + adoption_lag (default:
-  /// prediction_window), so replays stay deterministic.
+  /// location_scoped, absolute ticks) and pool builds.  Every build is
+  /// adopted at boundary + adoption_lag (default: prediction_window), so
+  /// replays stay deterministic.
   OnlineEngineConfig engine;
 };
 

@@ -29,7 +29,6 @@ TEST(Determinism, DriverIsDeterministicWithAllExtensionsOn) {
   online::DriverConfig config;
   config.training_weeks = 12;
   config.learner.enable_correlation = true;
-  config.adaptive_window = true;
   config.predictor.location_scoped = true;
   const auto& store = testing::shared_store();
   const auto a = online::DynamicDriver(config).run(store);
@@ -37,7 +36,6 @@ TEST(Determinism, DriverIsDeterministicWithAllExtensionsOn) {
   ASSERT_EQ(a.intervals.size(), b.intervals.size());
   for (std::size_t i = 0; i < a.intervals.size(); ++i) {
     EXPECT_EQ(a.intervals[i].counts, b.intervals[i].counts) << i;
-    EXPECT_EQ(a.intervals[i].window_used, b.intervals[i].window_used) << i;
   }
 }
 

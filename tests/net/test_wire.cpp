@@ -3,11 +3,13 @@
 // over every message type, and a truncation/corruption sweep asserting
 // the precise rejection semantics — a short buffer is kNeedMore, a
 // flipped bit is kBad at that exact frame, and nothing corrupt ever
-// decodes.  Mirrors tests/logio/test_binary_format.cpp.
+// decodes — and a seeded byte mutation of every message and frame that
+// no decoder may throw on.  Mirrors tests/logio/test_binary_format.cpp.
 #include "net/wire.hpp"
 
 #include <gtest/gtest.h>
 
+#include <span>
 #include <string>
 #include <vector>
 
@@ -646,10 +648,54 @@ TEST(WireRejectionTest, MessageDecodersRejectSemanticGarbage) {
   EXPECT_FALSE(decode_hello(hello_payload).has_value());
 }
 
+/// Runs the decoder a frame of `type` goes to; true when it accepts.
+/// The reactor's check of INGEST_RECORDS must accept exactly what
+/// decoding accepts.
+bool decode_as(FrameType type, std::span<const unsigned char> payload) {
+  switch (type) {
+    case FrameType::kHello:
+    case FrameType::kHelloAck:
+      return decode_hello(payload).has_value();
+    case FrameType::kOpenStream:
+      return decode_open_stream(payload).has_value();
+    case FrameType::kStreamOpened:
+      return decode_stream_opened(payload).has_value();
+    case FrameType::kIngestEvents:
+      return decode_ingest_events(payload).has_value();
+    case FrameType::kIngestRecords: {
+      const auto checked = check_ingest_records(payload);
+      const auto decoded = decode_ingest_records(payload);
+      EXPECT_EQ(checked.has_value(), decoded.has_value());
+      if (checked && decoded) {
+        EXPECT_EQ(checked->count, decoded->records.size());
+      }
+      return decoded.has_value();
+    }
+    case FrameType::kIngestAck:
+      return decode_ingest_ack(payload).has_value();
+    case FrameType::kRetryAfter:
+      return decode_retry_after(payload).has_value();
+    case FrameType::kWarning:
+      return decode_warning(payload).has_value();
+    case FrameType::kFinishStream:
+      return decode_finish_stream(payload).has_value();
+    case FrameType::kFinished:
+    case FrameType::kStatsReply:
+      return decode_stream_stats(payload).has_value();
+    case FrameType::kStats:
+      return decode_stats(payload).has_value();
+    case FrameType::kError:
+      return decode_error(payload).has_value();
+    case FrameType::kBye:
+      return payload.empty();  // BYE has no payload and no decoder
+  }
+  return false;
+}
+
 TEST(WireRejectionTest, MutatedIngestPayloadsNeverThrow) {
-  // 1-8 random bytes of a valid payload overwritten: no decoder may
-  // throw, and the reactor's check must accept exactly what decoding
-  // accepts.
+  // 1-8 random bytes overwritten, in the payload of a valid message of
+  // every frame type and in the whole frame: no message decoder and no
+  // frame decode may throw.
   Rng rng(testing::fuzz_seed(12002));
   std::vector<bgl::RasRecord> records;
   std::vector<bgl::Event> events;
@@ -661,39 +707,72 @@ TEST(WireRejectionTest, MutatedIngestPayloadsNeverThrow) {
     records.push_back(record);
     events.push_back(random_event(rng, t));
   }
-  const auto records_payload = payload_of(
-      [&](auto& out) { append_ingest_records(out, 1, 9, records); });
-  const auto events_payload = payload_of(
-      [&](auto& out) { append_ingest_events(out, 1, 9, events); });
-  std::size_t records_accepted = 0;
-  for (int round = 0; round < 4000; ++round) {
-    const bool raw = round % 2 == 0;
-    auto bytes = raw ? records_payload : events_payload;
+  StreamStatsMsg stats;
+  stats.stream_id = 1;
+  stats.events_ingested = 5000;
+  stats.warnings_emitted = 17;
+  stats.finished = 1;
+  std::vector<std::vector<unsigned char>> frames(15);
+  append_hello(frames[0], HelloMsg{});
+  append_hello_ack(frames[1], HelloMsg{});
+  append_open_stream(frames[2],
+                     OpenStreamMsg{kOpenIngest | kOpenSubscribe, "anl"});
+  append_stream_opened(frames[3], StreamOpenedMsg{1, 9});
+  append_ingest_events(frames[4], 1, 9, events);
+  append_ingest_records(frames[5], 1, 9, records);
+  append_ingest_ack(frames[6], IngestAckMsg{1, 10, 63});
+  append_retry_after(frames[7], RetryAfterMsg{1, 9, 5});
+  append_warning(frames[8], WarningMsg{1, golden_warning()});
+  append_finish_stream(frames[9], FinishStreamMsg{1, 10});
+  append_finished(frames[10], stats);
+  append_stats(frames[11], StatsMsg{1});
+  append_stats_reply(frames[12], stats);
+  append_error(frames[13], ErrorMsg{ErrorCode::kOutOfOrder, 1, "regressed"});
+  append_bye(frames[14]);
+  for (const auto& frame : frames) {
+    const DecodedFrame decoded = decode_frame(frame.data(), frame.size());
+    ASSERT_EQ(decoded.status, DecodeStatus::kFrame);
+    ASSERT_TRUE(decode_as(decoded.type, decoded.payload))
+        << to_string(decoded.type);
+  }
+
+  const auto mutate = [&](std::vector<unsigned char>& bytes) {
     const std::size_t flips = 1 + rng.uniform_index(8);
     for (std::size_t i = 0; i < flips; ++i) {
       bytes[rng.uniform_index(bytes.size())] =
           static_cast<unsigned char>(rng.next_u64());
     }
-    if (!raw) {
-      EXPECT_NO_THROW(decode_ingest_events(bytes)) << "round " << round;
-      continue;
-    }
-    std::optional<CheckedIngestRecords> checked;
-    std::optional<IngestRecordsMsg> decoded;
-    ASSERT_NO_THROW({
-      checked = check_ingest_records(bytes);
-      decoded = decode_ingest_records(bytes);
-    }) << "round " << round;
-    ASSERT_EQ(checked.has_value(), decoded.has_value()) << "round " << round;
-    if (checked) {
-      ++records_accepted;
-      EXPECT_EQ(checked->count, decoded->records.size());
+  };
+  constexpr int kRounds = 2000;
+  std::size_t records_accepted = 0;
+  for (int round = 0; round < kRounds; ++round) {
+    for (const auto& frame : frames) {
+      const DecodedFrame valid = decode_frame(frame.data(), frame.size());
+      std::vector<unsigned char> payload(valid.payload.begin(),
+                                         valid.payload.end());
+      if (!payload.empty()) {
+        mutate(payload);
+        bool accepted = false;
+        ASSERT_NO_THROW(accepted = decode_as(valid.type, payload))
+            << to_string(valid.type) << " round " << round;
+        if (valid.type == FrameType::kIngestRecords && accepted) {
+          ++records_accepted;
+        }
+      }
+      auto bytes = frame;
+      mutate(bytes);
+      ASSERT_NO_THROW({
+        const DecodedFrame decoded = decode_frame(bytes.data(), bytes.size());
+        if (decoded.status == DecodeStatus::kFrame) {
+          decode_as(decoded.type, decoded.payload);
+        }
+      }) << to_string(valid.type) << " frame, round " << round;
     }
   }
   // Mutations that only touch the header's stream id and sequence bytes
   // (or rewrite a byte to itself) still decode: both verdicts occur.
   EXPECT_GT(records_accepted, 0u);
-  EXPECT_LT(records_accepted, 2000u);
+  EXPECT_LT(records_accepted, static_cast<std::size_t>(kRounds));
 }
 
 TEST(WireRejectionTest, ByteReaderLatchesOnOverrun) {

@@ -52,8 +52,7 @@ TEST(ConfigFile, ParsesEveryKey) {
       "correlation_window = 600\n"
       "correlation_min_edge_confidence = 0.3\n"
       "pd_horizon_factor = 2.5\n"
-      "location_scoped = true\n"
-      "adaptive_window = true\n");
+      "location_scoped = true\n");
   EXPECT_EQ(config.prediction_window, 900);
   EXPECT_EQ(config.clock_tick, 900);  // follows the window
   EXPECT_EQ(config.retrain_weeks, 2);
@@ -71,7 +70,6 @@ TEST(ConfigFile, ParsesEveryKey) {
   EXPECT_DOUBLE_EQ(config.learner.correlation.miner.min_edge_confidence, 0.3);
   EXPECT_DOUBLE_EQ(config.predictor.pd_horizon_factor, 2.5);
   EXPECT_TRUE(config.predictor.location_scoped);
-  EXPECT_TRUE(config.adaptive_window);
 }
 
 TEST(ConfigFile, CommentsAndBlanksIgnored) {
@@ -83,9 +81,10 @@ TEST(ConfigFile, CommentsAndBlanksIgnored) {
 }
 
 TEST(ConfigFile, UnknownKeyIsAnErrorWithLineNumber) {
-  // A typo, and the keys of the retired classifier experts.
-  for (const std::string key :
-       {"retrian_weeks", "enable_decision_tree", "enable_neural_net"}) {
+  // A typo, the keys of the retired classifier experts, and the retired
+  // adaptive prediction window's.
+  for (const std::string key : {"retrian_weeks", "enable_decision_tree",
+                                "enable_neural_net", "adaptive_window"}) {
     const auto error = must_fail("retrain_weeks = 4\n" + key + " = 2\n");
     EXPECT_EQ(error.line, 2u) << key;
     EXPECT_NE(error.message.find("unknown key '" + key + "'"),
@@ -125,8 +124,7 @@ TEST(ConfigFile, RenderParseRoundTrip) {
       {"correlation_window", "600"},
       {"correlation_min_edge_confidence", "0.3"},
       {"pd_horizon_factor", "2.5"},
-      {"location_scoped", "true"},
-      {"adaptive_window", "true"}};
+      {"location_scoped", "true"}};
   ASSERT_EQ(values.size(), driver_settings().size());
   std::string text;
   for (const auto& [key, value] : values) {

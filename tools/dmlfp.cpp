@@ -833,8 +833,7 @@ int cmd_run(const Flags& flags) {
   }
   long threads = 1;
   if (!flags.read("dmlfp run", "resume-week", config.resume_week, 0, 520) ||
-      !flags.read("dmlfp run", "threads", threads, 1, 1024) ||
-      (threads > 1 && !tools::sharded_config_ok(config, "dmlfp run"))) {
+      !flags.read("dmlfp run", "threads", threads, 1, 1024)) {
     return 2;
   }
   // Arm fault injection before touching the log: logio.parse applies to

@@ -111,8 +111,7 @@ int main(int argc, char** argv) {
   if (!tools::arm_failpoints(flags, "dmlfpd")) return 2;
 
   online::DriverConfig driver;
-  if (tools::driver_config_from_flags(flags, "dmlfpd", driver) != 0 ||
-      !tools::sharded_config_ok(driver, "dmlfpd")) {
+  if (tools::driver_config_from_flags(flags, "dmlfpd", driver) != 0) {
     return 2;
   }
 

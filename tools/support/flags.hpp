@@ -224,17 +224,4 @@ inline int driver_config_from_flags(const Flags& flags, const char* who,
   return 0;
 }
 
-/// The concurrent front ends (`dmlfp run --threads N`, dmlfpd) serve
-/// through ShardedEngine, which has no adaptive window: false, after
-/// saying so, for a config that asks for one.
-inline bool sharded_config_ok(const online::DriverConfig& config,
-                              const char* who) {
-  if (!config.adaptive_window) return true;
-  std::fprintf(stderr,
-               "%s: adaptive_window = true runs only in the single-threaded "
-               "replay (dmlfp run without --threads)\n",
-               who);
-  return false;
-}
-
 }  // namespace dml::tools
