@@ -19,6 +19,9 @@
 //   - CRC-32: slicing-by-8 vs the bytewise table loop, on buffers the
 //     size of a wire event (24 B), a mean raw record frame (83 B) and
 //     a 512-record INGEST_RECORDS payload (42 KiB).
+//   - Revise: the reviser's per-rule outcome attribution in one pass vs
+//     the reference rules x fatals scan, on a whole-history training
+//     window with every expert (correlation included) and its replay.
 //
 // Both sides of every comparison are checked for identical output before
 // timing — a speedup on diverging results would be meaningless.  Every
@@ -43,6 +46,7 @@
 #include "logio/record_sink.hpp"
 #include "meta/meta_learner.hpp"
 #include "online/report.hpp"
+#include "predict/outcome_matcher.hpp"
 #include "predict/predictor.hpp"
 #include "preprocess/streaming_pipeline.hpp"
 #include "reference_impl.hpp"
@@ -98,6 +102,15 @@ bool same_warnings(const std::vector<predict::Warning>& a,
     }
   }
   return true;
+}
+
+bool same_evaluation(const predict::EvaluationResult& a,
+                     const predict::EvaluationResult& b) {
+  return a.overall == b.overall && a.per_source == b.per_source &&
+         a.per_rule == b.per_rule &&
+         a.fatal_coverage_mask == b.fatal_coverage_mask &&
+         a.total_fatals == b.total_fatals &&
+         a.total_warnings == b.total_warnings;
 }
 
 struct Workload {
@@ -247,6 +260,54 @@ bool run_machine(const Workload& workload, bool quick, double target,
                               std::max(stage.optimized_seconds, 1e-12);
     results.push_back(stage);
   }
+
+  // ---- Stage 4: the reviser's outcome attribution ----------------------
+  // A whole-history build as the daemon retrains it: every expert, the
+  // replay with PD ticks, then per-rule counts for Algorithm 1.
+  const int history_weeks = quick ? 12 : 52;
+  const auto history =
+      store.between(store.first_time(),
+                    store.first_time() + history_weeks * kSecondsPerWeek);
+  meta::MetaLearnerConfig every_expert;
+  every_expert.enable_correlation = true;
+  const auto revised = meta::MetaLearner{every_expert}.learn(history, window);
+  const auto replay =
+      predict::Predictor(revised, window).run(history, window);
+  const auto attributed =
+      predict::evaluate_predictions(history, replay, window, &revised);
+  if (!same_evaluation(attributed,
+                       reference::evaluate_predictions(history, replay, window,
+                                                       &revised))) {
+    std::fprintf(stderr, "FAIL: outcome attribution diverges (%s)\n",
+                 workload.machine.c_str());
+    return false;
+  }
+  StageResult revise;
+  revise.stage = "revise";
+  revise.machine = workload.machine;
+  revise.detail = std::to_string(history.size()) + " events over " +
+                  std::to_string(history_weeks) + " weeks, " +
+                  std::to_string(attributed.total_fatals) + " fatals, " +
+                  std::to_string(revised.size()) + " rules, " +
+                  std::to_string(replay.size()) + " warnings";
+  revise.set_timings(
+      bench::min_of_reps(
+          [&] {
+            const auto e = reference::evaluate_predictions(history, replay,
+                                                           window, &revised);
+            if (e.per_rule.size() != attributed.per_rule.size()) std::abort();
+          },
+          target, max_reps),
+      bench::min_of_reps(
+          [&] {
+            const auto e = predict::evaluate_predictions(history, replay,
+                                                         window, &revised);
+            if (e.per_rule.size() != attributed.per_rule.size()) std::abort();
+          },
+          target, max_reps));
+  revise.events_per_second = static_cast<double>(history.size()) /
+                             std::max(revise.optimized_seconds, 1e-12);
+  results.push_back(revise);
   return true;
 }
 

@@ -3,15 +3,78 @@
 #include <algorithm>
 #include <atomic>
 #include <limits>
+#include <memory>
+#include <string>
+
+#include "common/thread_name.hpp"
 
 namespace dml {
 
 namespace {
-/// True on threads that belong to some ThreadPool.  parallel_for from
-/// inside a pool task must not block on sub-tasks of the same pool (all
-/// workers could end up waiting on queued chunks nobody is left to run),
-/// so it degrades to a serial loop there.
-thread_local bool t_pool_worker = false;
+
+/// One parallel_for_ranges call, shared by its caller and helper tasks.
+/// Reference-counted because it outlives the call: a helper dequeued
+/// after every chunk was claimed still reads `next`.  `fn` points into
+/// the caller's frame and is dereferenced only for a claimed chunk; the
+/// caller does not return before every claimed chunk is done.
+struct RangeJob {
+  using Fn = std::function<void(std::size_t, std::size_t, std::size_t)>;
+
+  RangeJob(const Fn& body, std::size_t lo, std::size_t hi,
+           std::size_t chunk_size)
+      : fn(&body),
+        begin(lo),
+        end(hi),
+        chunk(chunk_size),
+        num_chunks((hi - lo + chunk_size - 1) / chunk_size) {}
+
+  /// Claims and runs chunks until none is left.
+  void run_chunks() {
+    for (;;) {
+      const std::size_t index = next.fetch_add(1);
+      if (index >= num_chunks) return;
+      run_chunk(index);
+    }
+  }
+
+  void run_chunk(std::size_t index) {
+    std::exception_ptr caught;
+    // Chunks not yet started are abandoned after a failure (best
+    // effort); a running chunk finishes its range.
+    if (!failed.load()) {
+      const std::size_t lo = begin + index * chunk;
+      try {
+        (*fn)(index, lo, std::min(end, lo + chunk));
+      } catch (...) {
+        failed.store(true);
+        caught = std::current_exception();
+      }
+    }
+    common::MutexLock lock(mutex);
+    // Keyed by chunk index, so the *first* failing chunk wins
+    // deterministically.
+    if (caught && index < error_chunk) {
+      error_chunk = index;
+      error = std::move(caught);
+    }
+    if (++done == num_chunks) finished.notify_all();
+  }
+
+  const Fn* fn;
+  const std::size_t begin;
+  const std::size_t end;
+  const std::size_t chunk;
+  const std::size_t num_chunks;
+  std::atomic<std::size_t> next{0};
+  std::atomic<bool> failed{false};
+  common::Mutex mutex;
+  common::CondVar finished;
+  std::size_t done DML_GUARDED_BY(mutex) = 0;
+  std::size_t error_chunk DML_GUARDED_BY(mutex) =
+      std::numeric_limits<std::size_t>::max();
+  std::exception_ptr error DML_GUARDED_BY(mutex);
+};
+
 }  // namespace
 
 ThreadPool::ThreadPool(std::size_t num_threads) {
@@ -20,7 +83,10 @@ ThreadPool::ThreadPool(std::size_t num_threads) {
   }
   workers_.reserve(num_threads);
   for (std::size_t i = 0; i < num_threads; ++i) {
-    workers_.emplace_back([this] { worker_loop(); });
+    workers_.emplace_back([this, i] {
+      common::name_this_thread("dml-pool-" + std::to_string(i));
+      worker_loop();
+    });
   }
 }
 
@@ -34,7 +100,6 @@ ThreadPool::~ThreadPool() {
 }
 
 void ThreadPool::worker_loop() {
-  t_pool_worker = true;
   for (;;) {
     std::function<void()> task;
     {
@@ -50,10 +115,6 @@ void ThreadPool::worker_loop() {
   }
 }
 
-std::size_t ThreadPool::max_parallel_chunks() const {
-  return t_pool_worker ? 1 : size() + 1;
-}
-
 void ThreadPool::parallel_for(std::size_t begin, std::size_t end,
                               const std::function<void(std::size_t)>& fn) {
   parallel_for_ranges(begin, end,
@@ -67,55 +128,31 @@ void ThreadPool::parallel_for_ranges(
     const std::function<void(std::size_t, std::size_t, std::size_t)>& fn) {
   if (begin >= end) return;
   const std::size_t n = end - begin;
-  const std::size_t num_chunks = std::min(n, max_parallel_chunks());
-  if (num_chunks <= 1) {
+  const std::size_t max_chunks = std::min(n, max_parallel_chunks());
+  if (max_chunks <= 1) {
     fn(0, begin, end);
     return;
   }
-  const std::size_t chunk = (n + num_chunks - 1) / num_chunks;
-
-  // Every chunk (pool or inline) must finish before this function
-  // returns, even on failure: pool chunks capture `fn` by reference, so
-  // unwinding past them while they still run would be a use-after-scope.
-  // Exceptions are therefore trapped per chunk — keyed by chunk index so
-  // the *first* failing chunk wins deterministically — and the winner is
-  // rethrown on the calling thread once every future has been awaited.
-  common::Mutex error_mutex;
-  std::size_t error_chunk = std::numeric_limits<std::size_t>::max();
-  std::exception_ptr error;
-  std::atomic<bool> failed{false};
-  const auto run_chunk = [&](std::size_t index, std::size_t lo,
-                             std::size_t hi) {
-    try {
-      // Chunks not yet started are abandoned after a failure (best
-      // effort); a running chunk finishes its range.
-      if (failed.load(std::memory_order_relaxed)) return;
-      fn(index, lo, hi);
-    } catch (...) {
-      failed.store(true, std::memory_order_relaxed);
-      common::MutexLock lock(error_mutex);
-      if (index < error_chunk) {
-        error_chunk = index;
-        error = std::current_exception();
-      }
+  const auto job = std::make_shared<RangeJob>(
+      fn, begin, end, (n + max_chunks - 1) / max_chunks);
+  // One helper per chunk beyond the caller's first.  A helper that finds
+  // every chunk claimed returns at once, so a busy pool costs only the
+  // dequeue: the caller runs whatever nobody else has picked up.
+  const std::size_t helpers = job->num_chunks - 1;
+  {
+    common::MutexLock lock(mutex_);
+    for (std::size_t i = 0; i < helpers; ++i) {
+      queue_.emplace([job] { job->run_chunks(); });
     }
-  };
-
-  std::vector<std::future<void>> pending;
-  pending.reserve(num_chunks - 1);
-  // Chunks after the first go to the pool; the first runs inline so the
-  // calling thread is never idle.
-  for (std::size_t c = 1; c < num_chunks; ++c) {
-    const std::size_t lo = begin + c * chunk;
-    const std::size_t hi = std::min(end, lo + chunk);
-    if (lo >= hi) break;
-    pending.push_back(
-        submit([c, lo, hi, &run_chunk] { run_chunk(c, lo, hi); }));
   }
-  const std::size_t first_hi = std::min(end, begin + chunk);
-  run_chunk(0, begin, first_hi);
-  for (auto& f : pending) f.get();
-  if (error) std::rethrow_exception(error);
+  for (std::size_t i = 0; i < helpers; ++i) cv_.notify_one();
+
+  job->run_chunks();
+  // Every chunk is claimed now, so each one not yet done is running on
+  // some thread: waiting here can never wait on a queued chunk.
+  common::MutexLock lock(job->mutex);
+  while (job->done < job->num_chunks) job->finished.wait(lock);
+  if (job->error) std::rethrow_exception(job->error);
 }
 
 ThreadPool& ThreadPool::shared() {

@@ -1,7 +1,7 @@
 #include "meta/meta_learner.hpp"
 
 #include <chrono>
-#include <future>
+#include <vector>
 
 #include "common/check.hpp"
 #include "common/thread_pool.hpp"
@@ -32,71 +32,54 @@ KnowledgeRepository MetaLearner::learn(std::span<const bgl::Event> training,
                                        TrainTimes* times) const {
   using Clock = std::chrono::steady_clock;
 
-  auto run_learner = [&](const learners::BaseLearner& learner,
-                         double* seconds) {
-    const auto start = Clock::now();
-    try {
-      auto rules = learner.learn(training, window);
-      if (seconds != nullptr) *seconds = seconds_since(start);
-      return rules;
-    } catch (const LearnerError&) {
-      throw;
-    } catch (const std::exception& e) {
-      // Tag the failure with the learner it came from; retrain failure
-      // records surface the stage to the operator.
-      throw LearnerError(std::string(learners::to_string(learner.source())),
-                         e.what());
-    }
-  };
-
   TrainTimes local;
   std::vector<learners::Rule> association_rules;
   std::vector<learners::Rule> statistical_rules;
   std::vector<learners::Rule> distribution_rules;
   std::vector<learners::Rule> chain_rules;
 
-  if (config_.parallel_training && ThreadPool::shared().size() > 1) {
-    // Statistical, distribution and correlation learning go to the
-    // pool; association mining (the expensive stage) runs on the calling
-    // thread.
-    std::future<std::vector<learners::Rule>> stat_future;
-    std::future<std::vector<learners::Rule>> dist_future;
-    std::future<std::vector<learners::Rule>> chain_future;
-    if (config_.enable_statistical) {
-      stat_future = ThreadPool::shared().submit([&] {
-        return run_learner(statistical_, &local.statistical_seconds);
-      });
+  // One job per enabled learner, longest first: the correlation graph
+  // build starts at once, and the short jobs fill in around it.
+  struct Job {
+    const learners::BaseLearner* learner;
+    std::vector<learners::Rule>* rules;
+    double* seconds;
+  };
+  std::vector<Job> jobs;
+  if (config_.enable_correlation) {
+    jobs.push_back({&correlation_, &chain_rules, &local.correlation_seconds});
+  }
+  if (config_.enable_association) {
+    jobs.push_back(
+        {&association_, &association_rules, &local.association_seconds});
+  }
+  if (config_.enable_distribution) {
+    jobs.push_back(
+        {&distribution_, &distribution_rules, &local.distribution_seconds});
+  }
+  if (config_.enable_statistical) {
+    jobs.push_back(
+        {&statistical_, &statistical_rules, &local.statistical_seconds});
+  }
+  const auto run_job = [&](std::size_t i) {
+    const Job& job = jobs[i];
+    const auto start = Clock::now();
+    try {
+      *job.rules = job.learner->learn(training, window);
+    } catch (const LearnerError&) {
+      throw;
+    } catch (const std::exception& e) {
+      // Tag the failure with the learner it came from; retrain failure
+      // records surface the stage to the operator.
+      throw LearnerError(
+          std::string(learners::to_string(job.learner->source())), e.what());
     }
-    if (config_.enable_distribution) {
-      dist_future = ThreadPool::shared().submit([&] {
-        return run_learner(distribution_, &local.distribution_seconds);
-      });
-    }
-    if (config_.enable_correlation) {
-      chain_future = ThreadPool::shared().submit([&] {
-        return run_learner(correlation_, &local.correlation_seconds);
-      });
-    }
-    if (config_.enable_association) {
-      association_rules = run_learner(association_, &local.association_seconds);
-    }
-    if (stat_future.valid()) statistical_rules = stat_future.get();
-    if (dist_future.valid()) distribution_rules = dist_future.get();
-    if (chain_future.valid()) chain_rules = chain_future.get();
+    *job.seconds = seconds_since(start);
+  };
+  if (config_.parallel_training) {
+    ThreadPool::shared().parallel_for(0, jobs.size(), run_job);
   } else {
-    if (config_.enable_association) {
-      association_rules = run_learner(association_, &local.association_seconds);
-    }
-    if (config_.enable_statistical) {
-      statistical_rules = run_learner(statistical_, &local.statistical_seconds);
-    }
-    if (config_.enable_distribution) {
-      distribution_rules =
-          run_learner(distribution_, &local.distribution_seconds);
-    }
-    if (config_.enable_correlation) {
-      chain_rules = run_learner(correlation_, &local.correlation_seconds);
-    }
+    for (std::size_t i = 0; i < jobs.size(); ++i) run_job(i);
   }
 
   const auto ensemble_start = Clock::now();

@@ -43,7 +43,9 @@ struct MetaLearnerConfig {
   bool enable_decision_tree = false;
   bool enable_neural_net = false;
   /// Train base learners concurrently on the shared pool ("the rule
-  /// generation process can be conducted in parallel", §5.2.4).
+  /// generation process can be conducted in parallel", §5.2.4), also
+  /// from inside a pool task.  false runs the same jobs one after
+  /// another on the calling thread.
   bool parallel_training = true;
 };
 

@@ -12,6 +12,7 @@
 
 #include "common/check.hpp"
 #include "common/failpoint.hpp"
+#include "common/thread_name.hpp"
 #include "logio/binary_format.hpp"
 
 namespace dml::net {
@@ -185,9 +186,12 @@ void Daemon::start() {
     // Plain new: the Daemon-to-handler conversion crosses a private
     // base, which make_unique (outside the class) cannot perform.
     reactors_.emplace_back(new Reactor(*this));
-    reactors_.back()->start();
+    reactors_.back()->start("dml-reactor-" + std::to_string(i));
   }
-  acceptor_ = std::thread([this] { accept_loop(); });
+  acceptor_ = std::thread([this] {
+    common::name_this_thread("dml-accept");
+    accept_loop();
+  });
 }
 
 Reactor& Daemon::next_reactor() {
@@ -454,7 +458,10 @@ std::shared_ptr<Daemon::Stream> Daemon::create_stream(
       config_.engine,
       [raw](const predict::Warning& w) { raw->on_warning(w); });
   stream->id = next_stream_id_++;
-  stream->pump = std::thread([this, stream] { pump_main(stream); });
+  stream->pump = std::thread([this, stream] {
+    common::name_this_thread("dml-pump-" + std::to_string(stream->id));
+    pump_main(stream);
+  });
   streams_by_name_.emplace(name, stream);
   streams_by_id_.emplace(stream->id, stream);
   return stream;

@@ -13,6 +13,7 @@
 
 #include "common/check.hpp"
 #include "common/failpoint.hpp"
+#include "common/thread_name.hpp"
 
 namespace dml::net {
 namespace {
@@ -51,9 +52,12 @@ Reactor::Reactor(ReactorHandler& handler)
 
 Reactor::~Reactor() { stop(); }
 
-void Reactor::start() {
+void Reactor::start(const std::string& name) {
   DML_CHECK_MSG(!thread_.joinable(), "reactor already started");
-  thread_ = std::thread([this] { run(); });
+  thread_ = std::thread([this, name] {
+    common::name_this_thread(name);
+    run();
+  });
 }
 
 void Reactor::stop() {

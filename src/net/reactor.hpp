@@ -98,7 +98,9 @@ class Reactor {
   Reactor(const Reactor&) = delete;
   Reactor& operator=(const Reactor&) = delete;
 
-  void start();
+  /// Starts the event-loop thread, named `name` (see
+  /// common::name_this_thread).
+  void start(const std::string& name);
   /// Closes every connection (with on_disconnect) and joins the thread.
   void stop();
 

@@ -182,12 +182,7 @@ SnapshotBuild RetrainScheduler::run_build(
   SnapshotBuild build;
   build.scheduled_at = boundary;
 
-  meta::MetaLearnerConfig learner_config = config_.learner;
-  // A pool build already runs on the shared pool; fanning the base
-  // learners out to the same pool again would have pool tasks blocking
-  // on pool tasks.
-  if (config_.pool_builds) learner_config.parallel_training = false;
-  const meta::MetaLearner learner(learner_config);
+  const meta::MetaLearner learner(config_.learner);
 
   const DurationSec window = config_.prediction_window;
   build.window = window;

@@ -14,6 +14,7 @@
 #include "common/annotations.hpp"
 #include "common/check.hpp"
 #include "common/failpoint.hpp"
+#include "common/thread_name.hpp"
 #include "online/serving.hpp"
 
 namespace dml::online {
@@ -238,7 +239,10 @@ ShardedEngine::ShardedEngine(ShardedEngineConfig config,
     shards_.push_back(std::make_unique<Shard>(config_.queue_capacity));
   }
   for (std::size_t i = 0; i < n; ++i) {
-    shards_[i]->thread = std::thread([this, i] { worker(i); });
+    shards_[i]->thread = std::thread([this, i] {
+      common::name_this_thread("dml-shard-" + std::to_string(i));
+      worker(i);
+    });
   }
 }
 

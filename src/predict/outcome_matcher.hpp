@@ -29,8 +29,9 @@ struct EvaluationResult {
   /// Indexed by RuleSource; Tp/Fn attribute a failure to every source
   /// that covered / could have covered it.
   std::array<stats::ConfusionCounts, learners::kNumRuleSources> per_source;
-  /// Per rule id (only rules that issued warnings or had eligible
-  /// failures appear).
+  /// Per rule id, filled only when a repository is given: an entry for
+  /// every repository rule, plus one for any other rule id that issued a
+  /// false positive.
   std::unordered_map<std::uint64_t, stats::ConfusionCounts> per_rule;
   /// For each fatal event of the span, a bitmask of the RuleSources
   /// whose warnings covered it (bit i == source i) — the Figure 8 Venn.

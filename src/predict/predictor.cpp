@@ -497,6 +497,14 @@ void DML_HOT Predictor::tick_into(TimeSec now, std::vector<Warning>& out) {
   check_distribution(out, now);
 }
 
+TimeSec Predictor::tick_quiet_until() const {
+  // Mirrors check_distribution's early returns: nothing before the first
+  // fatal; then, outside per-scope mode, nothing up to the horizon.
+  if (!last_fatal_.has_value()) return std::numeric_limits<TimeSec>::max();
+  if (options_.per_scope_state) return std::numeric_limits<TimeSec>::min();
+  return pd_quiet_until_;
+}
+
 std::vector<Warning> Predictor::tick(TimeSec now) {
   std::vector<Warning> out;
   tick_into(now, out);
@@ -511,6 +519,15 @@ std::vector<Warning> Predictor::run(std::span<const bgl::Event> events,
     if (tick_interval > 0) {
       if (!next_tick) next_tick = event.time + tick_interval;
       while (*next_tick < event.time) {
+        // Skip the grid instants a tick provably returns from untouched.
+        // Capped at the event, so a repository without PD rules (quiet
+        // horizon TimeSec max) cannot overflow the grid.
+        const TimeSec quiet = std::min(event.time - 1, tick_quiet_until());
+        if (quiet >= *next_tick) {
+          *next_tick += ((quiet - *next_tick) / tick_interval + 1) *
+                        tick_interval;
+          if (*next_tick >= event.time) break;
+        }
         tick_into(*next_tick, all);
         *next_tick += tick_interval;
       }

@@ -107,7 +107,9 @@ class Predictor {
   std::vector<Warning> tick(TimeSec now);
 
   /// Convenience: runs a whole span and collects every warning, with
-  /// PD clock ticks injected every `tick_interval` (0 = no ticks).
+  /// PD clock ticks injected every `tick_interval` (0 = no ticks).  It
+  /// skips the grid instants where a tick provably does nothing, so the
+  /// result equals a tick_into at every instant.
   std::vector<Warning> run(std::span<const bgl::Event> events,
                            DurationSec tick_interval = 0);
 
@@ -142,6 +144,9 @@ class Predictor {
                  std::uint32_t scope = 0);
   void erase_active(std::uint64_t rule_id, std::uint32_t scope);
   void check_distribution(std::vector<Warning>& out, TimeSec now);
+  /// Latest instant at or before which tick_into(now) returns without
+  /// touching any state, as of now (TimeSec min when none is known).
+  TimeSec tick_quiet_until() const;
   void check_distribution_scope(std::vector<Warning>& out, TimeSec now,
                                 std::uint32_t midplane, TimeSec last_fatal);
   /// Pointer to the scope's last-fatal clock, or nullptr (sorted-vector

@@ -2,8 +2,15 @@
 
 #include <gtest/gtest.h>
 
+#include <sys/syscall.h>
+#include <unistd.h>
+
 #include <atomic>
+#include <fstream>
+#include <latch>
 #include <numeric>
+#include <set>
+#include <string>
 #include <vector>
 
 namespace dml {
@@ -117,15 +124,70 @@ TEST(ThreadPool, ParallelForUsableAfterException) {
 }
 
 TEST(ThreadPool, NestedParallelForDoesNotDeadlock) {
-  // parallel_for from inside a pool worker runs serially instead of
-  // waiting on the (possibly exhausted) pool.
+  // Both workers of a 2-thread pool sit inside a parallel_for nested two
+  // deep, so every helper chunk they queue waits behind busy workers.
+  // The callers run what nobody picks up, and every call completes with
+  // each index covered exactly once.
+  constexpr std::size_t kTasks = 2, kOuter = 6, kInner = 40;
   ThreadPool pool(2);
-  std::atomic<int> inner_calls{0};
+  std::vector<std::atomic<int>> touched(kTasks * kOuter * kInner);
+  std::latch both_running(kTasks);
+  std::vector<std::future<void>> futures;
+  for (std::size_t t = 0; t < kTasks; ++t) {
+    futures.push_back(pool.submit([&, t] {
+      both_running.arrive_and_wait();
+      pool.parallel_for(0, kOuter, [&](std::size_t i) {
+        pool.parallel_for(0, kInner, [&](std::size_t j) {
+          ++touched[(t * kOuter + i) * kInner + j];
+        });
+      });
+    }));
+  }
+  for (auto& f : futures) f.get();
+  for (const auto& count : touched) EXPECT_EQ(count.load(), 1);
+}
+
+TEST(ThreadPool, NestedExceptionReachesTheOuterCaller) {
+  // A chunk two levels down inside a pool task throws: the exception
+  // climbs both parallel_for calls to the task's caller, and the pool
+  // keeps serving afterwards.
+  ThreadPool pool(2);
   auto future = pool.submit([&] {
-    pool.parallel_for(0, 64, [&](std::size_t) { ++inner_calls; });
+    pool.parallel_for(0, 4, [&](std::size_t i) {
+      pool.parallel_for(0, 16, [&](std::size_t j) {
+        if (i == 2 && j == 5) throw std::runtime_error("nested chunk");
+      });
+    });
   });
-  future.get();
-  EXPECT_EQ(inner_calls.load(), 64);
+  try {
+    future.get();
+    FAIL() << "expected the nested exception";
+  } catch (const std::runtime_error& e) {
+    EXPECT_STREQ(e.what(), "nested chunk");
+  }
+  std::atomic<int> calls{0};
+  pool.parallel_for(0, 100, [&](std::size_t) { ++calls; });
+  EXPECT_EQ(calls.load(), 100);
+  EXPECT_EQ(pool.submit([] { return 7; }).get(), 7);
+}
+
+TEST(ThreadPool, WorkersAreNamedByIndex) {
+  // Two tasks held until both run occupy both workers; each reads its
+  // own thread's name back from /proc.
+  ThreadPool pool(2);
+  std::latch both_running(2);
+  const auto own_name = [&] {
+    both_running.arrive_and_wait();
+    const long tid = ::syscall(SYS_gettid);
+    std::ifstream comm("/proc/self/task/" + std::to_string(tid) + "/comm");
+    std::string name;
+    std::getline(comm, name);
+    return name;
+  };
+  auto first = pool.submit(own_name);
+  auto second = pool.submit(own_name);
+  const std::set<std::string> names = {first.get(), second.get()};
+  EXPECT_EQ(names, (std::set<std::string>{"dml-pool-0", "dml-pool-1"}));
 }
 
 TEST(ThreadPool, DestructionDrainsQueue) {

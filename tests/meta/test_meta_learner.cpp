@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include "common/thread_pool.hpp"
 #include "support/test_fixtures.hpp"
 
 namespace dml::meta {
@@ -59,6 +60,39 @@ TEST(MetaLearner, ParallelAndSerialTrainingAgree) {
   for (std::size_t i = 0; i < repo_serial.size(); ++i) {
     EXPECT_EQ(repo_serial.rules()[i].rule.identity(),
               repo_parallel.rules()[i].rule.identity());
+  }
+}
+
+TEST(MetaLearner, LearningInsideAPoolTaskMatchesSerialAndCallerThread) {
+  // A daemon build runs learn() on a pool worker, where its learners and
+  // Apriori's counting fan out on the same pool.  The rules must equal a
+  // serial build's and a build from outside the pool, rule for rule.
+  const auto& store = testing::shared_store();
+  const auto training = testing::weeks_of(store, 0, 20);
+  MetaLearnerConfig serial;
+  serial.enable_correlation = true;
+  serial.parallel_training = false;
+  MetaLearnerConfig parallel = serial;
+  parallel.parallel_training = true;
+  const auto repo_serial = MetaLearner{serial}.learn(training, testing::kWp);
+  const auto repo_caller =
+      MetaLearner{parallel}.learn(training, testing::kWp);
+  const auto repo_pool = ThreadPool::shared()
+                             .submit([&] {
+                               return MetaLearner{parallel}.learn(
+                                   training, testing::kWp);
+                             })
+                             .get();
+  EXPECT_GT(repo_serial.count_by_source(learners::RuleSource::kCorrelation),
+            0u);
+  ASSERT_EQ(repo_serial.size(), repo_caller.size());
+  ASSERT_EQ(repo_serial.size(), repo_pool.size());
+  for (std::size_t i = 0; i < repo_serial.size(); ++i) {
+    EXPECT_EQ(repo_serial.rules()[i].id, repo_pool.rules()[i].id);
+    EXPECT_EQ(repo_serial.rules()[i].rule.identity(),
+              repo_caller.rules()[i].rule.identity());
+    EXPECT_EQ(repo_serial.rules()[i].rule.identity(),
+              repo_pool.rules()[i].rule.identity());
   }
 }
 

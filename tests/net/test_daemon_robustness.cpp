@@ -15,12 +15,16 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <chrono>
 #include <filesystem>
+#include <fstream>
 #include <functional>
 #include <memory>
 #include <optional>
+#include <set>
 #include <span>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "loggen/generator.hpp"
@@ -172,6 +176,43 @@ TEST(DaemonRobustnessTest, ReconnectWithResumeDoesNotCorruptStreamState) {
   EXPECT_EQ(stats.events_ingested, events.size());
   EXPECT_EQ(stats.warnings_emitted, reference_warning_count());
   EXPECT_TRUE(stats.finished);
+}
+
+/// Names of every thread of this process, from /proc.
+std::set<std::string> thread_names() {
+  std::set<std::string> names;
+  for (const auto& task :
+       std::filesystem::directory_iterator("/proc/self/task")) {
+    std::ifstream comm(task.path() / "comm");
+    std::string name;
+    if (std::getline(comm, name)) names.insert(name);
+  }
+  return names;
+}
+
+TEST(DaemonRobustnessTest, ThreadsAreNamedByRole) {
+  // Two reactors, the acceptor, and per stream a pump and two shard
+  // workers: each shows its role in ps -L, top -H and /proc.  A thread
+  // names itself as it starts, so the names may trail the reply a little.
+  testing::DaemonFixture fixture(testing::daemon_test_config());
+  Client client("127.0.0.1", fixture.port());
+  const auto opened = client.open_stream("named");
+  const std::set<std::string> expected = {
+      "dml-reactor-0", "dml-reactor-1", "dml-accept", "dml-shard-0",
+      "dml-shard-1", "dml-pump-" + std::to_string(opened.stream_id)};
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  std::set<std::string> missing = expected;
+  while (!missing.empty() && std::chrono::steady_clock::now() < deadline) {
+    const auto names = thread_names();
+    std::erase_if(missing,
+                  [&](const std::string& n) { return names.contains(n); });
+    if (!missing.empty()) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+  }
+  EXPECT_TRUE(missing.empty())
+      << (missing.empty() ? std::string() : *missing.begin());
 }
 
 TEST(DaemonRobustnessTest, IngestOwnershipIsExclusiveUntilDisconnect) {

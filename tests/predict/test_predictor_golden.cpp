@@ -13,6 +13,7 @@
 
 #include "bgl/taxonomy.hpp"
 #include "common/rng.hpp"
+#include "meta/meta_learner.hpp"
 #include "reference_impl.hpp"
 #include "support/test_fixtures.hpp"
 
@@ -116,6 +117,57 @@ TEST(PredictorGolden, FuzzedStreamsMatchReferenceInAllModes) {
       expect_identical_streams(
           got, want,
           std::string(mode_name(mode)) + " round " + std::to_string(round));
+    }
+  }
+}
+
+/// Predictor::run as it was before it skipped provably empty ticks: a
+/// tick_into at every grid instant before each event.
+std::vector<Warning> run_every_tick(Predictor& predictor,
+                                    std::span<const bgl::Event> events,
+                                    DurationSec tick_interval) {
+  std::vector<Warning> all;
+  std::optional<TimeSec> next_tick;
+  for (const auto& event : events) {
+    if (!next_tick) next_tick = event.time + tick_interval;
+    while (*next_tick < event.time) {
+      predictor.tick_into(*next_tick, all);
+      *next_tick += tick_interval;
+    }
+    predictor.observe_batch({&event, 1}, all);
+  }
+  return all;
+}
+
+TEST(PredictorGolden, RunEqualsATickAtEveryInstant) {
+  // run() jumps over ticks it can prove are empty; the stream must equal
+  // ticking every instant, in every mode, with and without a PD rule (a
+  // repository without one has an unbounded quiet horizon).
+  const auto& store = testing::shared_store();
+  meta::MetaLearnerConfig no_pd_config;
+  no_pd_config.enable_distribution = false;
+  const auto no_pd = meta::MetaLearner{no_pd_config}.learn(
+      testing::weeks_of(store, 0, 26), testing::kWp);
+  ASSERT_EQ(no_pd.count_by_source(learners::RuleSource::kDistribution), 0u);
+  Rng rng(testing::fuzz_seed(6302));
+  const auto fuzzed = fuzz_events(rng, 3000);
+  const std::span<const bgl::Event> streams[] = {
+      testing::weeks_of(store, 26, 34), fuzzed};
+  for (const auto* repository : {&testing::shared_repository(), &no_pd}) {
+    for (const auto events : streams) {
+      for (int mode = 0; mode < 3; ++mode) {
+        const auto options = mode_options(mode);
+        for (const DurationSec interval : {testing::kWp, DurationSec{7}}) {
+          Predictor skipping(*repository, testing::kWp, options);
+          Predictor every(*repository, testing::kWp, options);
+          expect_identical_streams(
+              skipping.run(events, interval),
+              run_every_tick(every, events, interval),
+              std::string(mode_name(mode)) +
+                  (repository == &no_pd ? " no-PD" : " trained") +
+                  " tick " + std::to_string(interval));
+        }
+      }
     }
   }
 }

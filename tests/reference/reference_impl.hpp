@@ -2,8 +2,8 @@
 // in DESIGN.md §9: the horizontal std::includes Apriori miner, the
 // rescan-per-stride negative-window sampler, the hash-map Predictor and
 // the copying preprocess chain (per-facility classifier scan, unbounded
-// unordered_map filters); plus the rescanning correlation-graph builder
-// (DESIGN.md §14.1).
+// unordered_map filters) and the rules x fatals outcome attribution;
+// plus the rescanning correlation-graph builder (DESIGN.md §14.1).
 // They are kept verbatim (modulo naming) as the equivalence oracle for
 // the golden tests and the "before" side of bench_hot_paths — the
 // optimized implementations must reproduce their itemset multisets,
@@ -27,6 +27,7 @@
 #include "learners/apriori.hpp"
 #include "learners/correlation/event_graph.hpp"
 #include "meta/knowledge_repository.hpp"
+#include "predict/outcome_matcher.hpp"
 #include "predict/predictor.hpp"
 #include "preprocess/streaming_pipeline.hpp"
 
@@ -131,6 +132,15 @@ class PreprocessChain {
   preprocess::PipelineStats stats_;
   preprocess::Categorizer::Stats categorizer_stats_;
 };
+
+/// predict::evaluate_predictions with per-rule attribution as a rules x
+/// fatals scan: each repository rule is looked up in every fatal's list
+/// of consumed warnings' rule ids.  The one-pass attribution must equal
+/// it field for field, per rule included.
+predict::EvaluationResult evaluate_predictions(
+    std::span<const bgl::Event> events,
+    std::span<const predict::Warning> warnings, DurationSec window,
+    const meta::KnowledgeRepository* repository);
 
 /// The hash-map predictor (paper Algorithm 2), emitting the same
 /// predict::Warning stream as predict::Predictor.

@@ -104,6 +104,7 @@ int usage() {
       "            [--correlation-window 1..86400]  graph adjacency window\n"
       "            [--correlation-min-edge 0..1]  min per-edge confidence\n"
       "            [--threads 1..1024]  N-shard concurrent serving replay\n"
+      "            (no --report: that needs the --threads 1 interval table)\n"
       "            [--resume-week 0..520]  restart: rebuild training state\n"
       "            from the repository, serve only from that week on\n"
       "            [--warnings FILE]  dump the warning stream (one per\n"
@@ -834,6 +835,12 @@ int cmd_run(const Flags& flags) {
   long threads = 1;
   if (!flags.read("dmlfp run", "resume-week", config.resume_week, 0, 520) ||
       !flags.read("dmlfp run", "threads", threads, 1, 1024)) {
+    return 2;
+  }
+  // The markdown report is built from the driver's interval table, which
+  // the sharded replay does not produce.
+  if (threads > 1 && flags.has("report")) {
+    std::fprintf(stderr, "dmlfp run: --report needs --threads 1\n");
     return 2;
   }
   // Arm fault injection before touching the log: logio.parse applies to
