@@ -13,12 +13,16 @@
 //   - Correlation graph build (recency lists and in-edge rows vs the
 //     naive backward rescan) and chain-rule serving on a chain-heavy
 //     trace (§14).
-//   - Raw-record preprocessing: StreamingPipeline (bucketed classifier,
-//     copy-free bounded filters) vs the copying reference chain, on
-//     slices of the ANL and SDSC raw logs at the 300 s threshold.
-//   - CRC-32: slicing-by-8 vs the bytewise table loop, on buffers the
-//     size of a wire event (24 B), a mean raw record frame (83 B) and
-//     a 512-record INGEST_RECORDS payload (42 KiB).
+//   - Raw-record preprocessing: StreamingPipeline (classification memo,
+//     bucketed classifier, copy-free bounded filters) vs the copying
+//     reference chain, on slices of the ANL and SDSC raw logs at the
+//     300 s threshold, and on the ANL slice with every entry made
+//     unique: the memo's miss cost, which no repeated log shows.
+//   - CRC-32: slicing-by-8 vs the bytewise table loop, and
+//     common::crc32 (the dispatched folding kernel from 64 B) vs
+//     slicing-by-8, on buffers the size of a wire event (24 B), a mean
+//     raw record frame (83 B) and a 512-record INGEST_RECORDS payload
+//     (42 KiB).
 //   - Revise: the reviser's per-rule outcome attribution in one pass vs
 //     the reference rules x fatals scan, on a whole-history training
 //     window with every expert (correlation included) and its replay.
@@ -314,16 +318,22 @@ bool run_machine(const Workload& workload, bool quick, double target,
 // ---- raw front-end stages ----------------------------------------------
 
 /// StreamingPipeline against the reference chain on a raw-log slice;
-/// false if their events or statistics differ.
+/// false if their events or statistics differ.  `distinct` appends each
+/// record's id to its entry, so no two entries repeat.
 bool run_preprocess_stage(const std::string& machine,
                           loggen::MachineProfile profile, std::uint64_t seed,
-                          bool quick, double target, int max_reps,
-                          std::vector<StageResult>& results) {
+                          bool distinct, bool quick, double target,
+                          int max_reps, std::vector<StageResult>& results) {
   constexpr DurationSec kThreshold = 300;  // the paper's production value
   profile.weeks = quick ? 2 : 8;
   logio::VectorSink sink;
   loggen::LogGenerator(profile, seed).generate(sink);
-  const std::vector<bgl::RasRecord>& records = sink.records();
+  std::vector<bgl::RasRecord> records = sink.take();
+  if (distinct) {
+    for (auto& record : records) {
+      record.entry_data += " #" + std::to_string(record.record_id);
+    }
+  }
 
   std::size_t survivors = 0;
   {
@@ -347,10 +357,11 @@ bool run_preprocess_stage(const std::string& machine,
   }
   StageResult stage;
   stage.stage = "preprocess_push";
-  stage.machine = machine;
+  stage.machine = distinct ? machine + "-distinct" : machine;
   stage.detail = std::to_string(records.size()) + " raw records over " +
                  std::to_string(profile.weeks) + " weeks, " +
-                 std::to_string(survivors) + " events";
+                 std::to_string(survivors) + " events" +
+                 (distinct ? ", every entry unique" : "");
   stage.set_timings(
       bench::min_of_reps(
           [&] {
@@ -372,8 +383,10 @@ bool run_preprocess_stage(const std::string& machine,
   return true;
 }
 
-/// Slicing-by-8 against the bytewise loop over one buffer cut into
-/// `length`-byte calls; events_per_second is bytes per second here.
+/// Over one buffer cut into `length`-byte calls: slicing-by-8 against
+/// the bytewise loop ("crc32"), and common::crc32 against slicing-by-8
+/// ("crc32_dispatched", machine = the dispatched variant);
+/// events_per_second is bytes per second here.
 bool run_crc32_stages(bool quick, double target, int max_reps,
                       std::vector<StageResult>& results) {
   Rng rng(0xC4C);
@@ -393,34 +406,44 @@ bool run_crc32_stages(bool quick, double target, int max_reps,
       return reference::crc32_bytewise(p, n);
     };
     const auto slicing = [](const unsigned char* p, std::size_t n) {
+      return common::crc32_slicing8(p, n);
+    };
+    const auto dispatched = [](const unsigned char* p, std::size_t n) {
       return common::crc32(p, n);
     };
     const std::uint32_t expected = checksum_all(bytewise);
-    if (checksum_all(slicing) != expected) {
+    if (checksum_all(slicing) != expected ||
+        checksum_all(dispatched) != expected) {
       std::fprintf(stderr, "FAIL: crc32 diverges at %zu-byte buffers\n",
                    length);
       return false;
     }
-    StageResult stage;
-    stage.stage = "crc32";
-    stage.machine = "-";
-    stage.detail = std::to_string(calls) + " calls of " +
-                   std::to_string(length) + " B (unit/s = bytes/s)";
-    stage.set_timings(
-        bench::min_of_reps(
-            [&] {
-              if (checksum_all(bytewise) != expected) std::abort();
-            },
-            target, max_reps),
-        bench::min_of_reps(
-            [&] {
-              if (checksum_all(slicing) != expected) std::abort();
-            },
-            target, max_reps));
-    stage.events_per_second =
-        static_cast<double>(calls * length) /
-        std::max(stage.optimized_seconds, 1e-12);
-    results.push_back(stage);
+    const auto timed = [&](auto crc) {
+      return bench::min_of_reps(
+          [&] {
+            if (checksum_all(crc) != expected) std::abort();
+          },
+          target, max_reps);
+    };
+    const bench::Timing bytewise_time = timed(bytewise);
+    const bench::Timing slicing_time = timed(slicing);
+    const bench::Timing dispatched_time = timed(dispatched);
+    const std::string detail = std::to_string(calls) + " calls of " +
+                               std::to_string(length) +
+                               " B (unit/s = bytes/s)";
+    for (const bool folded : {false, true}) {
+      StageResult stage;
+      stage.stage = folded ? "crc32_dispatched" : "crc32";
+      stage.machine =
+          folded ? std::string(simd::to_string(simd::active().variant)) : "-";
+      stage.detail = detail;
+      stage.set_timings(folded ? slicing_time : bytewise_time,
+                        folded ? dispatched_time : slicing_time);
+      stage.events_per_second =
+          static_cast<double>(calls * length) /
+          std::max(stage.optimized_seconds, 1e-12);
+      results.push_back(stage);
+    }
   }
   return true;
 }
@@ -918,9 +941,14 @@ int main(int argc, char** argv) {
   }
   if (!run_correlation_stages(quick, target, max_reps, results)) return 1;
   if (!run_preprocess_stage("anl", bench::anl_profile(), bench::kAnlSeed,
-                            quick, target, max_reps, results) ||
+                            /*distinct=*/false, quick, target, max_reps,
+                            results) ||
+      !run_preprocess_stage("anl", bench::anl_profile(), bench::kAnlSeed,
+                            /*distinct=*/true, quick, target, max_reps,
+                            results) ||
       !run_preprocess_stage("sdsc", bench::sdsc_profile(), bench::kSdscSeed,
-                            quick, target, max_reps, results) ||
+                            /*distinct=*/false, quick, target, max_reps,
+                            results) ||
       !run_crc32_stages(quick, target, max_reps, results)) {
     return 1;
   }

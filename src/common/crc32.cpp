@@ -40,7 +40,8 @@ std::uint32_t load_le32(const unsigned char* p) {
 
 }  // namespace
 
-std::uint32_t crc32(const void* data, std::size_t size, std::uint32_t crc) {
+std::uint32_t crc32_slicing8(const void* data, std::size_t size,
+                             std::uint32_t crc) {
   const auto* bytes = static_cast<const unsigned char*>(data);
   crc = ~crc;
   for (; size >= 8; size -= 8, bytes += 8) {

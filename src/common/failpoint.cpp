@@ -132,7 +132,8 @@ std::optional<FailpointSpec> parse_failpoint_spec(std::string_view text,
     if (key == "p") {
       if (seen(seen_p)) return std::nullopt;
       const auto p = parse_number<double>(value);
-      if (!p || *p < 0.0 || *p > 1.0) {
+      // Written so that NaN, which compares false, is refused too.
+      if (!p || !(*p >= 0.0 && *p <= 1.0)) {
         fail_at(error, text, value_at,
                 "failpoint p must be a probability in [0, 1]");
         return std::nullopt;

@@ -5,6 +5,7 @@
 #include <cstring>
 
 #include "common/check.hpp"
+#include "common/crc32.hpp"
 
 // The vector variants are x86-only and can be compiled out wholesale
 // (cmake -DDMLFP_DISABLE_SIMD=ON, or any non-x86 target).
@@ -218,17 +219,160 @@ subset_count_avx512(const std::uint64_t* rows, std::size_t n_rows,
   return count;
 }
 
+// ---- CRC-32 by carry-less multiply -------------------------------------
+// Folding as in Gopal et al., "Fast CRC Computation for Generic
+// Polynomials Using PCLMULQDQ Instruction" (Intel, 2009), for the
+// bit-reflected CRC-32: four 128-bit lanes fold 64 bytes per step, fold
+// into one lane, fold 16 bytes per step, then reduce 128 -> 64 -> 32
+// bits, the last step by Barrett reduction.  Every constant is derived
+// from the polynomial below at compile time.
+
+namespace crc_fold {
+
+/// P(x) of CRC-32, x^32 term included, in normal (unreflected) order.
+constexpr std::uint64_t kPoly = 0x104C11DB7ULL;
+
+/// x^k mod P(x), normal order.
+constexpr std::uint64_t x_pow_mod(unsigned k) {
+  std::uint64_t r = 1;
+  for (unsigned i = 0; i < k; ++i) {
+    r <<= 1;
+    if ((r >> 32) != 0) r ^= kPoly;
+  }
+  return r;
+}
+
+/// The low `bits` bits of v in reverse order.
+constexpr std::uint64_t reflect(std::uint64_t v, unsigned bits) {
+  std::uint64_t out = 0;
+  for (unsigned i = 0; i < bits; ++i) {
+    if (((v >> i) & 1) != 0) out |= std::uint64_t{1} << (bits - 1 - i);
+  }
+  return out;
+}
+
+/// The multiplier that moves a 64-bit half `k` bits along the message,
+/// in the reflected domain: reflect32(x^k mod P) << 1, 33 bits wide.
+constexpr std::uint64_t fold(unsigned k) {
+  return reflect(x_pow_mod(k), 32) << 1;
+}
+
+/// floor(x^64 / P(x)), normal order (33 bits): the Barrett quotient.
+constexpr std::uint64_t barrett_quotient() {
+  std::uint64_t q = 0;
+  std::uint64_t r = 0;
+  for (int i = 64; i >= 0; --i) {
+    r = (r << 1) | (i == 64 ? 1 : 0);
+    q <<= 1;
+    if ((r >> 32) != 0) {
+      r ^= kPoly;
+      q |= 1;
+    }
+  }
+  return q;
+}
+
+// Fold distances: 4 lanes of 128 bits, then one lane of 128 bits, each
+// split into the half that moves 32 bits further and the half that moves
+// 32 bits less; then 64 bits.
+constexpr std::uint64_t kFold512Lo = fold(4 * 128 + 32);
+constexpr std::uint64_t kFold512Hi = fold(4 * 128 - 32);
+constexpr std::uint64_t kFold128Lo = fold(128 + 32);
+constexpr std::uint64_t kFold128Hi = fold(128 - 32);
+constexpr std::uint64_t kFold64 = fold(64);
+constexpr std::uint64_t kPolyReflected = reflect(kPoly, 33);
+constexpr std::uint64_t kMuReflected = reflect(barrett_quotient(), 33);
+static_assert((kPolyReflected >> 1) == 0xEDB88320u,
+              "the reflected polynomial of common::crc32_slicing8's tables");
+
+}  // namespace crc_fold
+
+#define DMLFP_CRC_TARGET __attribute__((target("pclmul,sse4.1")))
+
+DMLFP_CRC_TARGET static inline __m128i load_block(const unsigned char* p,
+                                                  std::size_t block) {
+  return _mm_loadu_si128(reinterpret_cast<const __m128i*>(p + 16 * block));
+}
+
+/// One lane moved forward by the distance `k` encodes, merged with the
+/// data it lands on.
+DMLFP_CRC_TARGET static inline __m128i fold_into(__m128i lane, __m128i k,
+                                                 __m128i data) {
+  return _mm_xor_si128(_mm_xor_si128(_mm_clmulepi64_si128(lane, k, 0x00),
+                                     _mm_clmulepi64_si128(lane, k, 0x11)),
+                       data);
+}
+
+/// The internal (inverted) CRC state after `blocks16` 16-byte blocks,
+/// at least four of them.
+DMLFP_CRC_TARGET static std::uint32_t DML_HOT
+crc32_fold_blocks(const unsigned char* p, std::size_t blocks16,
+                  std::uint32_t state) {
+  using namespace crc_fold;
+  __m128i x1 = _mm_xor_si128(load_block(p, 0),
+                             _mm_cvtsi32_si128(static_cast<int>(state)));
+  __m128i x2 = load_block(p, 1);
+  __m128i x3 = load_block(p, 2);
+  __m128i x4 = load_block(p, 3);
+  std::size_t block = 4;
+  const __m128i k512 = _mm_set_epi64x(static_cast<long long>(kFold512Hi),
+                                      static_cast<long long>(kFold512Lo));
+  for (; block + 4 <= blocks16; block += 4) {
+    x1 = fold_into(x1, k512, load_block(p, block));
+    x2 = fold_into(x2, k512, load_block(p, block + 1));
+    x3 = fold_into(x3, k512, load_block(p, block + 2));
+    x4 = fold_into(x4, k512, load_block(p, block + 3));
+  }
+  const __m128i k128 = _mm_set_epi64x(static_cast<long long>(kFold128Hi),
+                                      static_cast<long long>(kFold128Lo));
+  x1 = fold_into(x1, k128, x2);
+  x1 = fold_into(x1, k128, x3);
+  x1 = fold_into(x1, k128, x4);
+  for (; block < blocks16; ++block) {
+    x1 = fold_into(x1, k128, load_block(p, block));
+  }
+
+  // 128 -> 64 bits, then 64 -> 32 by Barrett reduction.
+  const __m128i low32 = _mm_setr_epi32(~0, 0, ~0, 0);
+  x1 = _mm_xor_si128(_mm_srli_si128(x1, 8),
+                     _mm_clmulepi64_si128(x1, k128, 0x10));
+  const __m128i k64 = _mm_set_epi64x(0, static_cast<long long>(kFold64));
+  x1 = _mm_xor_si128(_mm_srli_si128(x1, 4),
+                     _mm_clmulepi64_si128(_mm_and_si128(x1, low32), k64, 0x00));
+  const __m128i barrett =
+      _mm_set_epi64x(static_cast<long long>(kMuReflected),
+                     static_cast<long long>(kPolyReflected));
+  __m128i t = _mm_clmulepi64_si128(_mm_and_si128(x1, low32), barrett, 0x10);
+  t = _mm_clmulepi64_si128(_mm_and_si128(t, low32), barrett, 0x00);
+  return static_cast<std::uint32_t>(_mm_extract_epi32(_mm_xor_si128(x1, t), 1));
+}
+
+#undef DMLFP_CRC_TARGET
+
+/// Folds every whole 16-byte block; the tail (under 16 bytes) and
+/// inputs too short to fill four lanes take slicing-by-8.
+static std::uint32_t DML_HOT crc32_clmul(const void* data, std::size_t size,
+                                         std::uint32_t crc) {
+  if (size < common::kCrc32FoldMin) {
+    return common::crc32_slicing8(data, size, crc);
+  }
+  const auto* bytes = static_cast<const unsigned char*>(data);
+  const std::size_t blocks16 = size / 16;
+  crc = ~crc32_fold_blocks(bytes, blocks16, ~crc);
+  return common::crc32_slicing8(bytes + 16 * blocks16, size % 16, crc);
+}
+
 #endif  // DMLFP_SIMD_X86
 
 namespace {
 
 const Kernels kScalarKernels{Variant::kScalar, &and_popcount_scalar,
-                             &subset_count_scalar};
+                             &subset_count_scalar, &common::crc32_slicing8};
 #if DMLFP_SIMD_X86
 const Kernels kAvx2Kernels{Variant::kAvx2, &and_popcount_avx2,
-                           &subset_count_avx2};
+                           &subset_count_avx2, &crc32_clmul};
 const Kernels kAvx512Kernels{Variant::kAvx512, &and_popcount_avx512,
-                             &subset_count_avx512};
+                             &subset_count_avx512, &crc32_clmul};
 #endif
 
 bool cpu_supports(Variant variant) {
@@ -238,11 +382,13 @@ bool cpu_supports(Variant variant) {
 #if DMLFP_SIMD_X86
     case Variant::kAvx2:
       return __builtin_cpu_supports("avx2") != 0 &&
-             __builtin_cpu_supports("popcnt") != 0;
+             __builtin_cpu_supports("popcnt") != 0 &&
+             __builtin_cpu_supports("pclmul") != 0;
     case Variant::kAvx512:
       return __builtin_cpu_supports("avx512f") != 0 &&
              __builtin_cpu_supports("avx512vpopcntdq") != 0 &&
-             __builtin_cpu_supports("popcnt") != 0;
+             __builtin_cpu_supports("popcnt") != 0 &&
+             __builtin_cpu_supports("pclmul") != 0;
 #else
     default:
       return false;

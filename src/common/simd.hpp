@@ -1,13 +1,17 @@
-// Runtime-dispatched SIMD kernels for the bitset hot paths (DESIGN.md
-// §13): tidset intersection-and-popcount (the vertical Apriori L2
-// counter) and masked subset counting (the L3+ candidate counter).
+// Runtime-dispatched SIMD kernels (DESIGN.md §13): tidset
+// intersection-and-popcount (the vertical Apriori L2 counter), masked
+// subset counting (the L3+ candidate counter) and CRC-32 (every wire
+// frame and storage block; common/crc32.hpp).
 //
 // Three variants of each kernel are compiled into every build:
-//   kScalar  — portable std::popcount word loop; always available and
-//              the reference the other variants must match bit for bit.
+//   kScalar  — portable std::popcount word loop and slicing-by-8 CRC;
+//              always available and the reference the other variants
+//              must match bit for bit.
 //   kAvx2    — 256-bit AND + the pshufb nibble-LUT popcount.
 //   kAvx512  — 512-bit AND + VPOPCNTDQ (and 8-rows-per-register subset
 //              tests for narrow transaction rows).
+// Both vector rungs checksum by PCLMULQDQ folding (Gopal et al., Intel
+// 2009), so each also needs the CPU's pclmul.
 // Variants are emitted with per-function target attributes, so the
 // translation unit builds with the default (baseline) architecture
 // flags; which one runs is decided once, at first use, from CPUID —
@@ -49,10 +53,15 @@ using SubsetCountFn = std::uint32_t (*)(const std::uint64_t* rows,
                                         const std::uint64_t* mask,
                                         std::size_t words);
 
+/// CRC-32 with common::crc32's contract (any length, incremental).
+using Crc32Fn = std::uint32_t (*)(const void* data, std::size_t size,
+                                  std::uint32_t crc);
+
 struct Kernels {
   Variant variant = Variant::kScalar;
   AndPopcountFn and_popcount = nullptr;
   SubsetCountFn subset_count = nullptr;
+  Crc32Fn crc32 = nullptr;
 };
 
 /// The portable reference kernels (always compiled, never dispatched

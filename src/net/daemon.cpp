@@ -3,6 +3,7 @@
 #include <poll.h>
 #include <sys/socket.h>
 
+#include <algorithm>
 #include <cerrno>
 #include <chrono>
 #include <cstring>
@@ -25,6 +26,25 @@ bool plain_path_component(std::string_view name) {
   return !name.empty() && name != "." && name != ".." &&
          name.find_first_of(std::string_view("/\0", 2)) ==
              std::string_view::npos;
+}
+
+/// The pump keeps each reused record's ENTRY_DATA buffer from one frame
+/// to the next only up to this size, so entries near kMaxEntryData
+/// cannot pin a megabyte per record slot.
+constexpr std::size_t kRetainedEntryBytes = 256;
+
+/// Reads one checked INGEST_RECORDS payload's record frames into the
+/// front of `records`, growing it as needed; returns how many.  Each
+/// element keeps its ENTRY_DATA capacity, so a steady stream reads
+/// without allocating.
+std::size_t read_records(std::span<const unsigned char> frames,
+                         std::vector<bgl::RasRecord>& records) {
+  std::size_t n = 0;
+  for (std::size_t at = 0; at < frames.size(); ++n) {
+    if (n == records.size()) records.emplace_back();
+    at += logio::read_record_frame(frames.data() + at, &records[n]);
+  }
+  return n;
 }
 
 /// One unit of admitted ingest work handed from a reactor to a stream
@@ -102,6 +122,8 @@ struct Daemon::Stream {
   /// Warnings emitted by the engine (callback-side counter; the only
   /// engine-derived figure available before finish()).
   std::atomic<std::uint64_t> warnings_emitted{0};
+  /// Written by the pump as it exits; read after joining it.
+  double pump_cpu_seconds = 0.0;
 
   common::Mutex state_mutex;
   common::CondVar cv;
@@ -191,6 +213,7 @@ void Daemon::start() {
   acceptor_ = std::thread([this] {
     common::name_this_thread("dml-accept");
     accept_loop();
+    acceptor_cpu_seconds_ = common::thread_cpu_seconds();
   });
 }
 
@@ -671,8 +694,9 @@ void DML_REACTOR_CONTEXT Daemon::on_disconnect(ReactorConnection& conn,
 
 void Daemon::pump_main(std::shared_ptr<Stream> stream) {
   std::string error;
-  // Every raw record is read into this one, reusing its ENTRY_DATA.
-  bgl::RasRecord record;
+  // A records frame is read into the front of this, reusing each
+  // element's ENTRY_DATA.
+  std::vector<bgl::RasRecord> records;
   try {
     while (true) {
       Batch batch;
@@ -688,13 +712,20 @@ void Daemon::pump_main(std::shared_ptr<Stream> stream) {
           stream->appender->append(event);
         }
       }
-      // One engine crossing per wire batch: the sharded producer hands
-      // each shard its whole run in one queue push.
+      // One engine crossing per wire batch, of events or of records:
+      // the sharded producer hands each shard its whole run in one
+      // queue push.
       stream->engine->consume_batch(batch.events);
-      for (std::size_t at = 0; at < batch.record_frames.size();) {
-        at += logio::read_record_frame(batch.record_frames.data() + at,
-                                       &record);
-        stream->engine->consume(record);
+      if (!batch.record_frames.empty()) {
+        const std::span<bgl::RasRecord> frame(
+            records.data(), read_records(batch.record_frames, records));
+        stream->engine->consume_batch(
+            std::span<const bgl::RasRecord>(frame));
+        for (bgl::RasRecord& record : frame) {
+          if (record.entry_data.capacity() > kRetainedEntryBytes) {
+            record.entry_data = std::string();
+          }
+        }
       }
     }
   } catch (const std::exception& e) {
@@ -754,6 +785,7 @@ void Daemon::pump_main(std::shared_ptr<Stream> stream) {
       if (kick) sub->reactor->notify(sub->conn_id);
     }
   }
+  stream->pump_cpu_seconds = common::thread_cpu_seconds();
 }
 
 // ---- Lifecycle / stats ---------------------------------------------------
@@ -826,7 +858,24 @@ DaemonStats Daemon::wait() {
   }
   for (const auto& reactor : reactors_) reactor->stop();
   stopped_.store(true);
-  return stats();
+
+  DaemonStats total = stats();
+  for (std::size_t i = 0; i < reactors_.size(); ++i) {
+    total.threads.push_back({"dml-reactor-" + std::to_string(i), 0,
+                             reactors_[i]->stats().cpu_seconds});
+  }
+  total.threads.push_back({"dml-accept", 0, acceptor_cpu_seconds_});
+  std::sort(streams.begin(), streams.end(),
+            [](const auto& a, const auto& b) { return a->id < b->id; });
+  for (const auto& stream : streams) {
+    total.threads.push_back({"dml-pump-" + std::to_string(stream->id),
+                             stream->id, stream->pump_cpu_seconds});
+    for (const auto& shard : stream->engine->shard_reports()) {
+      total.threads.push_back({"dml-shard-" + std::to_string(shard.index),
+                               stream->id, shard.cpu_seconds});
+    }
+  }
+  return total;
 }
 
 DaemonStats Daemon::stop() { return wait(); }

@@ -73,6 +73,17 @@ struct DaemonConfig {
   std::string repo_dir;
 };
 
+/// CPU time one of the daemon's threads used, read by the thread itself
+/// as the last thing it does (common::thread_cpu_seconds).
+struct ThreadCpuStats {
+  /// Its name (common::name_this_thread): dml-reactor-N, dml-accept,
+  /// dml-pump-<stream id> or dml-shard-N.
+  std::string name;
+  /// The stream a pump or shard worker served; 0 for the others.
+  std::uint32_t stream_id = 0;
+  double cpu_seconds = 0.0;
+};
+
 struct DaemonStats {
   std::uint64_t accepts = 0;
   /// Connections refused/killed by the net.accept failpoint or a
@@ -84,6 +95,10 @@ struct DaemonStats {
   std::uint64_t connections_failed = 0;
   /// Final per-stream accounting, one entry per stream ever opened.
   std::vector<StreamStatsMsg> streams;
+  /// Every reactor, the acceptor, then per stream (by id) its pump and
+  /// shard workers.  Filled by wait(), once they have all exited; empty
+  /// in stats().
+  std::vector<ThreadCpuStats> threads;
 };
 
 class Daemon : private ReactorHandler {
@@ -108,7 +123,8 @@ class Daemon : private ReactorHandler {
   void request_drain();
 
   /// Blocks until drained (request_drain() implied), then returns the
-  /// final aggregate stats.  Call from the owning thread.
+  /// final aggregate stats, each thread's CPU time included.  Call from
+  /// the owning thread.
   DaemonStats wait();
 
   /// request_drain() + wait().
@@ -169,6 +185,8 @@ class Daemon : private ReactorHandler {
   std::atomic<bool> stopped_{false};
   std::atomic<std::uint64_t> accepts_{0};
   std::atomic<std::uint64_t> accepts_failed_{0};
+  /// Written by the acceptor as it exits; read after joining it.
+  double acceptor_cpu_seconds_ = 0.0;
 
   mutable common::Mutex streams_mutex_;
   std::unordered_map<std::string, std::shared_ptr<Stream>> streams_by_name_

@@ -57,6 +57,9 @@ void Reactor::start(const std::string& name) {
   thread_ = std::thread([this, name] {
     common::name_this_thread(name);
     run();
+    const double cpu_seconds = common::thread_cpu_seconds();
+    common::MutexLock lock(mutex_);
+    stats_.cpu_seconds = cpu_seconds;
   });
 }
 

@@ -88,6 +88,8 @@ struct ReactorStats {
   std::uint64_t connections_closed = 0;
   /// Torn down by a net.read / net.write failpoint or I/O error.
   std::uint64_t connections_failed = 0;
+  /// CPU time of the loop thread, stored as it exits (0 until stop()).
+  double cpu_seconds = 0.0;
 };
 
 class Reactor {

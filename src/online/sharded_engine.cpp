@@ -207,6 +207,8 @@ struct ShardedEngine::Shard {
   /// after quarantine.
   std::atomic<std::uint64_t> rejected{0};
   std::atomic<double> busy_seconds{0.0};
+  /// The worker thread's CPU time, stored as the last thing it does.
+  std::atomic<double> cpu_seconds{0.0};
   /// Set once by the worker when it throws; it drains from then on.
   std::atomic<bool> quarantined{false};
 };
@@ -242,6 +244,8 @@ ShardedEngine::ShardedEngine(ShardedEngineConfig config,
     shards_[i]->thread = std::thread([this, i] {
       common::name_this_thread("dml-shard-" + std::to_string(i));
       worker(i);
+      shards_[i]->cpu_seconds.store(common::thread_cpu_seconds(),
+                                    std::memory_order_relaxed);
     });
   }
 }
@@ -261,13 +265,27 @@ std::size_t ShardedEngine::shard_of(const bgl::Event& event) const {
 }
 
 void ShardedEngine::consume(const bgl::RasRecord& record) {
-  ++records_consumed_;
-  if (auto event = pipeline_.push(record)) feed_batch({&*event, 1});
+  consume_batch(std::span<const bgl::RasRecord>(&record, 1));
+}
+
+void ShardedEngine::consume_batch(std::span<const bgl::RasRecord> records) {
+  survivors_.clear();
+  try {
+    for (const bgl::RasRecord& record : records) {
+      ++records_consumed_;
+      if (auto event = pipeline_.push(record)) survivors_.push_back(*event);
+    }
+  } catch (...) {
+    // A preprocess.push throw: the records before it are fed, as if
+    // they had been consumed one by one.
+    feed_batch(survivors_);
+    throw;
+  }
+  feed_batch(survivors_);
 }
 
 void ShardedEngine::consume(const bgl::Event& event) {
-  ++records_consumed_;
-  feed_batch({&event, 1});
+  consume_batch(std::span<const bgl::Event>(&event, 1));
 }
 
 void ShardedEngine::consume_batch(std::span<const bgl::Event> events) {
@@ -291,6 +309,8 @@ void ShardedEngine::flush_feed_runs() {
 }
 
 void DML_HOT ShardedEngine::feed_batch(std::span<const bgl::Event> events) {
+  // Nothing to hand over: most raw records' runs have no survivor.
+  if (events.empty()) return;
   if (feed_runs_.size() != shards_.size()) {
     DML_ALLOW_ALLOC("one-time growth to the shard count; no-op at steady "
                     "state");
@@ -571,6 +591,8 @@ std::vector<ShardedEngine::ShardReport> ShardedEngine::shard_reports() const {
     report.warnings = shards_[i]->warnings.load(std::memory_order_relaxed);
     report.busy_seconds =
         shards_[i]->busy_seconds.load(std::memory_order_relaxed);
+    report.cpu_seconds =
+        shards_[i]->cpu_seconds.load(std::memory_order_relaxed);
     reports.push_back(report);
   }
   return reports;

@@ -5,6 +5,10 @@
 // against the shared rule snapshot; per-shard warning streams are merged
 // back into one time-ordered callback.
 //
+//  - Every input form is a batch: a run of raw records is preprocessed
+//    whole and its survivors cross to the shards as one run, like a run
+//    of events, so a wire frame of either kind costs one crossing.  A
+//    single record or event is a batch of one.
 //  - Partitioning is by bgl::Location midplane, and the per-shard
 //    predictors run with PredictorOptions::per_scope_state, so the
 //    merged warning *multiset* is identical for any shard count
@@ -81,11 +85,19 @@ class ShardedEngine {
 
   /// Producer side; records must arrive in time order.  Blocks only on
   /// shard backpressure and when the stream reaches an adoption point
-  /// before its build finished (deterministic adoption).  An
-  /// event that survives preprocessing reaches its shard as a run of
-  /// one: consume_batch() of a single event.
+  /// before its build finished (deterministic adoption).  Each form is
+  /// its batch form with a batch of one.
   void consume(const bgl::RasRecord& record);
   void consume(const bgl::Event& event);
+
+  /// Preprocesses a time-ordered run of raw records, then feeds the
+  /// events that survive as one consume_batch() run: one engine
+  /// crossing per run, however many records it holds.  The merged
+  /// warning multiset and the failpoint evaluation sequence of each
+  /// failpoint are those of consuming the records one by one.  A throw
+  /// from preprocessing (`preprocess.push`) first feeds the survivors
+  /// of the records before it, then propagates (DESIGN.md §13.2).
+  void consume_batch(std::span<const bgl::RasRecord> records);
 
   /// Feeds a time-ordered run of categorized events with per-shard
   /// queue handoffs amortized: each shard receives its part of the run
@@ -120,6 +132,9 @@ class ShardedEngine {
     std::uint64_t warnings = 0;
     /// Wall time the worker spent processing (not queue-waiting).
     double busy_seconds = 0.0;
+    /// CPU time of the worker thread, read as it exits (0 before
+    /// finish()).
+    double cpu_seconds = 0.0;
   };
   /// Per-shard accounting (complete after finish()).
   std::vector<ShardReport> shard_reports() const;
@@ -162,6 +177,8 @@ class ShardedEngine {
   /// feed_batch()'s per-shard run buffers (producer-owned scratch);
   /// always empty between consume calls.
   std::vector<std::vector<bgl::Event>> feed_runs_;
+  /// The raw consume_batch()'s survivors (producer-owned scratch).
+  std::vector<bgl::Event> survivors_;
 
   // Producer-side state.
   std::uint64_t records_consumed_ = 0;

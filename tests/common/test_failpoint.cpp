@@ -7,6 +7,10 @@
 #include <algorithm>
 #include <chrono>
 #include <string>
+#include <vector>
+
+#include "common/rng.hpp"
+#include "support/test_fixtures.hpp"
 
 namespace dml::common {
 namespace {
@@ -234,6 +238,51 @@ TEST_F(FailpointTest, ArmFromStringRejectsMissingName) {
   EXPECT_NE(error.find("name=spec"), std::string::npos);
   EXPECT_FALSE(
       FailpointRegistry::instance().arm_from_string("justaname", &error));
+}
+
+TEST_F(FailpointTest, MutatedSpecsAreRefusedWithADiagnosticOrAccepted) {
+  // 1-8 random bytes overwritten in valid name=spec assignments: each is
+  // either refused with a message or accepted as a well-formed spec,
+  // never a crash.
+  Rng rng(testing::fuzz_seed(2902));
+  const std::vector<std::string> valid = {
+      "preprocess.push=throw",
+      "engine.feed=drop:p=0.25",
+      "shard.worker=delay:ms=7:p=0.5",
+      "net.read=throw:after=100:max=2",
+      "storage.append=corrupt:p=1:after=3",
+      "net.accept=off",
+  };
+  auto& registry = FailpointRegistry::instance();
+  std::size_t accepted = 0;
+  std::size_t refused = 0;
+  for (int round = 0; round < 4000; ++round) {
+    std::string assignment = valid[rng.next_u64() % valid.size()];
+    const std::size_t flips = 1 + rng.next_u64() % 8;
+    for (std::size_t i = 0; i < flips; ++i) {
+      assignment[rng.next_u64() % assignment.size()] =
+          static_cast<char>(rng.next_u64());
+    }
+    std::string error;
+    if (registry.arm_from_string(assignment, &error)) {
+      ++accepted;
+      const auto spec =
+          parse_failpoint_spec(assignment.substr(assignment.find('=') + 1));
+      ASSERT_TRUE(spec.has_value()) << assignment;
+      EXPECT_TRUE(spec->probability >= 0.0 && spec->probability <= 1.0)
+          << assignment;
+    } else {
+      ++refused;
+      EXPECT_FALSE(error.empty()) << assignment;
+    }
+    registry.reset();
+  }
+  EXPECT_GT(accepted, 0u);
+  EXPECT_GT(refused, 0u);
+  // NaN passes a range check written as (p < 0 || p > 1).
+  std::string error;
+  EXPECT_FALSE(parse_failpoint_spec("drop:p=nan", &error).has_value());
+  EXPECT_NE(error.find("probability"), std::string::npos);
 }
 
 }  // namespace

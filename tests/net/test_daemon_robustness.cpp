@@ -23,6 +23,7 @@
 #include <optional>
 #include <set>
 #include <span>
+#include <utility>
 #include <string>
 #include <thread>
 #include <vector>
@@ -514,6 +515,41 @@ TEST(DaemonRobustnessTest, OrdinaryRecordsStillGoBatchEventsToAFrame) {
   EXPECT_EQ(frames_admitted(client, "ordinary", opened.stream_id), 3u);
   const StreamStatsMsg stats = client.finish_stream(opened.stream_id);
   EXPECT_EQ(stats.events_ingested, 2 * batch + 6);
+}
+
+TEST(DaemonRobustnessTest, DrainReportsEveryThreadsCpuTimeOnce) {
+  // One reactor, the acceptor, and one stream's pump and two shard
+  // workers: wait() lists each exactly once, the stream on the pump and
+  // shard lines, and the pump, which read every record, used CPU.
+  net::DaemonConfig config = testing::daemon_test_config();
+  config.reactors = 1;
+  testing::DaemonFixture fixture(config);
+  std::uint32_t stream_id = 0;
+  {
+    Client client("127.0.0.1", fixture.port());
+    stream_id = client.open_stream("cpu").stream_id;
+    client.send_records(stream_id, raw_records(20'000));
+    EXPECT_EQ(client.finish_stream(stream_id).events_ingested, 20'000u);
+  }
+  const DaemonStats stats = fixture.stop();
+  std::multiset<std::pair<std::string, std::uint32_t>> listed;
+  double pump_cpu_seconds = 0.0;
+  for (const ThreadCpuStats& thread : stats.threads) {
+    listed.emplace(thread.name, thread.stream_id);
+    EXPECT_GE(thread.cpu_seconds, 0.0) << thread.name;
+    if (thread.name.starts_with("dml-pump-")) {
+      pump_cpu_seconds = thread.cpu_seconds;
+    }
+  }
+  const std::multiset<std::pair<std::string, std::uint32_t>> expected = {
+      {"dml-reactor-0", 0},
+      {"dml-accept", 0},
+      {"dml-pump-" + std::to_string(stream_id), stream_id},
+      {"dml-shard-0", stream_id},
+      {"dml-shard-1", stream_id}};
+  EXPECT_EQ(listed, expected);
+  EXPECT_GT(pump_cpu_seconds, 0.0);
+  EXPECT_TRUE(fixture.daemon().stats().threads.empty());
 }
 
 TEST(DaemonRobustnessTest, RecordNoFrameCanHoldThrowsBeforeSending) {

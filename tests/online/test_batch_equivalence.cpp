@@ -1,12 +1,13 @@
 // Batch/serial equivalence (DESIGN.md §13): the batched entry points —
-// Predictor::observe_batch and ShardedEngine::consume_batch — must
-// produce exactly the warning stream of the per-event calls
-// (multiset-identical for the sharded front-end, whose merge order is
-// already only multiset-stable), on clean streams and with feed/worker
-// failpoints firing.
+// Predictor::observe_batch and ShardedEngine::consume_batch, of events
+// and of raw records — must produce exactly the warning stream of the
+// per-event (per-record) calls (multiset-identical for the sharded
+// front-end, whose merge order is already only multiset-stable), on
+// clean streams and with preprocess/feed/worker failpoints firing.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <functional>
 #include <mutex>
 #include <optional>
 #include <tuple>
@@ -15,6 +16,7 @@
 #include "common/failpoint.hpp"
 #include "common/rng.hpp"
 #include "loggen/generator.hpp"
+#include "logio/record_sink.hpp"
 #include "online/sharded_engine.hpp"
 #include "predict/predictor.hpp"
 #include "support/test_fixtures.hpp"
@@ -260,6 +262,171 @@ TEST_F(BatchEquivalenceFaultTest, MidBatchQuarantineDrainsRemainder) {
   ASSERT_EQ(reports.size(), 1u);
   // Everything after the 100 served events was drained, not lost.
   EXPECT_EQ(reports[0].events + stats.records_rejected, events.size());
+}
+
+// ---- Raw records: one consume_batch per frame == consume per record ----
+
+/// A cached 8-week raw log of each machine.
+const std::vector<bgl::RasRecord>& raw_log(bool anl) {
+  static const auto make = [](loggen::MachineProfile profile,
+                              std::uint64_t seed) {
+    profile.weeks = 8;
+    logio::VectorSink sink;
+    loggen::LogGenerator(profile, seed).generate(sink);
+    return sink.take();
+  };
+  static const std::vector<bgl::RasRecord> anl_log =
+      make(loggen::MachineProfile::anl(), 1005);
+  static const std::vector<bgl::RasRecord> sdsc_log =
+      make(loggen::MachineProfile::sdsc(), 1204);
+  return anl ? anl_log : sdsc_log;
+}
+
+/// The counted part of SessionStats (the rest are wall times).
+auto counts(const SessionStats& s) {
+  return std::tuple(s.records_consumed, s.events_after_filtering,
+                    s.failures_seen, s.warnings_issued, s.retrainings,
+                    s.history_size, s.records_rejected, s.retrain_failures,
+                    s.shards_quarantined);
+}
+
+struct RawRun {
+  std::vector<predict::Warning> warnings;
+  SessionStats stats;
+};
+
+/// Feeds `records` through a fresh engine, one record per consume() when
+/// `frame` is 0, else one consume_batch() per `frame` records; `arm`
+/// (re)arms the failpoints first.
+RawRun run_raw(std::span<const bgl::RasRecord> records, std::size_t shards,
+               std::size_t frame, const std::function<void()>& arm) {
+  arm();
+  RawRun run;
+  std::mutex mutex;
+  ShardedEngineConfig config;
+  config.shards = shards;
+  config.engine = engine_config();
+  ShardedEngine engine(config, [&](const predict::Warning& w) {
+    std::lock_guard lock(mutex);
+    run.warnings.push_back(w);
+  });
+  if (frame == 0) {
+    for (const auto& record : records) engine.consume(record);
+  } else {
+    for (std::size_t at = 0; at < records.size(); at += frame) {
+      engine.consume_batch(
+          records.subspan(at, std::min(frame, records.size() - at)));
+    }
+  }
+  run.stats = engine.finish();
+  return run;
+}
+
+void expect_raw_frames_match_per_record(bool anl,
+                                        const std::function<void()>& arm) {
+  const auto& records = raw_log(anl);
+  ASSERT_GT(records.size(), 10'000u);
+  for (const std::size_t shards : {1, 2, 4}) {
+    const RawRun serial = run_raw(records, shards, 0, arm);
+    ASSERT_GT(serial.warnings.size(), 0u);
+    for (const std::size_t frame : {1, 7, 512}) {
+      const RawRun batched = run_raw(records, shards, frame, arm);
+      EXPECT_EQ(keys(batched.warnings), keys(serial.warnings))
+          << "shards " << shards << " frame " << frame;
+      EXPECT_EQ(counts(batched.stats), counts(serial.stats))
+          << "shards " << shards << " frame " << frame;
+    }
+  }
+}
+
+TEST(BatchEquivalenceRaw, AnlRecordFramesMatchPerRecordConsume) {
+  expect_raw_frames_match_per_record(/*anl=*/true, [] {});
+}
+
+TEST(BatchEquivalenceRaw, SdscRecordFramesMatchPerRecordConsume) {
+  expect_raw_frames_match_per_record(/*anl=*/false, [] {});
+}
+
+TEST_F(BatchEquivalenceFaultTest, RawFramesWithPreprocessAndFeedDropsMatch) {
+  // Each failpoint draws from its own stream, so preprocessing a whole
+  // frame before feeding it evaluates each in the per-record order.
+  const auto arm = [this] {
+    rearm("preprocess.push=drop:p=0.01");
+    ASSERT_TRUE(common::FailpointRegistry::instance().arm_from_string(
+        "engine.feed=drop:p=0.05"));
+  };
+  const auto& records = raw_log(/*anl=*/false);
+  for (const std::size_t shards : {1, 2}) {
+    const RawRun serial = run_raw(records, shards, 0, arm);
+    EXPECT_GT(serial.stats.records_rejected, 0u);
+    for (const std::size_t frame : {7, 512}) {
+      const RawRun batched = run_raw(records, shards, frame, arm);
+      EXPECT_EQ(keys(batched.warnings), keys(serial.warnings))
+          << "shards " << shards << " frame " << frame;
+      EXPECT_EQ(counts(batched.stats), counts(serial.stats))
+          << "shards " << shards << " frame " << frame;
+    }
+  }
+}
+
+TEST_F(BatchEquivalenceFaultTest,
+       PreprocessThrowMidFrameFeedsExactlyThePrefix) {
+  // A preprocess.push throw at record 300 of a 512-record frame: the
+  // survivors of records 0..299 are fed, the throw propagates, and the
+  // engine is where per-record consume() would have left it.
+  const auto& records = raw_log(/*anl=*/true);
+  const std::size_t start = 150'000;
+  const std::size_t kFrame = 512;
+  const std::size_t kThrowAt = 300;
+  ASSERT_GT(records.size(), start + kFrame);
+  const std::span<const bgl::RasRecord> all(records);
+
+  const auto run = [&](bool batched) {
+    common::FailpointRegistry::instance().reset();
+    RawRun out;
+    std::mutex mutex;
+    ShardedEngineConfig config;
+    config.shards = 2;
+    config.engine = engine_config();
+    ShardedEngine engine(config, [&](const predict::Warning& w) {
+      std::lock_guard lock(mutex);
+      out.warnings.push_back(w);
+    });
+    for (std::size_t at = 0; at < start; at += kFrame) {
+      engine.consume_batch(all.subspan(at, std::min(kFrame, start - at)));
+    }
+    rearm("preprocess.push=throw:after=300:max=1");
+    const auto frame = all.subspan(start, kFrame);
+    if (batched) {
+      EXPECT_THROW(engine.consume_batch(frame), common::FailpointError);
+    } else {
+      std::size_t fed = 0;
+      try {
+        for (const auto& record : frame) {
+          engine.consume(record);
+          ++fed;
+        }
+      } catch (const common::FailpointError&) {
+      }
+      EXPECT_EQ(fed, kThrowAt);
+    }
+    out.stats = engine.finish();
+    return out;
+  };
+  const RawRun per_record = run(/*batched=*/false);
+  const RawRun batched = run(/*batched=*/true);
+  EXPECT_EQ(keys(batched.warnings), keys(per_record.warnings));
+  EXPECT_EQ(counts(batched.stats), counts(per_record.stats));
+  EXPECT_EQ(batched.stats.records_consumed, start + kThrowAt + 1);
+
+  // Exactly the prefix's survivors were served.
+  common::FailpointRegistry::instance().reset();
+  preprocess::StreamingPipeline pipeline(engine_config().filter_threshold);
+  std::uint64_t survivors = 0;
+  for (const auto& record : all.first(start + kThrowAt)) {
+    survivors += pipeline.push(record).has_value() ? 1 : 0;
+  }
+  EXPECT_EQ(batched.stats.events_after_filtering, survivors);
 }
 
 }  // namespace

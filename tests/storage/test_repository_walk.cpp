@@ -2,7 +2,10 @@
 // damage, and what writer reopen, repository open and verify each do
 // with it.  A fault makes open and reopen throw without touching a byte;
 // anything else open serves (reading, never writing), reopen repairs,
-// and both see the same records.  Verify only reports.
+// and both see the same records.  Verify only reports.  Then the same
+// rule on hostile bytes: seeded mutations of 1-8 bytes in any file of
+// a repository never crash any of the three, and refuse it exactly on a
+// fault.
 #include "storage/segment.hpp"
 
 #include <gtest/gtest.h>
@@ -10,16 +13,20 @@
 #include <filesystem>
 #include <fstream>
 #include <iterator>
+#include <limits>
 #include <map>
+#include <stdexcept>
 #include <ostream>
 #include <string>
 #include <vector>
 
 #include "bgl/location.hpp"
+#include "common/rng.hpp"
 #include "storage/disk_repository.hpp"
 #include "storage/log_writer.hpp"
 #include "storage/maintenance.hpp"
 #include "support/temp_dir.hpp"
+#include "support/test_fixtures.hpp"
 
 namespace dml::storage {
 namespace {
@@ -225,6 +232,89 @@ INSTANTIATE_TEST_SUITE_P(AllKinds, RepositoryDamage,
                          [](const auto& info) {
                            return std::string(info.param.name);
                          });
+
+// ---- Hostile bytes --------------------------------------------------------
+
+/// Runs `step`; true if it threw the std::runtime_error storage throws.
+/// Any other exception escapes and fails the test.
+template <typename Step>
+bool refused(Step step) {
+  try {
+    step();
+  } catch (const std::runtime_error&) {
+    return true;
+  }
+  return false;
+}
+
+TEST(RepositoryMutation, MutatedBytesNeverCrashAndOnlyAFaultRefuses) {
+  // 1-8 bytes of the manifest, a sealed segment, its sidecar index or
+  // the active tail, xor-ed with random non-zero values.  The indexes
+  // carry midplane address records (four midplanes), so each index
+  // block is long enough for the folding CRC kernel.
+  const std::uint64_t seed = testing::fuzz_seed(2901);
+  Rng rng(seed);
+  testing::ScopedTempDir tmp("dml-mutate");
+  const std::string pristine = tmp.sub("pristine");
+  build_repo(pristine);
+  const std::vector<std::string> targets = {
+      "repo.meta",      "seg-000000.log", "seg-000000.idx",
+      "seg-000001.log", "seg-000002.idx", "active.log"};
+  constexpr int kRounds = 240;
+  int faults = 0;
+  for (int round = 0; round < kRounds; ++round) {
+    const std::string dir = tmp.sub("round");
+    fs::remove_all(dir);
+    fs::copy(pristine, dir);
+    const std::string& target = targets[rng.next_u64() % targets.size()];
+    const std::string path = dir + "/" + target;
+    const auto size = static_cast<std::size_t>(fs::file_size(path));
+    const std::size_t flips = 1 + rng.next_u64() % 8;
+    {
+      std::fstream f(path, std::ios::binary | std::ios::in | std::ios::out);
+      for (std::size_t i = 0; i < flips; ++i) {
+        const auto offset = static_cast<std::streamoff>(rng.next_u64() % size);
+        f.seekg(offset);
+        const char byte = static_cast<char>(f.get());
+        f.seekp(offset);
+        f.put(static_cast<char>(byte ^ (1 + rng.next_u64() % 255)));
+      }
+    }
+    SCOPED_TRACE("seed " + std::to_string(seed) + " round " +
+                 std::to_string(round) + ": " + std::to_string(flips) +
+                 " byte(s) of " + target);
+
+    const bool read_fault =
+        !walk_repository(dir, WalkDepth::kTrustIndexes).faults.empty();
+    const bool scan_fault =
+        !walk_repository(dir, WalkDepth::kScanAll).faults.empty();
+    faults += scan_fault ? 1 : 0;
+    EXPECT_FALSE(refused([&] { (void)verify_repository(dir); }));
+
+    // Open trusts a sealed segment's index, so the scan may still meet
+    // a damaged body; the cursor then throws its CRC failure.
+    const bool open_refused = refused([&] {
+      OnDiskRepository repo(dir);
+      (void)refused([&] {
+        const auto cursor = repo.scan(std::numeric_limits<TimeSec>::min(),
+                                      std::numeric_limits<TimeSec>::max());
+        std::vector<bgl::Event> events;
+        while (cursor->next(events, 256) > 0) events.clear();
+      });
+    });
+    EXPECT_EQ(open_refused, read_fault);
+
+    const bool reopen_refused = refused([&] {
+      LogWriter writer(dir);
+      writer.close();
+    });
+    EXPECT_EQ(reopen_refused, scan_fault);
+    if (HasFailure()) return;
+  }
+  // The mix really does reach both sides of the rule.
+  EXPECT_GT(faults, 0);
+  EXPECT_LT(faults, kRounds);
+}
 
 }  // namespace
 }  // namespace dml::storage

@@ -14,7 +14,8 @@
 //
 // SIGTERM/SIGINT trigger a graceful drain: stop accepting, finish every
 // stream (seal durable segments, engine.finish()), deliver FINISHED to
-// subscribers, flush outboxes, then print the final per-stream stats.
+// subscribers, flush outboxes, then print the final per-stream stats
+// and each thread's CPU seconds.
 #include <csignal>
 #include <cstdio>
 #include <cstring>
@@ -89,6 +90,15 @@ void print_stats(const net::DaemonStats& stats) {
         static_cast<unsigned long long>(s.retrainings),
         static_cast<unsigned long long>(s.batches_refused),
         s.finished ? "" : " [unfinished]");
+  }
+  for (const auto& t : stats.threads) {
+    if (t.stream_id != 0) {
+      std::printf("  thread %s (stream %u): %.3f cpu-s\n", t.name.c_str(),
+                  t.stream_id, t.cpu_seconds);
+    } else {
+      std::printf("  thread %s: %.3f cpu-s\n", t.name.c_str(),
+                  t.cpu_seconds);
+    }
   }
 }
 
