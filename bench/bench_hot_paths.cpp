@@ -26,6 +26,10 @@
 //   - Revise: the reviser's per-rule outcome attribution in one pass vs
 //     the reference rules x fatals scan, on a whole-history training
 //     window with every expert (correlation included) and its replay.
+//   - Serving ticks: a sharded engine's per-shard loop (ServingCore,
+//     per-scope predictor, absolute 300 s ticks) on the ANL serving
+//     slice tiled to half a million events, ticking at every grid
+//     instant vs jumping the ticks the PD quiet horizon proves silent.
 //
 // Both sides of every comparison are checked for identical output before
 // timing — a speedup on diverging results would be meaningless.  Every
@@ -50,6 +54,7 @@
 #include "logio/record_sink.hpp"
 #include "meta/meta_learner.hpp"
 #include "online/report.hpp"
+#include "online/serving.hpp"
 #include "predict/outcome_matcher.hpp"
 #include "predict/predictor.hpp"
 #include "preprocess/streaming_pipeline.hpp"
@@ -312,6 +317,87 @@ bool run_machine(const Workload& workload, bool quick, double target,
   revise.events_per_second = static_cast<double>(history.size()) /
                              std::max(revise.optimized_seconds, 1e-12);
   results.push_back(revise);
+  return true;
+}
+
+// ---- serving ticks -----------------------------------------------------
+
+/// ServingCore as one ShardedEngine shard runs it, over the tiled ANL
+/// serving slice: the reference loop that ticks at every grid instant
+/// vs the core that jumps the predictor's PD quiet horizon.  Returns
+/// false if the two warning streams differ.
+bool run_serving_ticks_stage(bool quick, double target, int max_reps,
+                             std::vector<StageResult>& results) {
+  const auto& store = bench::anl_store();
+  const DurationSec window = 300;
+  const TimeSec serve_after = store.first_time() + 8 * kSecondsPerWeek;
+  online::SnapshotBuild build;
+  build.repository = meta::freeze(meta::MetaLearner{meta::MetaLearnerConfig{}}
+                                      .learn(store.between(store.first_time(),
+                                                           serve_after),
+                                             window));
+  build.window = window;
+  std::size_t slice_events = 0;
+  std::size_t tiles = 0;
+  const auto serving =
+      bench::tile_serving(store, serve_after, quick ? 100'000 : 500'000,
+                          slice_events, tiles);
+  build.scheduled_at = build.activate_at = serving.front().time;
+
+  online::ServingCore::Options options;
+  options.clock_tick = 300;
+  options.tick_anchor = online::ServingCore::TickAnchor::kAbsolute;
+  options.warm_retention = window;
+  options.predictor.per_scope_state = true;
+  const auto serve = [&](auto& core, std::vector<predict::Warning>& out) {
+    core.adopt(build, out);
+    for (const auto& event : serving) core.observe(event, out);
+    core.advance(serving.back().time + 1, out);
+  };
+
+  std::vector<predict::Warning> every_tick;
+  std::vector<predict::Warning> skipping;
+  {
+    reference::EveryTickServing core(options);
+    serve(core, every_tick);
+  }
+  {
+    online::ServingCore core(options);
+    serve(core, skipping);
+  }
+  if (!same_warnings(skipping, every_tick)) {
+    std::fprintf(stderr, "FAIL: serving ticks diverge (%zu vs %zu warnings)\n",
+                 skipping.size(), every_tick.size());
+    return false;
+  }
+
+  StageResult stage;
+  stage.stage = "serving_ticks";
+  stage.machine = "anl";
+  stage.detail = std::to_string(serving.size()) + " events (" +
+                 std::to_string(tiles) + " tiles x " +
+                 std::to_string(slice_events) + "), " +
+                 std::to_string(skipping.size()) + " warnings";
+  stage.set_timings(
+      bench::min_of_reps(
+          [&, out = std::vector<predict::Warning>()]() mutable {
+            out.clear();
+            reference::EveryTickServing core(options);
+            serve(core, out);
+            if (out.size() != every_tick.size()) std::abort();
+          },
+          target, max_reps),
+      bench::min_of_reps(
+          [&, out = std::vector<predict::Warning>()]() mutable {
+            out.clear();
+            online::ServingCore core(options);
+            serve(core, out);
+            if (out.size() != skipping.size()) std::abort();
+          },
+          target, max_reps));
+  stage.events_per_second = static_cast<double>(serving.size()) /
+                            std::max(stage.optimized_seconds, 1e-12);
+  results.push_back(stage);
   return true;
 }
 
@@ -939,7 +1025,10 @@ int main(int argc, char** argv) {
   for (const auto& workload : workloads) {
     if (!run_machine(workload, quick, target, max_reps, results)) return 1;
   }
-  if (!run_correlation_stages(quick, target, max_reps, results)) return 1;
+  if (!run_serving_ticks_stage(quick, target, max_reps, results) ||
+      !run_correlation_stages(quick, target, max_reps, results)) {
+    return 1;
+  }
   if (!run_preprocess_stage("anl", bench::anl_profile(), bench::kAnlSeed,
                             /*distinct=*/false, quick, target, max_reps,
                             results) ||

@@ -52,9 +52,8 @@ std::vector<learners::Itemset> draw_transactions(
   return transactions;
 }
 
-/// Tiles the slice forward in time: tile k replays the same events
-/// shifted by k * span, so the stream stays strictly time-ordered and
-/// every tile exercises the same window/dedup churn.
+}  // namespace
+
 std::vector<bgl::Event> tile_serving(const logio::EventStore& store,
                                      TimeSec serve_after,
                                      std::size_t target_events,
@@ -76,8 +75,6 @@ std::vector<bgl::Event> tile_serving(const logio::EventStore& store,
   }
   return serving;
 }
-
-}  // namespace
 
 ScaleCorpus build_scale_corpus(const logio::EventStore& store,
                                TimeSec serve_after, bool quick) {

@@ -28,6 +28,16 @@ struct ScaleCorpus {
   std::size_t serving_tiles = 0;
 };
 
+/// Tiles the 8 weeks of `store` following `serve_after` forward in time
+/// until at least `target_events` events: tile k replays the slice
+/// shifted by k * 8 weeks, so the stream stays time-ordered and every
+/// tile exercises the same window and dedup churn.
+std::vector<bgl::Event> tile_serving(const logio::EventStore& store,
+                                     TimeSec serve_after,
+                                     std::size_t target_events,
+                                     std::size_t& slice_events,
+                                     std::size_t& tiles);
+
 /// Builds the corpus from `store` (the canonical ANL store): category
 /// weights from the whole log, serving tiles from the 8 weeks following
 /// `serve_after` (the classic stages' training span).

@@ -132,23 +132,24 @@ void Client::dispatch(FrameType type, std::span<const unsigned char> payload) {
       const auto msg = decode_ingest_ack(payload);
       if (!msg) throw ClientError("bad INGEST_ACK payload");
       StreamState& state = state_of(msg->stream_id);
-      while (!state.window.empty() &&
-             state.window.front().seq < msg->next_seq) {
-        state.window.pop_front();
-      }
+      settle_reply(state);
+      drop_acknowledged(state, msg->next_seq);
       return;
     }
     case FrameType::kRetryAfter: {
       const auto msg = decode_retry_after(payload);
       if (!msg) throw ClientError("bad RETRY_AFTER payload");
-      ++retries_;
       StreamState& state = state_of(msg->stream_id);
-      // Go-back-N rewind: drop acknowledged frames, pace, resend the
-      // rest of the window in order.
-      while (!state.window.empty() &&
-             state.window.front().seq < msg->expected_seq) {
-        state.window.pop_front();
-      }
+      const bool stale = state.stale_replies > 0;
+      settle_reply(state);
+      drop_acknowledged(state, msg->expected_seq);
+      // A refusal of a frame sent before the latest rewind: that rewind
+      // already resent it, so the reply only acknowledges.
+      if (stale) return;
+      // Go-back-N rewind: pace, resend the rest of the window in order.
+      // Every reply still owed answers a frame sent before this rewind.
+      ++retries_;
+      state.stale_replies = state.owed_replies;
       if (msg->retry_ms > 0) {
         std::this_thread::sleep_for(
             std::chrono::milliseconds(msg->retry_ms));
@@ -156,6 +157,7 @@ void Client::dispatch(FrameType type, std::span<const unsigned char> payload) {
       for (const InFlight& inflight : state.window) {
         send_bytes(inflight.frame.data(), inflight.frame.size());
       }
+      state.owed_replies += state.window.size();
       retry_finish_ = true;
       return;
     }
@@ -195,6 +197,20 @@ Client::StreamState& Client::state_of(std::uint32_t stream_id) {
   return streams_[stream_id];
 }
 
+void Client::settle_reply(StreamState& state) {
+  // A RETRY_AFTER owed nothing answers a FINISH_STREAM: every INGEST
+  // frame's reply precedes it.
+  if (state.owed_replies == 0) return;
+  --state.owed_replies;
+  if (state.stale_replies > 0) --state.stale_replies;
+}
+
+void Client::drop_acknowledged(StreamState& state, std::uint64_t next_seq) {
+  while (!state.window.empty() && state.window.front().seq < next_seq) {
+    state.window.pop_front();
+  }
+}
+
 StreamOpenedMsg Client::open_stream(const std::string& name,
                                     std::uint8_t flags) {
   opened_.reset();
@@ -205,6 +221,9 @@ StreamOpenedMsg Client::open_stream(const std::string& name,
   StreamState& state = state_of(opened_->stream_id);
   state.next_seq = opened_->next_seq;
   state.window.clear();
+  // Frames of the abandoned window may still be answered: those replies
+  // only acknowledge.
+  state.stale_replies = state.owed_replies;
   return *opened_;
 }
 
@@ -215,6 +234,7 @@ void Client::send_frame_tracked(StreamState& state, std::uint32_t stream_id,
   send_bytes(frame.data(), frame.size());
   state.window.push_back(InFlight{state.next_seq, std::move(frame)});
   ++state.next_seq;
+  ++state.owed_replies;
   // Opportunistically reap acks so the window reflects reality.
   pump_incoming(/*blocking=*/false);
 }

@@ -7,10 +7,15 @@
 // Ingest is windowed go-back-N: send_events() frames a batch with the
 // next sequence number and keeps it in an in-flight window until the
 // daemon's cumulative INGEST_ACK covers it; a RETRY_AFTER rewinds the
-// window to the daemon's expected sequence and resends from there.  The
-// same window makes reconnect-with-resume one line: open the stream
-// again on a fresh Client, and STREAM_OPENED.next_seq says exactly
-// where the daemon's state ends and resending must begin.
+// window to the daemon's expected sequence, paces, and resends from
+// there.  The daemon answers every INGEST frame with exactly one reply,
+// in order, so a refused burst costs one rewind: the client counts the
+// replies still owed to frames sent before its latest rewind, and those
+// replies (the rest of the burst's RETRY_AFTERs among them) only drop
+// acknowledged frames, with no pacing and no resend.  The same window
+// makes reconnect-with-resume one line: open the stream again on a
+// fresh Client, and STREAM_OPENED.next_seq says exactly where the
+// daemon's state ends and resending must begin.
 #pragma once
 
 #include <cstdint>
@@ -109,7 +114,9 @@ class Client {
   /// streams for ingest.  Implied by the destructor.
   void bye();
 
-  /// Cumulative RETRY_AFTER frames honoured (rewinds + paced retries).
+  /// Go-back-N rewinds: RETRY_AFTER frames honoured with a pause and a
+  /// resend.  A refused burst of in-flight frames counts once; the
+  /// RETRY_AFTERs answering frames sent before the rewind do not count.
   std::uint64_t retries() const { return retries_; }
 
  private:
@@ -122,9 +129,18 @@ class Client {
     std::deque<InFlight> window;       // unacknowledged frames
     std::vector<bgl::Event> pending;   // partial batch
     std::optional<StreamStatsMsg> finished;
+    /// Replies (INGEST_ACK or RETRY_AFTER) still owed to sent INGEST
+    /// frames, and how many of the oldest of them answer frames sent
+    /// before the latest rewind.
+    std::uint64_t owed_replies = 0;
+    std::uint64_t stale_replies = 0;
   };
 
   StreamState& state_of(std::uint32_t stream_id);
+  /// Accounts one INGEST reply of the stream.
+  void settle_reply(StreamState& state);
+  /// Drops the window's frames below the daemon's cumulative `next_seq`.
+  void drop_acknowledged(StreamState& state, std::uint64_t next_seq);
   void send_bytes(const unsigned char* data, std::size_t size);
   void send_frame_tracked(StreamState& state, std::uint32_t stream_id,
                           std::vector<unsigned char> frame);

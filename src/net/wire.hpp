@@ -25,10 +25,14 @@
 // with seq below the expected one is a retransmission of something
 // already admitted: it is discarded and re-acknowledged (idempotent),
 // which is what makes blind client rewinds and reconnect-with-resume
-// safe.  Event payloads reuse the storage-plane record encoding
-// (storage::format::encode_event, 24 bytes CRC'd); raw-record payloads
-// reuse the logio binary-log record frames, so the daemon's inputs are
-// byte-compatible with both on-disk formats.
+// safe.  Every INGEST_* frame gets exactly one reply — INGEST_ACK,
+// RETRY_AFTER, or an ERROR that closes the connection — in the order
+// the frames arrived; net::Client relies on it to rewind once per
+// refused burst rather than once per refused frame.  Event payloads
+// reuse the storage-plane record encoding (storage::format::encode_event,
+// 24 bytes CRC'd); raw-record payloads reuse the logio binary-log record
+// frames, so the daemon's inputs are byte-compatible with both on-disk
+// formats.
 #pragma once
 
 #include <cstdint>

@@ -25,7 +25,8 @@ void ServingCore::adopt(const SnapshotBuild& build,
   // Warm the fresh predictor's window state on the trailing history so
   // in-flight patterns survive the swap; warm-up warnings are discarded.
   warm_scratch_.clear();
-  for (const bgl::Event& event : warm_buffer_) {
+  for (std::size_t i = 0; i < warm_buffer_.size(); ++i) {
+    const bgl::Event& event = warm_buffer_[i];
     if (event.time >= at - build.window && event.time < at) {
       warm_scratch_.push_back(event);
     }
@@ -40,9 +41,10 @@ void ServingCore::adopt(const SnapshotBuild& build,
 }
 
 void ServingCore::advance(TimeSec t, std::vector<predict::Warning>& out) {
-  while (predictor_ && next_tick_ && *next_tick_ < t) {
-    predictor_->tick_into(*next_tick_, out);
-    *next_tick_ += options_.clock_tick;
+  // The predictor jumps the grid over its PD quiet horizon, so an event
+  // flood pays for the ticks that can issue, not for every instant.
+  if (predictor_ && next_tick_) {
+    predictor_->tick_before(t, *next_tick_, options_.clock_tick, out);
   }
 }
 

@@ -20,11 +20,11 @@
 //    same warning multiset as a single shard.
 #pragma once
 
-#include <deque>
 #include <memory>
 #include <optional>
 #include <vector>
 
+#include "common/ring_queue.hpp"
 #include "online/retraining.hpp"
 #include "predict/predictor.hpp"
 
@@ -60,7 +60,9 @@ class ServingCore {
   void adopt(const SnapshotBuild& build, std::vector<predict::Warning>& out);
 
   /// Fires every tick due strictly before event time t; a heartbeat or
-  /// end-of-stream flush is advance() to its instant.
+  /// end-of-stream flush is advance() to its instant.  Ticks inside the
+  /// predictor's PD quiet horizon are jumped over
+  /// (Predictor::tick_before): they would issue nothing.
   void advance(TimeSec t, std::vector<predict::Warning>& out);
 
   /// advance(event.time) + predictor observation + warm-buffer upkeep.
@@ -84,7 +86,7 @@ class ServingCore {
   std::vector<bgl::Event> warm_scratch_;
   std::vector<predict::Warning> discard_;
   /// Observed events of the last warm_retention seconds, oldest first.
-  std::deque<bgl::Event> warm_buffer_;
+  common::RingQueue<bgl::Event> warm_buffer_;
 };
 
 /// The one options builder for both owners: the config's tick cadence

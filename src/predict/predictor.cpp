@@ -103,25 +103,39 @@ std::uint64_t scoped_key(std::uint32_t midplane, CategoryId category) {
 
 }  // namespace
 
-TimeSec* Predictor::find_scope_clock(std::uint32_t midplane) {
-  const auto it = std::lower_bound(
-      last_fatal_by_scope_.begin(), last_fatal_by_scope_.end(), midplane,
-      [](const auto& entry, std::uint32_t key) { return entry.first < key; });
-  if (it == last_fatal_by_scope_.end() || it->first != midplane) {
-    return nullptr;
-  }
-  return &it->second;
+namespace {
+
+/// lower_bound order of the sorted per-scope clocks.
+constexpr auto kBeforeMidplane = [](const auto& clock, std::uint32_t key) {
+  return clock.midplane < key;
+};
+
+}  // namespace
+
+Predictor::ScopeClock* Predictor::find_scope_clock(std::uint32_t midplane) {
+  const auto it = std::lower_bound(scope_clocks_.begin(), scope_clocks_.end(),
+                                   midplane, kBeforeMidplane);
+  return it != scope_clocks_.end() && it->midplane == midplane ? &*it
+                                                               : nullptr;
 }
 
-void Predictor::set_scope_clock(std::uint32_t midplane, TimeSec at) {
-  const auto it = std::lower_bound(
-      last_fatal_by_scope_.begin(), last_fatal_by_scope_.end(), midplane,
-      [](const auto& entry, std::uint32_t key) { return entry.first < key; });
-  if (it != last_fatal_by_scope_.end() && it->first == midplane) {
-    it->second = at;
-  } else {
-    last_fatal_by_scope_.insert(it, {midplane, at});
+Predictor::ScopeClock& Predictor::scope_clock(std::uint32_t midplane) {
+  const auto it = std::lower_bound(scope_clocks_.begin(), scope_clocks_.end(),
+                                   midplane, kBeforeMidplane);
+  if (it != scope_clocks_.end() && it->midplane == midplane) return *it;
+  return *scope_clocks_.insert(it, ScopeClock{.midplane = midplane});
+}
+
+void Predictor::refresh_pd_quiet() {
+  if (!options_.per_scope_state) {
+    pd_quiet_until_ = clock_.quiet_until;
+    return;
   }
+  TimeSec quiet = std::numeric_limits<TimeSec>::max();
+  for (const ScopeClock& clock : scope_clocks_) {
+    quiet = std::min(quiet, clock.quiet_until);
+  }
+  pd_quiet_until_ = quiet;
 }
 
 template <bool kScoped>
@@ -261,63 +275,84 @@ void Predictor::erase_active(std::uint64_t rule_id, std::uint32_t scope) {
   active_.erase(active_key(rule_id, scope, true));
 }
 
+namespace {
+
+/// a + b, clamped to TimeSec's range: a parsed rule may carry any
+/// trigger.
+TimeSec saturating_add(TimeSec a, DurationSec b) {
+  TimeSec sum;
+  if (__builtin_add_overflow(a, b, &sum)) {
+    return b > 0 ? std::numeric_limits<TimeSec>::max()
+                 : std::numeric_limits<TimeSec>::min();
+  }
+  return sum;
+}
+
+}  // namespace
+
+void Predictor::refresh_quiet(ScopeClock& clock) {
+  // With the elapsed-time base fixed until the clock's next fatal, a
+  // rule cannot issue before it first triggers (last_fatal +
+  // elapsed_trigger) nor while its active warning's deadline still
+  // blocks deduplication — so any instant at or before the minimum of
+  // those instants, minus one, leaves the clock's check a no-op.
+  TimeSec quiet = std::numeric_limits<TimeSec>::max();
+  for (const meta::StoredRule* stored : distribution_rules_) {
+    TimeSec earliest = saturating_add(
+        clock.last_fatal, stored->rule.as_distribution()->elapsed_trigger);
+    if (options_.deduplicate_warnings) {
+      TimeSec deadline = kNoDeadline;
+      if (!options_.per_scope_state) {
+        deadline = active_by_id_[stored->id];
+      } else if (const auto* found = active_.find(
+                     active_key(stored->id, clock.midplane, true))) {
+        deadline = *found;
+      }
+      if (deadline != kNoDeadline) {
+        earliest = std::max(earliest, saturating_add(deadline, 1));
+      }
+    }
+    quiet = std::min(quiet, saturating_add(earliest, -1));
+  }
+  clock.quiet_until = quiet;
+}
+
 void DML_HOT Predictor::check_distribution_scope(std::vector<Warning>& out,
-                                         TimeSec now, std::uint32_t midplane,
-                                         TimeSec last_fatal) {
-  const DurationSec elapsed = now - last_fatal;
+                                                 TimeSec now,
+                                                 ScopeClock& clock) {
+  const std::optional<bgl::Location> location =
+      options_.per_scope_state
+          ? std::optional<bgl::Location>(
+                bgl::Location::from_packed(clock.midplane))
+          : std::nullopt;
+  const DurationSec elapsed = now - clock.last_fatal;
   for (const meta::StoredRule* stored : distribution_rules_) {
     const auto* rule = stored->rule.as_distribution();
     if (elapsed >= rule->elapsed_trigger) {
       const auto horizon = static_cast<DurationSec>(
           options_.pd_horizon_factor * static_cast<double>(elapsed));
       try_issue(out, now, *stored, std::nullopt,
-                now + std::max(window_, horizon),
-                bgl::Location::from_packed(midplane), midplane);
+                now + std::max(window_, horizon), location, clock.midplane);
     }
   }
+  refresh_quiet(clock);
 }
 
 void DML_HOT Predictor::check_distribution(std::vector<Warning>& out,
                                             TimeSec now) {
-  if (options_.per_scope_state) {
-    // Clock-tick sweep: every midplane with an elapsed-time clock is
-    // checked independently (same union of scopes however the stream is
-    // partitioned), in ascending-midplane order so the emitted sequence
-    // is deterministic.
-    for (const auto& [midplane, last] : last_fatal_by_scope_) {
-      check_distribution_scope(out, now, midplane, last);
-    }
-    return;
-  }
-  if (!last_fatal_.has_value()) return;
   if (now <= pd_quiet_until_) return;
-  const DurationSec elapsed = now - *last_fatal_;
-  for (const meta::StoredRule* stored : distribution_rules_) {
-    const auto* rule = stored->rule.as_distribution();
-    if (elapsed >= rule->elapsed_trigger) {
-      const auto horizon = static_cast<DurationSec>(
-          options_.pd_horizon_factor * static_cast<double>(elapsed));
-      try_issue(out, now, *stored, std::nullopt,
-                now + std::max(window_, horizon));
+  if (!options_.per_scope_state) {
+    check_distribution_scope(out, now, clock_);
+  } else {
+    // Clock-tick sweep: every midplane clock past its own horizon is
+    // checked independently (same union of scopes however the stream
+    // is partitioned), in ascending-midplane order so the emitted
+    // sequence is deterministic.
+    for (ScopeClock& clock : scope_clocks_) {
+      if (now > clock.quiet_until) check_distribution_scope(out, now, clock);
     }
   }
-  if (!options_.deduplicate_warnings) return;
-  // Recompute the quiet horizon: with the elapsed-time base fixed until
-  // the next fatal, a rule cannot issue before it first triggers
-  // (last_fatal + elapsed_trigger) nor while its active warning's
-  // deadline still blocks deduplication — so any event at or before the
-  // minimum of those instants provably leaves this function a no-op.
-  TimeSec quiet = std::numeric_limits<TimeSec>::max();
-  for (const meta::StoredRule* stored : distribution_rules_) {
-    const auto* rule = stored->rule.as_distribution();
-    TimeSec earliest = *last_fatal_ + rule->elapsed_trigger;
-    const TimeSec deadline = active_by_id_[stored->id];
-    if (deadline != kNoDeadline) {
-      earliest = std::max(earliest, deadline + 1);
-    }
-    quiet = std::min(quiet, earliest - 1);
-  }
-  pd_quiet_until_ = quiet;
+  refresh_pd_quiet();
 }
 
 template <bool kScoped>
@@ -422,24 +457,20 @@ void DML_HOT Predictor::observe_impl(const bgl::Event& event,
   // speaks only when no pattern rule matched (or always, in the flat
   // ensemble ablation).  In per-scope mode an event speaks for its own
   // midplane only — other midplanes' clocks are swept by ticks — so the
-  // warning stream decomposes exactly by midplane.
-  if (!matched || !options_.mixture_precedence) {
-    if (options_.per_scope_state) {
-      if (const TimeSec* last = find_scope_clock(midplane)) {
-        check_distribution_scope(out, now, midplane, *last);
-      }
-    } else if (last_fatal_.has_value() && now > pd_quiet_until_) {
-      // Inline the quiet-horizon gate (the first thing
-      // check_distribution would test) to spare the call on the
-      // common provably-no-op path.
+  // warning stream decomposes exactly by midplane.  Inside a horizon
+  // the check is a provable no-op, so the gate comes first.
+  if ((!matched || !options_.mixture_precedence) && now > pd_quiet_until_) {
+    if (!options_.per_scope_state) {
       check_distribution(out, now);
+    } else if (ScopeClock* clock = find_scope_clock(midplane);
+               clock != nullptr && now > clock->quiet_until) {
+      check_distribution_scope(out, now, *clock);
+      refresh_pd_quiet();
     }
   }
 
   if (event.fatal) {
     last_fatal_ = now;
-    pd_quiet_until_ = 0;  // new elapsed-time base; re-derive the horizon
-    if (options_.per_scope_state) set_scope_clock(midplane, now);
     // A failure resolves every pending warning that predicted it:
     // re-arm the distribution rules (they predict "a failure") and the
     // association rules whose consequent is this category, so the next
@@ -452,6 +483,12 @@ void DML_HOT Predictor::observe_impl(const bgl::Event& event,
         erase_active(stored->id, midplane);
       }
     }
+    // New elapsed-time base: re-derive this clock's horizon.
+    ScopeClock& clock =
+        options_.per_scope_state ? scope_clock(midplane) : clock_;
+    clock.last_fatal = now;
+    refresh_quiet(clock);
+    refresh_pd_quiet();
   }
 }
 
@@ -459,6 +496,30 @@ std::vector<Warning> Predictor::observe(const bgl::Event& event) {
   std::vector<Warning> out;
   observe_batch({&event, 1}, out);
   return out;
+}
+
+template <bool kScoped>
+void DML_HOT Predictor::observe_run(std::span<const bgl::Event> events,
+                                    std::vector<Warning>& out) {
+  // Skip path: a non-fatal event whose category appears in no
+  // antecedent or chain and whose time sits inside the PD quiet horizon
+  // provably changes no state and emits nothing — the recency windows
+  // ignore its category, and the distribution expert cannot fire on any
+  // clock, its own midplane's included, before the horizon.  Deferring
+  // expire() is sound because pops are monotone in `now` and every
+  // state read (antecedent walk, fatal count, chain match) re-runs
+  // expire first, so every split of a stream into batches stays
+  // bit-identical (DESIGN.md §13).
+  const std::uint8_t* has_rules = category_has_rules_.data();
+  const std::size_t n_categories = category_has_rules_.size();
+  for (const bgl::Event& event : events) {
+    if (!event.fatal &&
+        (event.category >= n_categories || !has_rules[event.category]) &&
+        event.time <= pd_quiet_until_) {
+      continue;
+    }
+    observe_impl<kScoped>(event, out);
+  }
 }
 
 #if defined(__GNUC__)
@@ -470,26 +531,9 @@ void DML_HOT Predictor::observe_batch(std::span<const bgl::Event> events,
                               std::vector<Warning>& out) {
   // One scoped-ness dispatch per batch, not per event.
   if (scoped()) {
-    for (const bgl::Event& event : events) observe_impl<true>(event, out);
-    return;
-  }
-  // Plain-mode skip path: a non-fatal event whose category appears in
-  // no antecedent and whose time sits inside the PD quiet horizon
-  // provably changes no state and emits nothing — the recency window
-  // ignores its category, and the distribution expert cannot fire
-  // before the horizon.  Deferring expire() is sound because pops are
-  // monotone in `now` and every state read (antecedent walk, fatal
-  // count, distribution check) re-runs expire first, so every split of a
-  // stream into batches stays bit-identical (DESIGN.md §13).
-  const std::uint8_t* has_rules = category_has_rules_.data();
-  const std::size_t n_categories = category_has_rules_.size();
-  for (const bgl::Event& event : events) {
-    if (!event.fatal &&
-        (event.category >= n_categories || !has_rules[event.category]) &&
-        (!last_fatal_.has_value() || event.time <= pd_quiet_until_)) {
-      continue;
-    }
-    observe_impl<false>(event, out);
+    observe_run<true>(events, out);
+  } else {
+    observe_run<false>(events, out);
   }
 }
 
@@ -497,12 +541,22 @@ void DML_HOT Predictor::tick_into(TimeSec now, std::vector<Warning>& out) {
   check_distribution(out, now);
 }
 
-TimeSec Predictor::tick_quiet_until() const {
-  // Mirrors check_distribution's early returns: nothing before the first
-  // fatal; then, outside per-scope mode, nothing up to the horizon.
-  if (!last_fatal_.has_value()) return std::numeric_limits<TimeSec>::max();
-  if (options_.per_scope_state) return std::numeric_limits<TimeSec>::min();
-  return pd_quiet_until_;
+void DML_HOT Predictor::tick_before(TimeSec until, TimeSec& next_tick,
+                                    DurationSec interval,
+                                    std::vector<Warning>& out) {
+  DML_DCHECK(interval > 0);
+  while (next_tick < until) {
+    // Jump over the grid instants a tick provably returns from
+    // untouched.  Capped below `until`, so a horizon of TimeSec max (no
+    // clock yet, or no PD rule) cannot overflow the grid.
+    const TimeSec quiet = std::min(until - 1, tick_quiet_until());
+    if (quiet >= next_tick) {
+      next_tick += ((quiet - next_tick) / interval + 1) * interval;
+      if (next_tick >= until) break;
+    }
+    tick_into(next_tick, out);
+    next_tick += interval;
+  }
 }
 
 std::vector<Warning> Predictor::tick(TimeSec now) {
@@ -518,19 +572,7 @@ std::vector<Warning> Predictor::run(std::span<const bgl::Event> events,
   for (const auto& event : events) {
     if (tick_interval > 0) {
       if (!next_tick) next_tick = event.time + tick_interval;
-      while (*next_tick < event.time) {
-        // Skip the grid instants a tick provably returns from untouched.
-        // Capped at the event, so a repository without PD rules (quiet
-        // horizon TimeSec max) cannot overflow the grid.
-        const TimeSec quiet = std::min(event.time - 1, tick_quiet_until());
-        if (quiet >= *next_tick) {
-          *next_tick += ((quiet - *next_tick) / tick_interval + 1) *
-                        tick_interval;
-          if (*next_tick >= event.time) break;
-        }
-        tick_into(*next_tick, all);
-        *next_tick += tick_interval;
-      }
+      tick_before(event.time, *next_tick, tick_interval, all);
     }
     observe_batch({&event, 1}, all);
   }

@@ -69,14 +69,15 @@ struct PredictorOptions {
   /// checkpoints".  Off by default: the paper evaluates time-only.
   bool location_scoped = false;
   /// Keep *all* expert state per midplane: the distribution expert's
-  /// elapsed-since-last-failure clock, warning deduplication and rule
-  /// re-arming are keyed by (rule, midplane), and an event consults the
-  /// distribution expert only for its own midplane (clock ticks still
-  /// sweep every known midplane).  Under this option the prediction
-  /// stream decomposes exactly by midplane — feeding each midplane's
-  /// events to a separate Predictor yields the same warning multiset as
-  /// one Predictor seeing everything — which is the invariant
-  /// online::ShardedEngine relies on.  Implies location_scoped.
+  /// elapsed-since-last-failure clock, its quiet horizon, warning
+  /// deduplication and rule re-arming are keyed by (rule, midplane), and
+  /// an event consults the distribution expert only for its own midplane
+  /// (clock ticks sweep every known midplane whose horizon has passed).
+  /// Under this option the prediction stream decomposes exactly by
+  /// midplane — feeding each midplane's events to a separate Predictor
+  /// yields the same warning multiset as one Predictor seeing
+  /// everything — which is the invariant online::ShardedEngine relies
+  /// on.  Implies location_scoped.
   bool per_scope_state = false;
 };
 
@@ -106,6 +107,15 @@ class Predictor {
 
   std::vector<Warning> tick(TimeSec now);
 
+  /// Fires the ticks of the grid next_tick, next_tick + interval, ...
+  /// that fall strictly before `until`, and leaves `next_tick` at the
+  /// first grid instant at or after it.  Grid instants at or before
+  /// tick_quiet_until() are jumped over, so the output and the final
+  /// `next_tick` equal a tick_into at every instant.  The one tick loop
+  /// of run() and online::ServingCore.
+  void tick_before(TimeSec until, TimeSec& next_tick, DurationSec interval,
+                   std::vector<Warning>& out);
+
   /// Convenience: runs a whole span and collects every warning, with
   /// PD clock ticks injected every `tick_interval` (0 = no ticks).  It
   /// skips the grid instants where a tick provably does nothing, so the
@@ -124,6 +134,10 @@ class Predictor {
   }
   template <bool kScoped>
   void expire(TimeSec now);
+  /// observe_batch's loop: the skip path, then observe_impl.
+  template <bool kScoped>
+  void observe_run(std::span<const bgl::Event> events,
+                   std::vector<Warning>& out);
   /// observe_batch's per-event body, specialized at compile time on
   /// scoped-ness so the plain serving loop carries no per-event scope
   /// branches and skips the midplane decode entirely (DESIGN.md §13).
@@ -143,17 +157,39 @@ class Predictor {
                  std::optional<bgl::Location> location = std::nullopt,
                  std::uint32_t scope = 0);
   void erase_active(std::uint64_t rule_id, std::uint32_t scope);
-  void check_distribution(std::vector<Warning>& out, TimeSec now);
   /// Latest instant at or before which tick_into(now) returns without
-  /// touching any state, as of now (TimeSec min when none is known).
-  TimeSec tick_quiet_until() const;
+  /// touching any state, and an event's distribution-expert fallback is
+  /// a no-op, as of now: the PD quiet horizon (TimeSec max while no
+  /// elapsed-time clock exists).  In per_scope_state mode it is the
+  /// minimum over the midplane clocks' own horizons.
+  TimeSec tick_quiet_until() const { return pd_quiet_until_; }
+
+  /// One elapsed-time clock of the distribution expert: the predictor's
+  /// own, or a midplane's in per_scope_state mode.
+  struct ScopeClock {
+    std::uint32_t midplane = 0;
+    TimeSec last_fatal = 0;
+    /// No distribution rule can issue on this clock at or before this
+    /// instant: per rule, the later of its first trigger (last_fatal +
+    /// elapsed_trigger) and the end of its active warning's dedup block
+    /// (deadline + 1), minus one, minimized over the rules.  It changes
+    /// only when a fatal resets the clock or a check of the clock runs.
+    TimeSec quiet_until = 0;
+  };
+  /// Recomputes `clock.quiet_until` from its base and active warnings.
+  void refresh_quiet(ScopeClock& clock);
+  void check_distribution(std::vector<Warning>& out, TimeSec now);
+  /// Checks every distribution rule against one clock at `now`, then
+  /// refreshes the clock's horizon.  Callers skip it inside the horizon.
   void check_distribution_scope(std::vector<Warning>& out, TimeSec now,
-                                std::uint32_t midplane, TimeSec last_fatal);
-  /// Pointer to the scope's last-fatal clock, or nullptr (sorted-vector
-  /// lookup; the sweep iterates it in ascending-midplane order so tick
-  /// output is deterministic).
-  TimeSec* find_scope_clock(std::uint32_t midplane);
-  void set_scope_clock(std::uint32_t midplane, TimeSec at);
+                                ScopeClock& clock);
+  /// The midplane's clock, or nullptr (sorted-vector lookup; the sweep
+  /// iterates it in ascending-midplane order so tick output is
+  /// deterministic).
+  ScopeClock* find_scope_clock(std::uint32_t midplane);
+  ScopeClock& scope_clock(std::uint32_t midplane);
+  /// pd_quiet_until_ = the minimum of the clocks' horizons.
+  void refresh_pd_quiet();
 
   const meta::KnowledgeRepository* repository_;
   DurationSec window_;
@@ -209,9 +245,12 @@ class Predictor {
   /// burst never re-scans the whole window.
   common::FlatMap<std::uint32_t, std::uint32_t> scoped_fatal_counts_;
   std::optional<TimeSec> last_fatal_;
-  /// Per-midplane last-fatal clocks (per_scope_state mode only), sorted
-  /// by midplane so distribution sweeps are deterministic.
-  std::vector<std::pair<std::uint32_t, TimeSec>> last_fatal_by_scope_;
+  /// The predictor-wide elapsed-time clock (outside per_scope_state
+  /// mode; valid once last_fatal_ is set).
+  ScopeClock clock_;
+  /// Per-midplane clocks (per_scope_state mode only), sorted by midplane
+  /// so distribution sweeps are deterministic.
+  std::vector<ScopeClock> scope_clocks_;
 
   /// Deduplication: active-warning deadline per rule id — or per
   /// (rule id << 32 | midplane) in per_scope_state mode.
@@ -223,13 +262,14 @@ class Predictor {
   static constexpr TimeSec kNoDeadline =
       std::numeric_limits<TimeSec>::min();
   std::vector<TimeSec> active_by_id_;
-  /// PD quiet horizon (plain + dedup mode only): for any event time at
-  /// or before this instant, check_distribution provably issues nothing
-  /// — every distribution rule is either untriggered until then or
-  /// dedup-blocked by an active warning — so the per-event rule walk
-  /// and hash probe are skipped.  Reset to 0 by every fatal event
-  /// (which moves the elapsed-time base and re-arms the rules).
-  TimeSec pd_quiet_until_ = 0;
+  /// PD quiet horizon, in every mode: at or before this instant the
+  /// distribution expert provably issues nothing on any clock — every
+  /// rule is untriggered until then or dedup-blocked by an active
+  /// warning — so ticks, the per-event rule walk and the observe_batch
+  /// skip path treat it as silent.  clock_.quiet_until outside
+  /// per_scope_state mode, the minimum over scope_clocks_ in it, and
+  /// TimeSec max while no clock exists.
+  TimeSec pd_quiet_until_ = std::numeric_limits<TimeSec>::max();
 };
 
 }  // namespace dml::predict

@@ -7,8 +7,8 @@
 // repository, event time regression, a records frame the reactor's
 // check refuses) surface as typed ERROR frames, not as corrupted engine
 // state or a dead daemon.  The client frames raw records by bytes as well
-// as by count, and refuses a record no frame can hold before it sends
-// anything.
+// as by count, refuses a record no frame can hold before it sends
+// anything, and pays one rewind for a burst of refused frames.
 #include <poll.h>
 #include <sys/socket.h>
 
@@ -26,8 +26,10 @@
 #include <utility>
 #include <string>
 #include <thread>
+#include <tuple>
 #include <vector>
 
+#include "common/failpoint.hpp"
 #include "loggen/generator.hpp"
 #include "logio/binary_format.hpp"
 #include "net/client.hpp"
@@ -51,10 +53,24 @@ const std::vector<bgl::Event>& corpus() {
   return events;
 }
 
-/// Warnings the equivalent batch engine emits on corpus() under the
-/// fixture's default flags — the oracle for "state was not corrupted".
-std::size_t reference_warning_count() {
-  static const std::size_t count = [] {
+/// Identity of a warning for multiset comparison across planes.
+using WarningKey = std::tuple<TimeSec, TimeSec, std::uint64_t, int,
+                              std::uint32_t, std::uint32_t>;
+
+WarningKey key_of(const predict::Warning& w) {
+  return {w.issued_at,
+          w.deadline,
+          w.rule_id,
+          static_cast<int>(w.source),
+          w.category.value_or(kInvalidCategory),
+          w.location ? w.location->packed() : 0xffffffffu};
+}
+
+/// Warnings the equivalent in-process engine emits on corpus() under
+/// the fixture's default flags, sorted — the oracle for "state was not
+/// corrupted".
+const std::vector<WarningKey>& reference_warnings() {
+  static const std::vector<WarningKey> keys = [] {
     const auto config = online::sharded_config_from_driver(
         [] {
           online::DriverConfig driver;
@@ -63,15 +79,18 @@ std::size_t reference_warning_count() {
           return driver;
         }(),
         2);
-    std::size_t warnings = 0;
-    online::ShardedEngine engine(config,
-                                 [&](const predict::Warning&) { ++warnings; });
+    std::vector<WarningKey> out;
+    online::ShardedEngine engine(
+        config, [&](const predict::Warning& w) { out.push_back(key_of(w)); });
     for (const auto& event : corpus()) engine.consume(event);
     engine.finish();
-    return warnings;
+    std::sort(out.begin(), out.end());
+    return out;
   }();
-  return count;
+  return keys;
 }
+
+std::size_t reference_warning_count() { return reference_warnings().size(); }
 
 void send_all(Client& client, std::uint32_t stream_id,
               std::span<const bgl::Event> events) {
@@ -177,6 +196,54 @@ TEST(DaemonRobustnessTest, ReconnectWithResumeDoesNotCorruptStreamState) {
   EXPECT_EQ(stats.events_ingested, events.size());
   EXPECT_EQ(stats.warnings_emitted, reference_warning_count());
   EXPECT_TRUE(stats.finished);
+}
+
+TEST(DaemonRobustnessTest, RefusedBurstCostsOneRewind) {
+  // A one-frame ingest queue in front of slowed shard workers refuses
+  // most of every window of eight in-flight frames.  The client pays
+  // one pause and one resend per refused burst: the RETRY_AFTERs that
+  // answer frames sent before its rewind only acknowledge.  Ingest
+  // stays exactly-once and the warnings are the in-process engine's.
+  // Before arming: the in-process engine passes the same failpoint.
+  const auto& expected = reference_warnings();
+  auto& registry = common::FailpointRegistry::instance();
+  registry.reset();
+  registry.reseed(testing::fuzz_seed(6401));
+  ASSERT_TRUE(registry.arm_from_string("shard.worker=delay:ms=1:p=0.01"));
+
+  auto config = testing::daemon_test_config(4, 2);
+  config.ingest_queue_frames = 1;
+  testing::DaemonFixture fixture(std::move(config));
+  ClientConfig client_config;
+  client_config.batch_events = 64;
+  client_config.window_frames = 8;
+  Client client("127.0.0.1", fixture.port(), client_config);
+  const auto opened =
+      client.open_stream("burst", kOpenIngest | kOpenSubscribe);
+  std::vector<WarningKey> served;
+  const auto collect = [&](const std::vector<WarningMsg>& messages) {
+    for (const auto& msg : messages) served.push_back(key_of(msg.warning));
+  };
+  constexpr std::size_t kChunk = 1024;
+  const auto& events = corpus();
+  for (std::size_t offset = 0; offset < events.size(); offset += kChunk) {
+    const std::size_t n = std::min(kChunk, events.size() - offset);
+    client.send_events(opened.stream_id, std::span(events).subspan(offset, n));
+    collect(client.take_warnings());
+  }
+  const StreamStatsMsg stats = client.finish_stream(opened.stream_id);
+  registry.reset();
+  while (served.size() < stats.warnings_emitted) {
+    collect(client.wait_warnings());
+  }
+
+  EXPECT_GT(stats.batches_refused, 0u);
+  EXPECT_LT(client.retries(), stats.batches_refused);
+  EXPECT_EQ(stats.events_ingested, events.size());
+  EXPECT_EQ(stats.records_rejected, 0u);
+  EXPECT_EQ(stats.warnings_dropped, 0u);
+  std::sort(served.begin(), served.end());
+  EXPECT_EQ(served, expected);
 }
 
 /// Names of every thread of this process, from /proc.

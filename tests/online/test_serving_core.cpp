@@ -1,13 +1,23 @@
 // ServingCore on its own: a fresh predictor is warmed from the core's own
 // trailing buffer of observed events, the two tick-anchoring disciplines
 // decide which rules a clock tick near an adoption runs on, ticks come
-// every clock_tick whatever window a build was mined with, and a
-// static-mode boundary is an adoption of the rules already in force.
+// every clock_tick whatever window a build was mined with, a
+// static-mode boundary is an adoption of the rules already in force, and
+// jumping the ticks the PD quiet horizon proves silent changes nothing.
 #include "online/serving.hpp"
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <tuple>
 #include <vector>
+
+#include "bgl/taxonomy.hpp"
+#include "common/rng.hpp"
+#include "loggen/generator.hpp"
+#include "meta/meta_learner.hpp"
+#include "reference_impl.hpp"
+#include "support/test_fixtures.hpp"
 
 namespace dml::online {
 namespace {
@@ -238,6 +248,109 @@ TEST(ServingCore, StaticBoundaryRefreshesThePredictorOnTheSameRules) {
             (std::vector<TimeSec>{1100}));
   EXPECT_EQ(forgets(ServingCore::TickAnchor::kAbsolute),
             (std::vector<TimeSec>{1100}));
+}
+
+/// 16 weeks of ANL unique events.
+const std::vector<bgl::Event>& anl_stream() {
+  static const auto events = [] {
+    loggen::MachineProfile profile = loggen::MachineProfile::anl();
+    profile.weeks = 16;
+    return loggen::LogGenerator(profile, testing::kSeed)
+        .generate_unique_events();
+  }();
+  return events;
+}
+
+/// Bursty events on two midplanes, fatal clusters included.
+std::vector<bgl::Event> two_midplane_stream(Rng& rng, std::size_t count) {
+  std::vector<bgl::Event> events;
+  TimeSec t = 1000;
+  for (std::size_t i = 0; i < count; ++i) {
+    t += static_cast<TimeSec>(rng.uniform_index(240));
+    bgl::Event e = ev(t, static_cast<CategoryId>(
+                             rng.uniform_index(bgl::taxonomy().size())));
+    e.fatal = bgl::taxonomy().category(e.category).fatal;
+    e.location = bgl::Location::compute_chip(
+        0, static_cast<int>(rng.uniform_index(2)),
+        static_cast<int>(rng.uniform_index(4)), 0, 0);
+    events.push_back(e);
+  }
+  return events;
+}
+
+auto warning_key(const Warning& w) {
+  return std::tuple(w.issued_at, w.deadline,
+                    w.category.value_or(kInvalidCategory),
+                    w.location ? w.location->packed() : 0xffffffffu, w.rule_id,
+                    static_cast<int>(w.source));
+}
+
+TEST(ServingCore, SkippedTicksEqualATickAtEveryInstant) {
+  // advance() jumps the tick grid over the predictor's PD quiet horizon;
+  // the stream must equal ticking at every grid instant, in per-scope
+  // and plain mode, under both anchors, at the paper's cadence and at a
+  // cadence far below the event gaps, with and without a PD rule (a
+  // repository without one has an unbounded horizon), across a
+  // static-boundary re-adoption that resets every clock.
+  meta::MetaLearnerConfig no_pd_config;
+  no_pd_config.enable_distribution = false;
+  const auto no_pd = meta::freeze(meta::MetaLearner{no_pd_config}.learn(
+      testing::weeks_of(testing::shared_store(), 0, 26), testing::kWp));
+  ASSERT_EQ(no_pd->count_by_source(learners::RuleSource::kDistribution), 0u);
+  const auto trained = meta::freeze(testing::shared_repository());
+  Rng rng(testing::fuzz_seed(6303));
+  const auto fuzzed = two_midplane_stream(rng, 3000);
+  const std::span<const bgl::Event> streams[] = {anl_stream(), fuzzed};
+
+  for (const auto& rules : {trained, no_pd}) {
+    for (const auto events : streams) {
+      for (const bool per_scope : {true, false}) {
+        for (const auto anchor : {ServingCore::TickAnchor::kAbsolute,
+                                  ServingCore::TickAnchor::kInterval}) {
+          for (const DurationSec tick : {DurationSec{300}, DurationSec{7}}) {
+            ServingCore::Options options;
+            options.clock_tick = tick;
+            options.tick_anchor = anchor;
+            options.warm_retention = testing::kWp;
+            options.predictor.per_scope_state = per_scope;
+            ServingCore core(options);
+            reference::EveryTickServing oracle(options);
+            std::vector<Warning> got;
+            std::vector<Warning> want;
+            const auto adopt_both = [&](TimeSec at) {
+              const auto build = build_of(rules, testing::kWp, at);
+              core.adopt(build, got);
+              oracle.adopt(build, want);
+            };
+            adopt_both(events.front().time);
+            const std::size_t boundary = events.size() / 2;
+            for (std::size_t i = 0; i < events.size(); ++i) {
+              if (i == boundary) adopt_both(events[i].time);
+              core.observe(events[i], got);
+              oracle.observe(events[i], want);
+            }
+            const TimeSec end = events.back().time + 10 * tick;
+            core.advance(end, got);
+            oracle.advance(end, want);
+
+            const std::string label =
+                std::string(rules == no_pd ? "no-PD" : "trained") +
+                (events.data() == fuzzed.data() ? " fuzzed" : " anl") +
+                (per_scope ? " per-scope" : " plain") +
+                (anchor == ServingCore::TickAnchor::kAbsolute
+                     ? " absolute"
+                     : " interval") +
+                " tick " + std::to_string(tick);
+            ASSERT_EQ(got.size(), want.size()) << label;
+            for (std::size_t i = 0; i < got.size(); ++i) {
+              ASSERT_EQ(warning_key(got[i]), warning_key(want[i]))
+                  << label << " #" << i;
+            }
+          }
+        }
+      }
+    }
+  }
 }
 
 }  // namespace

@@ -1,8 +1,11 @@
 // Edge cases of the event-driven predictor.
 #include <gtest/gtest.h>
 
+#include <limits>
+
 #include "predict/outcome_matcher.hpp"
 #include "predict/predictor.hpp"
+#include "reference_impl.hpp"
 #include "support/test_fixtures.hpp"
 
 namespace dml::predict {
@@ -92,6 +95,41 @@ TEST(PredictorEdge, TickBeforeAnyEventIsSafe) {
   Predictor predictor(repo, 300);
   EXPECT_TRUE(predictor.tick(0).empty());
   EXPECT_TRUE(predictor.tick(1000000).empty());
+}
+
+TEST(PredictorEdge, ExtremeDistributionTriggersMatchTheReference) {
+  // A rule file may carry any trigger.  The PD quiet horizon saturates
+  // instead of overflowing: a trigger no elapsed time reaches never
+  // fires, and one every elapsed time passes fires whenever its dedup
+  // block lapses, as the reference (which ticks every instant) has it.
+  meta::KnowledgeRepository repo;
+  for (const DurationSec trigger : {std::numeric_limits<DurationSec>::max(),
+                                    std::numeric_limits<DurationSec>::min()}) {
+    learners::DistributionRule rule;
+    rule.model = stats::LifetimeModel{
+        stats::LifetimeModel::Variant(stats::Exponential{1.0 / 10000.0})};
+    rule.cdf_threshold = 0.6;
+    rule.elapsed_trigger = trigger;
+    repo.add(learners::Rule{rule});
+  }
+  const std::vector<bgl::Event> events = {
+      ev(0, 50, true), ev(100, 7, false), ev(5000, 7, false),
+      ev(9000, 50, true), ev(20000, 7, false), ev(90000, 7, false)};
+  for (const bool per_scope : {false, true}) {
+    PredictorOptions options;
+    options.per_scope_state = per_scope;
+    Predictor predictor(repo, 300, options);
+    reference::ReferencePredictor reference(repo, 300, options);
+    const auto got = predictor.run(events, 300);
+    const auto want = reference.run(events, 300);
+    ASSERT_FALSE(want.empty());
+    ASSERT_EQ(got.size(), want.size()) << per_scope;
+    for (std::size_t i = 0; i < got.size(); ++i) {
+      EXPECT_EQ(got[i].issued_at, want[i].issued_at) << per_scope << " #" << i;
+      EXPECT_EQ(got[i].deadline, want[i].deadline) << per_scope << " #" << i;
+      EXPECT_EQ(got[i].rule_id, want[i].rule_id) << per_scope << " #" << i;
+    }
+  }
 }
 
 TEST(PredictorEdge, RunWithoutTicksEqualsManualObserveLoop) {

@@ -387,6 +387,59 @@ void ReferencePredictor::check_distribution(std::vector<Warning>& out,
   }
 }
 
+EveryTickServing::EveryTickServing(online::ServingCore::Options options)
+    : options_(options), snapshot_(meta::empty_snapshot()) {}
+
+void EveryTickServing::adopt(const online::SnapshotBuild& build,
+                             std::vector<predict::Warning>& out) {
+  using online::ServingCore;
+  const TimeSec at = build.activate_at;
+  if (options_.tick_anchor == ServingCore::TickAnchor::kAbsolute) {
+    advance(at, out);
+  } else {
+    next_tick_.reset();
+  }
+  snapshot_ = build.repository;
+  predictor_ = std::make_unique<predict::Predictor>(*snapshot_, build.window,
+                                                    options_.predictor);
+  std::vector<bgl::Event> warm;
+  for (const bgl::Event& event : warm_buffer_) {
+    if (event.time >= at - build.window && event.time < at) {
+      warm.push_back(event);
+    }
+  }
+  std::vector<predict::Warning> discard;
+  predictor_->observe_batch(warm, discard);
+  if (options_.tick_anchor == ServingCore::TickAnchor::kAbsolute &&
+      !next_tick_ && options_.clock_tick > 0) {
+    next_tick_ = at + options_.clock_tick;
+  }
+}
+
+void EveryTickServing::advance(TimeSec t, std::vector<predict::Warning>& out) {
+  while (predictor_ && next_tick_ && *next_tick_ < t) {
+    predictor_->tick_into(*next_tick_, out);
+    *next_tick_ += options_.clock_tick;
+  }
+}
+
+void EveryTickServing::observe(const bgl::Event& event,
+                               std::vector<predict::Warning>& out) {
+  advance(event.time, out);
+  if (options_.tick_anchor == online::ServingCore::TickAnchor::kInterval &&
+      predictor_ && !next_tick_ && options_.clock_tick > 0) {
+    next_tick_ = event.time + options_.clock_tick;
+  }
+  if (predictor_) predictor_->observe_batch({&event, 1}, out);
+  if (options_.warm_retention > 0) {
+    warm_buffer_.push_back(event);
+    while (!warm_buffer_.empty() &&
+           warm_buffer_.front().time < event.time - options_.warm_retention) {
+      warm_buffer_.pop_front();
+    }
+  }
+}
+
 std::vector<ReferencePredictor::Warning> ReferencePredictor::observe(
     const bgl::Event& event) {
   std::vector<Warning> out;

@@ -7,7 +7,8 @@
 // They are kept verbatim (modulo naming) as the equivalence oracle for
 // the golden tests and the "before" side of bench_hot_paths — the
 // optimized implementations must reproduce their itemset multisets,
-// warning streams and graph edges bit for bit.
+// warning streams and graph edges bit for bit.  The serving loop that
+// ticks at every grid instant is kept the same way.
 //
 // One deliberate deviation: the original per-scope clock-tick sweep
 // iterated an unordered_map (unspecified within-tick order).  Both the
@@ -17,6 +18,7 @@
 #pragma once
 
 #include <deque>
+#include <memory>
 #include <optional>
 #include <span>
 #include <unordered_map>
@@ -27,6 +29,7 @@
 #include "learners/apriori.hpp"
 #include "learners/correlation/event_graph.hpp"
 #include "meta/knowledge_repository.hpp"
+#include "online/serving.hpp"
 #include "predict/outcome_matcher.hpp"
 #include "predict/predictor.hpp"
 #include "preprocess/streaming_pipeline.hpp"
@@ -141,6 +144,29 @@ predict::EvaluationResult evaluate_predictions(
     std::span<const bgl::Event> events,
     std::span<const predict::Warning> warnings, DurationSec window,
     const meta::KnowledgeRepository* repository);
+
+/// online::ServingCore as it ran before advance() jumped over the PD
+/// quiet horizon: a Predictor::tick_into at every grid instant.  Same
+/// options, adoption, warm-up and anchoring contract (minus the
+/// failpoint); ServingCore must emit the same warnings in the same
+/// order.
+class EveryTickServing {
+ public:
+  explicit EveryTickServing(online::ServingCore::Options options);
+
+  void adopt(const online::SnapshotBuild& build,
+             std::vector<predict::Warning>& out);
+  void advance(TimeSec t, std::vector<predict::Warning>& out);
+  void observe(const bgl::Event& event, std::vector<predict::Warning>& out);
+
+ private:
+  online::ServingCore::Options options_;
+  /// Keeps the rules in force alive for predictor_.
+  meta::RepositorySnapshot snapshot_;
+  std::unique_ptr<predict::Predictor> predictor_;
+  std::optional<TimeSec> next_tick_;
+  std::deque<bgl::Event> warm_buffer_;
+};
 
 /// The hash-map predictor (paper Algorithm 2), emitting the same
 /// predict::Warning stream as predict::Predictor.

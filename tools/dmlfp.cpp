@@ -883,9 +883,16 @@ int cmd_run(const Flags& flags) {
 
   config.profile = profile;
   const auto warnings_path = flags.get("warnings");
+  // A repository damaged after open (a segment record failing its CRC
+  // mid-scan) throws out of either replay: a diagnostic, not an abort.
   if (threads > 1) {
-    return run_sharded(config, *repo, threads, profile, parse_times,
-                       preprocess_times, warnings_path);
+    try {
+      return run_sharded(config, *repo, threads, profile, parse_times,
+                         preprocess_times, warnings_path);
+    } catch (const std::exception& e) {
+      std::fprintf(stderr, "dmlfp: %s\n", e.what());
+      return 1;
+    }
   }
   std::vector<predict::Warning> warning_log;
   if (warnings_path) {
@@ -897,7 +904,13 @@ int cmd_run(const Flags& flags) {
   using Clock = std::chrono::steady_clock;
   const auto wall_start = Clock::now();
   const double cpu_start = process_cpu_seconds();
-  const auto result = online::DynamicDriver(config).run(*repo);
+  online::DriverResult result;
+  try {
+    result = online::DynamicDriver(config).run(*repo);
+  } catch (const std::exception& e) {
+    std::fprintf(stderr, "dmlfp: %s\n", e.what());
+    return 1;
+  }
   if (profile) {
     print_run_profile(
         parse_times, preprocess_times, result.engine_stats,
