@@ -240,7 +240,10 @@ void Client::send_frame_tracked(StreamState& state, std::uint32_t stream_id,
 }
 
 void Client::await_window(StreamState& state) {
-  while (state.window.size() >= config_.window_frames) {
+  // In-flight (unacknowledged) frames before a send blocks on the ack
+  // stream.
+  constexpr std::size_t kWindowFrames = 8;
+  while (state.window.size() >= kWindowFrames) {
     pump_incoming(/*blocking=*/true);
   }
 }

@@ -50,9 +50,6 @@ struct ClientConfig {
   /// Events per INGEST_EVENTS frame, and the most records per
   /// INGEST_RECORDS frame.
   std::size_t batch_events = 512;
-  /// In-flight (unacknowledged) frames before send_events() blocks on
-  /// the ack stream.
-  std::size_t window_frames = 8;
 };
 
 class Client {
@@ -72,9 +69,9 @@ class Client {
                               std::uint8_t flags = kOpenIngest);
 
   /// Queues events for ingest, framing them into batches; blocks only
-  /// when the in-flight window is full (then processes acks/retries —
-  /// and collects any warnings — until it drains).  Events must be fed
-  /// in time order.
+  /// when the in-flight window of eight frames is full (then processes
+  /// acks/retries — and collects any warnings — until it drains).
+  /// Events must be fed in time order.
   void send_events(std::uint32_t stream_id,
                    std::span<const bgl::Event> events);
 

@@ -47,6 +47,21 @@ std::size_t read_records(std::span<const unsigned char> frames,
   return n;
 }
 
+/// RETRY_AFTER.retry_ms: how long a refused client pauses before it
+/// resends.
+constexpr std::uint32_t kRetryPauseMs = 2;
+
+/// The ERROR frame that answers a failed stream's INGEST_* and
+/// FINISH_STREAM frames and its FINISH waiters: it carries the cause the
+/// pump caught.  The stream takes no more ingest, as an unknown one.
+std::vector<unsigned char> failure_frame(std::uint32_t stream_id,
+                                         const std::string& cause) {
+  std::vector<unsigned char> out;
+  append_error(out, ErrorMsg{ErrorCode::kUnknownStream, stream_id,
+                             "stream failed: " + cause});
+  return out;
+}
+
 /// One unit of admitted ingest work handed from a reactor to a stream
 /// pump.  A `finish` sentinel closes the stream after everything ahead
 /// of it is served.
@@ -134,6 +149,11 @@ struct Daemon::Stream {
   std::uint64_t owner_conn DML_GUARDED_BY(state_mutex) = 0;
   bool finishing DML_GUARDED_BY(state_mutex) = false;
   bool finished DML_GUARDED_BY(state_mutex) = false;
+  /// Why the pump failed: the first throw out of serving or finishing
+  /// the stream; empty while it runs clean.  Once set, admitted frames
+  /// behind it are never served, and failure_frame() answers the
+  /// stream's INGEST_* and FINISH_STREAM.
+  std::string failure DML_GUARDED_BY(state_mutex);
   std::uint64_t events_ingested DML_GUARDED_BY(state_mutex) = 0;
   std::uint64_t batches_refused DML_GUARDED_BY(state_mutex) = 0;
   StreamStatsMsg final_stats DML_GUARDED_BY(state_mutex);
@@ -513,6 +533,13 @@ void DML_REACTOR_CONTEXT Daemon::handle_ingest(ReactorConnection& conn,
   const std::size_t count = ingest.count;
 
   common::MutexLock lock(stream.state_mutex);
+  if (!stream.failure.empty()) {
+    const auto error = failure_frame(stream_id, stream.failure);
+    lock.unlock();
+    conn.send(error);
+    conn.close_after_flush();
+    return;
+  }
   if (stream.finishing || stream.finished) {
     lock.unlock();
     send_error(conn, ErrorCode::kUnknownStream, stream_id,
@@ -534,7 +561,7 @@ void DML_REACTOR_CONTEXT Daemon::handle_ingest(ReactorConnection& conn,
   if (seq > stream.expected_seq || stream.queue.size() >=
                                        config_.ingest_queue_frames) {
     ++stream.batches_refused;
-    RetryAfterMsg retry{stream_id, stream.expected_seq, config_.retry_ms};
+    RetryAfterMsg retry{stream_id, stream.expected_seq, kRetryPauseMs};
     lock.unlock();
     std::vector<unsigned char> out;
     append_retry_after(out, retry);
@@ -580,6 +607,12 @@ void DML_REACTOR_CONTEXT Daemon::handle_finish(ReactorConnection& conn,
   auto* cell = static_cast<std::shared_ptr<Session>*>(conn.context());
 
   common::MutexLock lock(stream.state_mutex);
+  if (!stream.failure.empty()) {
+    const auto error = failure_frame(msg.stream_id, stream.failure);
+    lock.unlock();
+    conn.send(error);
+    return;
+  }
   if (stream.finished) {
     const StreamStatsMsg stats = stream.final_stats;
     lock.unlock();
@@ -591,8 +624,7 @@ void DML_REACTOR_CONTEXT Daemon::handle_finish(ReactorConnection& conn,
   if (msg.seq != stream.expected_seq) {
     // The client believes it sent more (or less) than we admitted:
     // make it rewind/resend before the stream can drain.
-    RetryAfterMsg retry{msg.stream_id, stream.expected_seq,
-                        config_.retry_ms};
+    RetryAfterMsg retry{msg.stream_id, stream.expected_seq, kRetryPauseMs};
     lock.unlock();
     std::vector<unsigned char> out;
     append_retry_after(out, retry);
@@ -693,7 +725,11 @@ void DML_REACTOR_CONTEXT Daemon::on_disconnect(ReactorConnection& conn,
 // ---- Stream pump ---------------------------------------------------------
 
 void Daemon::pump_main(std::shared_ptr<Stream> stream) {
-  std::string error;
+  // The first throw out of serving or finishing the stream fails it.
+  const auto fail = [&](const std::exception& e) {
+    common::MutexLock lock(stream->state_mutex);
+    if (stream->failure.empty()) stream->failure = e.what();
+  };
   // A records frame is read into the front of this, reusing each
   // element's ENTRY_DATA.
   std::vector<bgl::RasRecord> records;
@@ -729,7 +765,7 @@ void Daemon::pump_main(std::shared_ptr<Stream> stream) {
       }
     }
   } catch (const std::exception& e) {
-    error = e.what();
+    fail(e);
   }
 
   online::ShardedEngine::SessionStats engine_stats{};
@@ -738,10 +774,12 @@ void Daemon::pump_main(std::shared_ptr<Stream> stream) {
     engine_stats = stream->engine->finish();
     if (stream->writer != nullptr) stream->writer->close();
   } catch (const std::exception& e) {
-    if (error.empty()) error = e.what();
+    fail(e);
   }
 
   StreamStatsMsg stats;
+  std::string failure;
+  std::vector<Stream::FinishWaiter> waiters;
   {
     common::MutexLock lock(stream->state_mutex);
     stats.stream_id = stream->id;
@@ -755,18 +793,19 @@ void Daemon::pump_main(std::shared_ptr<Stream> stream) {
     stats.finished = 1;
     stream->final_stats = stats;
     stream->finished = true;
-  }
-
-  // Deliver FINISHED: to FINISH_STREAM repliers via their session
-  // mailboxes, to subscribers via their queues (after any still-queued
-  // warnings).
-  std::vector<Stream::FinishWaiter> waiters;
-  {
-    common::MutexLock lock(stream->state_mutex);
+    failure = stream->failure;
     waiters.swap(stream->finish_waiters);
   }
+
+  // Answer FINISH_STREAM repliers via their session mailboxes: FINISHED,
+  // or the ERROR that carries the failure.  Subscribers get FINISHED via
+  // their queues (after any still-queued warnings).
   std::vector<unsigned char> frame;
-  append_finished(frame, stats);
+  if (failure.empty()) {
+    append_finished(frame, stats);
+  } else {
+    frame = failure_frame(stream->id, failure);
+  }
   for (const Stream::FinishWaiter& waiter : waiters) {
     waiter.session->post_control(frame);
     waiter.reactor->notify(waiter.conn_id);
@@ -900,6 +939,10 @@ DaemonStats Daemon::stats() const {
   }
   for (const auto& stream : streams) {
     total.streams.push_back(snapshot_stream_stats(*stream));
+    common::MutexLock lock(stream->state_mutex);
+    if (!stream->failure.empty()) {
+      total.stream_failures.emplace(stream->id, stream->failure);
+    }
   }
   return total;
 }

@@ -31,6 +31,7 @@
 #include <atomic>
 #include <cstdint>
 #include <deque>
+#include <map>
 #include <memory>
 #include <string>
 #include <thread>
@@ -62,8 +63,6 @@ struct DaemonConfig {
   /// the reactor lags: 65536 warnings is about 170 ms of a 3.8M
   /// events/s stream's warnings, 3 MiB at most.
   std::size_t subscriber_queue_warnings = 65536;
-  /// RETRY_AFTER.retry_ms hint sent with refused frames.
-  std::uint32_t retry_ms = 2;
   /// Durable ingest: each stream appends admitted events to a
   /// storage::LogWriter repository under `<repo_dir>/<stream name>`
   /// before serving them.  Empty = volatile.  Under a repository root
@@ -95,6 +94,9 @@ struct DaemonStats {
   std::uint64_t connections_failed = 0;
   /// Final per-stream accounting, one entry per stream ever opened.
   std::vector<StreamStatsMsg> streams;
+  /// Why each failed stream stopped (the first throw out of its pump),
+  /// by stream id; a stream that ran clean has no entry.
+  std::map<std::uint32_t, std::string> stream_failures;
   /// Every reactor, the acceptor, then per stream (by id) its pump and
   /// shard workers.  Filled by wait(), once they have all exited; empty
   /// in stats().

@@ -84,7 +84,8 @@ inline constexpr std::uint8_t kOpenSubscribe = 2;
 enum class ErrorCode : std::uint16_t {
   kProtocol = 1,       // malformed or unexpected frame, or a stream
                        // name --repo cannot use
-  kUnknownStream = 2,  // stream id not open on this connection
+  kUnknownStream = 2,  // stream id not open on this connection, or
+                       // the stream failed (the message has the cause)
   kStreamBusy = 3,     // another connection owns ingest for the stream,
                        // or its --repo directory cannot be created
   kOutOfOrder = 4,     // event times regressed within the stream

@@ -59,8 +59,10 @@ class ServingCore {
   /// fresh-Predictor-per-interval semantics.
   void adopt(const SnapshotBuild& build, std::vector<predict::Warning>& out);
 
-  /// Fires every tick due strictly before event time t; a heartbeat or
-  /// end-of-stream flush is advance() to its instant.  Ticks inside the
+  /// Fires every tick due strictly before event time t.  A sharded
+  /// engine's shard advances to each handoff's time, the last event the
+  /// producer routed (at finish(), the end of the stream), so every
+  /// event it receives later is at or after t.  Ticks inside the
   /// predictor's PD quiet horizon are jumped over
   /// (Predictor::tick_before): they would issue nothing.
   void advance(TimeSec t, std::vector<predict::Warning>& out);

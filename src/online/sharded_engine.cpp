@@ -8,7 +8,6 @@
 #include <limits>
 #include <thread>
 #include <tuple>
-#include <variant>
 
 #include "bgl/location.hpp"
 #include "common/annotations.hpp"
@@ -20,34 +19,29 @@
 namespace dml::online {
 namespace {
 
-/// Messages flowing producer -> shard worker, in time order per shard.
-///
-/// A time-ordered run of events for one shard: one queue handoff (one
-/// lock/notify) per run — a whole consume_batch() slice, or the single
-/// event of a consume() call.  Workers serve the run event by event, so
-/// failpoint and quarantine behaviour do not depend on how the stream
-/// was cut into runs.
-struct EventBatchMsg {
-  std::vector<bgl::Event> events;
-};
-struct AdoptMsg {
+/// The one message producer -> shard worker: what one handoff gives a
+/// shard, in the order the worker applies it.  Every handoff (the end of
+/// each consume call, each adoption point, finish()) pushes exactly one
+/// to every shard, so one queue push (one lock/notify) carries a whole
+/// consume_batch() slice, the build adopted before it and the watermark
+/// after it.
+struct Message {
+  /// The build to adopt first, if an adoption point preceded the run.
   /// Shared: one build fans out to every shard.
-  std::shared_ptr<const SnapshotBuild> build;
-};
-struct FlushMsg {
-  /// Fire ticks strictly before this instant and advance the watermark
-  /// to it (heartbeat / end of stream).
+  std::shared_ptr<const SnapshotBuild> adopt;
+  /// The shard's time-ordered run of events, possibly empty.  Workers
+  /// serve it event by event, so failpoint and quarantine behaviour do
+  /// not depend on how the stream was cut into runs.
+  std::vector<bgl::Event> events;
+  /// The time of the last event the producer routed: after the run the
+  /// shard fires its ticks strictly before it and moves its watermark
+  /// to it.  Every event a shard receives later is at or after it.
   TimeSec to = 0;
 };
-using Message = std::variant<EventBatchMsg, AdoptMsg, FlushMsg>;
 
-/// A message's share of a queue's capacity: a run counts its events, a
-/// control message counts one.
+/// A message's share of a queue's capacity: its events, at least one.
 std::size_t depth_of(const Message& message) {
-  if (const auto* run = std::get_if<EventBatchMsg>(&message)) {
-    return run->events.size();
-  }
-  return 1;
+  return std::max<std::size_t>(1, message.events.size());
 }
 
 /// Single-producer single-consumer queue bounded in events.  push()
@@ -240,6 +234,7 @@ ShardedEngine::ShardedEngine(ShardedEngineConfig config,
   for (std::size_t i = 0; i < n; ++i) {
     shards_.push_back(std::make_unique<Shard>(config_.queue_capacity));
   }
+  feed_runs_.resize(n);
   for (std::size_t i = 0; i < n; ++i) {
     shards_[i]->thread = std::thread([this, i] {
       common::name_this_thread("dml-shard-" + std::to_string(i));
@@ -294,40 +289,28 @@ void ShardedEngine::consume_batch(std::span<const bgl::Event> events) {
 }
 
 void ShardedEngine::flush_feed_runs() {
-  for (std::size_t i = 0; i < feed_runs_.size(); ++i) {
-    if (!feed_runs_[i].empty()) {
-      shards_[i]->queue.push(EventBatchMsg{std::move(feed_runs_[i])});
-      feed_runs_[i].clear();  // moved-from: valid and empty
-    }
-    // Every shard, run or not: the flush is what moves a quiet shard's
-    // watermark and ticks.
-    if (pending_heartbeat_) {
-      shards_[i]->queue.push(FlushMsg{*pending_heartbeat_});
-    }
+  for (std::size_t i = 0; i < shards_.size(); ++i) {
+    // Every shard, run or not: the message's time is what moves a quiet
+    // shard's watermark and ticks.
+    shards_[i]->queue.push(
+        Message{pending_adopt_, std::move(feed_runs_[i]), last_event_time_});
+    feed_runs_[i].clear();  // moved-from: valid and empty
   }
-  pending_heartbeat_.reset();
+  pending_adopt_.reset();
 }
 
 void DML_HOT ShardedEngine::feed_batch(std::span<const bgl::Event> events) {
   // Nothing to hand over: most raw records' runs have no survivor.
   if (events.empty()) return;
-  if (feed_runs_.size() != shards_.size()) {
-    DML_ALLOW_ALLOC("one-time growth to the shard count; no-op at steady "
-                    "state");
-    feed_runs_.resize(shards_.size());
-  }
-  // One build to every shard's queue, after the events that preceded it
-  // in each: a new build, or at a static-mode boundary the build in
-  // force again, so each shard serves the same rules on a fresh
-  // predictor.
+  // An adoption point is a handoff: the events before it go out first,
+  // and the build rides every shard's next message — a new build, or at
+  // a static-mode boundary the build in force again, so each shard
+  // serves the same rules on a fresh predictor.
   const auto adopt_everywhere = [this](SnapshotBuild build) {
+    flush_feed_runs();
     DML_ALLOW_ALLOC("snapshot adoption: one shared_ptr per adopted build "
                     "or static boundary, never per event");
-    const auto shared =
-        std::make_shared<const SnapshotBuild>(std::move(build));
-    flush_feed_runs();
-    DML_ALLOW_ALLOC("control-plane handoff at snapshot adoption (rare)");
-    for (auto& shard : shards_) shard->queue.push(AdoptMsg{shared});
+    pending_adopt_ = std::make_shared<const SnapshotBuild>(std::move(build));
   };
   try {
     for (const bgl::Event& event : events) {
@@ -353,12 +336,6 @@ void DML_HOT ShardedEngine::feed_batch(std::span<const bgl::Event> events) {
         }
       }
       if (auto build = scheduler_.poll(t)) adopt_everywhere(std::move(*build));
-      // Heartbeats never split a run: crossing one only records it, and
-      // the next handoff delivers it (flush_feed_runs).
-      if (config_.heartbeat_interval > 0 &&
-          (!next_heartbeat_ || *next_heartbeat_ <= t)) {
-        cross_heartbeats(t);
-      }
       scheduler_.observe(event);
       last_event_time_ = std::max(last_event_time_, t);
       DML_ALLOW_ALLOC("a run's buffer moves into its queue message: one "
@@ -373,22 +350,6 @@ void DML_HOT ShardedEngine::feed_batch(std::span<const bgl::Event> events) {
     throw;
   }
   flush_feed_runs();
-}
-
-void ShardedEngine::cross_heartbeats(TimeSec t) {
-  const DurationSec interval = config_.heartbeat_interval;
-  if (interval <= 0) return;
-  if (!next_heartbeat_) {
-    next_heartbeat_ = t + interval;
-    return;
-  }
-  if (*next_heartbeat_ > t) return;
-  // Only the latest grid instant at or before t is worth a flush: the
-  // ones it passes would fire a prefix of the same ticks.
-  const TimeSec crossed =
-      *next_heartbeat_ + (t - *next_heartbeat_) / interval * interval;
-  pending_heartbeat_ = crossed;
-  next_heartbeat_ = crossed + interval;
 }
 
 void ShardedEngine::note_quarantine(std::size_t index, TimeSec at,
@@ -408,16 +369,10 @@ void ShardedEngine::worker(std::size_t index) {
   // The quarantine drain advances the watermark without serving: the
   // merged stream (and the producer, via backpressure relief) must keep
   // moving even when this shard has stopped serving.  Drained events
-  // count as rejected; of the control messages only a flush moves the
-  // watermark.
+  // count as rejected.
   const auto drain_event = [&](const bgl::Event& event) {
     watermark = std::max(watermark, event.time);
     shard.rejected.fetch_add(1, std::memory_order_relaxed);
-  };
-  const auto drain_control = [&](const Message& message) {
-    if (const auto* flush = std::get_if<FlushMsg>(&message)) {
-      watermark = std::max(watermark, flush->to);
-    }
   };
   // One event of a run, exactly the per-event sequence: failpoint, then
   // serve, then counters and watermark.
@@ -438,55 +393,39 @@ void ShardedEngine::worker(std::size_t index) {
     }
     watermark = std::max(watermark, event.time);
   };
-  // Quarantine bookkeeping happens after the faulting unit is drained,
-  // so the recorded watermark covers it; the unit's warnings are dropped.
-  const auto quarantine = [&](const std::string& what) {
+  // A throw quarantines the shard.  The run's first unserved event (the
+  // faulting one) drains first, so the recorded watermark covers it;
+  // the popped messages' warnings are dropped.
+  const auto quarantine = [&](const std::vector<bgl::Event>& run,
+                              std::size_t& next, const std::string& what) {
+    if (next < run.size()) drain_event(run[next++]);
     shard.quarantined.store(true, std::memory_order_relaxed);
     out.clear();
     note_quarantine(index, watermark, what);
   };
   while (shard.queue.pop_all(batch)) {
     const auto start = std::chrono::steady_clock::now();
-    for (auto& message : batch) {
-      // A run is served event by event, so a throw mid-run quarantines
-      // at the faulting event and drains only the rest — however the
-      // stream was cut into runs.
-      if (auto* run = std::get_if<EventBatchMsg>(&message)) {
-        for (const bgl::Event& event : run->events) {
-          if (shard.quarantined.load(std::memory_order_relaxed)) {
-            drain_event(event);
-            continue;
-          }
-          try {
-            serve_event(event);
-          } catch (const std::exception& e) {
-            drain_event(event);
-            quarantine(e.what());
-          } catch (...) {
-            drain_event(event);
-            quarantine("unknown exception");
-          }
+    for (const Message& message : batch) {
+      // Adopt, serve the run event by event, advance to the message's
+      // time.  Serving event by event makes a throw mid-run quarantine
+      // at the faulting event and drain only the rest, however the
+      // stream was cut into runs; a quarantined shard drains the whole
+      // message.
+      const std::vector<bgl::Event>& run = message.events;
+      std::size_t next = 0;  // run[next..] is neither served nor drained
+      if (!shard.quarantined.load(std::memory_order_relaxed)) {
+        try {
+          if (message.adopt) core.adopt(*message.adopt, out);
+          for (; next < run.size(); ++next) serve_event(run[next]);
+          core.advance(message.to, out);
+        } catch (const std::exception& e) {
+          quarantine(run, next, e.what());
+        } catch (...) {
+          quarantine(run, next, "unknown exception");
         }
-        continue;
       }
-      if (shard.quarantined.load(std::memory_order_relaxed)) {
-        drain_control(message);
-        continue;
-      }
-      try {
-        if (auto* adopt = std::get_if<AdoptMsg>(&message)) {
-          core.adopt(*adopt->build, out);
-        } else if (auto* flush = std::get_if<FlushMsg>(&message)) {
-          core.advance(flush->to, out);
-          watermark = std::max(watermark, flush->to);
-        }
-      } catch (const std::exception& e) {
-        drain_control(message);
-        quarantine(e.what());
-      } catch (...) {
-        drain_control(message);
-        quarantine("unknown exception");
-      }
+      for (; next < run.size(); ++next) drain_event(run[next]);
+      watermark = std::max(watermark, message.to);
     }
     shard.busy_seconds.store(
         shard.busy_seconds.load(std::memory_order_relaxed) +
@@ -497,12 +436,9 @@ void ShardedEngine::worker(std::size_t index) {
     // Push even when quarantined or warning-free: the watermark alone
     // releases other shards' buffered warnings, keeping the merged
     // stream monotone and live.
-    if (!out.empty() ||
-        watermark != std::numeric_limits<TimeSec>::min()) {
-      shard.warnings.fetch_add(out.size(), std::memory_order_relaxed);
-      merger_->push(index, out, watermark);
-      out.clear();
-    }
+    shard.warnings.fetch_add(out.size(), std::memory_order_relaxed);
+    merger_->push(index, out, watermark);
+    out.clear();
   }
 }
 
@@ -513,14 +449,10 @@ ShardedEngine::SessionStats ShardedEngine::finish() {
   // (identically for every shard count — it would activate after the
   // last event anyway).
   scheduler_.join(last_event_time_);
-  // Flush every shard's tick grid to the same global end instant; ticks
-  // fire strictly before it, matching a single predictor that stops at
-  // the last event.
-  if (last_event_time_ != 0) {
-    for (auto& shard : shards_) {
-      shard->queue.push(FlushMsg{last_event_time_});
-    }
-  }
+  // The last handoff advances every shard's tick grid to the same
+  // global end instant; ticks fire strictly before it, matching a single
+  // predictor that stops at the last event.
+  flush_feed_runs();
   for (auto& shard : shards_) shard->queue.close();
   for (auto& shard : shards_) {
     if (shard->thread.joinable()) shard->thread.join();

@@ -13,13 +13,21 @@
 //    predictors run with PredictorOptions::per_scope_state, so the
 //    merged warning *multiset* is identical for any shard count
 //    (tests/integration/test_sharded_determinism.cpp).
+//  - One message per shard per handoff.  A handoff is the end of each
+//    consume call, each adoption point and finish(); it pushes to every
+//    shard one message: the build to adopt first (if any), the shard's
+//    run of events (possibly empty) and the time of the last event the
+//    producer routed.  The worker adopts, serves the run, advances its
+//    tick grid to that time and moves its watermark there, so a shard
+//    that gets no events still releases the others' warnings.
 //  - Shard queues are bounded in events: a stalled shard back-pressures the
 //    producer instead of growing without bound.
 //  - Retraining always runs on ThreadPool::shared() (the engine forces
 //    pool builds in its OnlineEngineConfig), so consume() never executes
-//    training work inline.  Rules reach the shards only as AdoptMsg: one
-//    shared build, adopted by every shard at the same event-time instant
-//    (a new build, or at a static-mode boundary the build in force).
+//    training work inline.  Rules reach the shards only on a handoff
+//    message: one shared build, adopted by every shard at the same
+//    event-time instant (a new build, or at a static-mode boundary the
+//    build in force).
 //  - A shard whose worker throws is quarantined: it drains, its
 //    watermark keeps advancing so the merged stream and the producer
 //    never stall, and its events count as rejected.  The run goes on and
@@ -35,6 +43,7 @@
 
 #include <cstddef>
 #include <functional>
+#include <memory>
 #include <span>
 #include <string>
 #include <vector>
@@ -50,18 +59,11 @@ namespace dml::online {
 struct ShardedEngineConfig {
   /// Number of serving shards; 0 = hardware_concurrency.
   std::size_t shards = 0;
-  /// Bounded per-shard queue depth in events (a run counts its events, a
-  /// control message counts one); the producer blocks when a shard falls
-  /// this far behind (backpressure).  A run larger than this enters only
+  /// Bounded per-shard queue depth in events (a message counts its
+  /// events, at least one); the producer blocks when a shard falls this
+  /// far behind (backpressure).  A message larger than this enters only
   /// an empty queue.
   std::size_t queue_capacity = 4096;
-  /// Event-time cadence of watermark heartbeats: they bound how long a
-  /// quiet shard can hold back the merged stream and keep PD ticks
-  /// flowing on idle midplanes.  However many instants a handoff crosses,
-  /// every shard gets one flush to the latest, after its run, so a
-  /// heartbeat never splits a run and changes liveness, never output.
-  /// 0 disables (warnings then drain fully only at finish()).
-  DurationSec heartbeat_interval = 300;
   /// Retraining/serving settings.  The engine forces what its partition
   /// and producer need: per-scope prediction (per_scope_state,
   /// location_scoped, absolute ticks) and pool builds.  Every build is
@@ -153,12 +155,9 @@ class ShardedEngine {
   /// The one producer path: every consume() call hands its events here
   /// (a run of one for the single-event forms).
   void feed_batch(std::span<const bgl::Event> events);
-  /// Hands every buffered per-shard run to its queue, then the pending
-  /// heartbeat flush (if any) to every shard's queue (feed_batch).
+  /// The handoff: pushes every shard one message, carrying the pending
+  /// adoption, the shard's buffered run and last_event_time_.
   void flush_feed_runs();
-  /// Advances the heartbeat grid past event time t, recording the latest
-  /// instant crossed as pending_heartbeat_; pushes nothing.
-  void cross_heartbeats(TimeSec t);
   void worker(std::size_t index);
   void note_quarantine(std::size_t index, TimeSec at, std::string what)
       DML_EXCLUDES(quarantine_mutex_);
@@ -177,16 +176,16 @@ class ShardedEngine {
   /// feed_batch()'s per-shard run buffers (producer-owned scratch);
   /// always empty between consume calls.
   std::vector<std::vector<bgl::Event>> feed_runs_;
+  /// The build of the last adoption point; it rides every shard's next
+  /// message.  Always empty between consume calls.
+  std::shared_ptr<const SnapshotBuild> pending_adopt_;
   /// The raw consume_batch()'s survivors (producer-owned scratch).
   std::vector<bgl::Event> survivors_;
 
   // Producer-side state.
   std::uint64_t records_consumed_ = 0;
   std::uint64_t feed_rejected_ = 0;
-  std::optional<TimeSec> next_heartbeat_;
-  /// Latest heartbeat instant crossed since the last handoff; the next
-  /// flush_feed_runs() delivers it to every shard once, after its run.
-  std::optional<TimeSec> pending_heartbeat_;
+  /// The time of the last event routed to a shard.
   TimeSec last_event_time_ = 0;
   bool finished_ = false;
   SessionStats final_stats_;

@@ -18,7 +18,6 @@
 
 #include <algorithm>
 #include <sstream>
-#include <tuple>
 #include <vector>
 
 #include "common/failpoint.hpp"
@@ -26,6 +25,7 @@
 #include "logio/text_format.hpp"
 #include "online/sharded_engine.hpp"
 #include "support/test_fixtures.hpp"
+#include "support/warning_key.hpp"
 
 namespace dml::online {
 namespace {
@@ -36,18 +36,8 @@ class ChaosTest : public ::testing::Test {
   void TearDown() override { common::FailpointRegistry::instance().reset(); }
 };
 
-/// Stable identity of a warning for cross-run comparison.
-using WarningKey = std::tuple<TimeSec, TimeSec, std::uint64_t, int,
-                              std::uint32_t, std::uint32_t>;
-
-WarningKey key_of(const predict::Warning& w) {
-  return {w.issued_at,
-          w.deadline,
-          w.rule_id,
-          static_cast<int>(w.source),
-          w.category.value_or(kInvalidCategory),
-          w.location ? w.location->packed() : 0xffffffffu};
-}
+using testing::key_of;
+using testing::WarningKey;
 
 ShardedEngineConfig chaos_config(std::size_t shards = 4) {
   ShardedEngineConfig config;

@@ -17,21 +17,13 @@
 #include "online/sharded_engine.hpp"
 #include "predict/outcome_matcher.hpp"
 #include "support/test_fixtures.hpp"
+#include "support/warning_key.hpp"
 
 namespace dml::online {
 namespace {
 
-using WarningKey = std::tuple<TimeSec, TimeSec, std::uint64_t, int,
-                              std::uint32_t, std::uint32_t>;
-
-WarningKey key_of(const predict::Warning& w) {
-  return {w.issued_at,
-          w.deadline,
-          w.rule_id,
-          static_cast<int>(w.source),
-          w.category.value_or(0xffff),
-          w.location ? w.location->packed() : 0xffffffffu};
-}
+using testing::key_of;
+using testing::WarningKey;
 
 struct Replay {
   std::vector<predict::Warning> warnings;
@@ -122,14 +114,17 @@ TEST(ShardedDeterminism, TwoShardReplayIsReproducible) {
   }
 }
 
-// Heartbeat cadence, queue capacity and feed form decide only when a
+// Shard count, queue capacity and handoff size decide only when a
 // warning is released, never which warnings come out or in what order:
-// every cell of the grid must emit exactly the sequence of one shard
-// with heartbeats off fed event by event.
+// every cell of the grid must emit exactly the sequence of one shard fed
+// event by event.  Each consume call is one handoff, and every handoff
+// advances every shard to the last event routed, so the handoff size
+// also sets how often a shard without events advances: at every event
+// for consume(), a few times over the whole input at 4096.
 
 /// 16 weeks of ANL unique events, keyed by gap scale: as generated (1),
 /// and with every inter-event gap multiplied by 10, so that consecutive
-/// events cross many heartbeat instants.
+/// events cross many tick instants.
 const std::vector<bgl::Event>& anl_events(TimeSec gap_scale) {
   static const auto inputs = [] {
     loggen::MachineProfile profile = loggen::MachineProfile::anl();
@@ -148,14 +143,13 @@ const std::vector<bgl::Event>& anl_events(TimeSec gap_scale) {
 }
 
 using CellParam = std::tuple<TimeSec /*gap_scale*/, std::size_t /*shards*/,
-                             DurationSec /*heartbeat*/,
-                             std::size_t /*capacity*/, bool /*batched*/>;
+                             std::size_t /*handoff*/,
+                             std::size_t /*capacity*/>;
 
 std::vector<WarningKey> merged_sequence(const CellParam& cell) {
-  const auto [gap_scale, shards, heartbeat, capacity, batched] = cell;
+  const auto [gap_scale, shards, handoff, capacity] = cell;
   ShardedEngineConfig config;
   config.shards = shards;
-  config.heartbeat_interval = heartbeat;
   config.queue_capacity = capacity;
   config.engine.retrain_interval = 4 * kSecondsPerWeek;
   config.engine.training_span = 12 * kSecondsPerWeek;
@@ -165,24 +159,24 @@ std::vector<WarningKey> merged_sequence(const CellParam& cell) {
     sequence.push_back(key_of(w));  // callback is serialized by the merger
   });
   const std::span<const bgl::Event> events = anl_events(gap_scale);
-  if (batched) {
-    constexpr std::size_t kSlice = 512;
-    for (std::size_t offset = 0; offset < events.size(); offset += kSlice) {
-      const std::size_t n = std::min(kSlice, events.size() - offset);
+  if (handoff == 1) {
+    for (const auto& event : events) engine.consume(event);
+  } else {
+    for (std::size_t offset = 0; offset < events.size(); offset += handoff) {
+      const std::size_t n = std::min(handoff, events.size() - offset);
       engine.consume_batch(events.subspan(offset, n));
     }
-  } else {
-    for (const auto& event : events) engine.consume(event);
   }
   engine.finish();
   return sequence;
 }
 
-/// The reference cell of each input: one shard, no heartbeats, consume().
+/// The reference cell of each input: one shard, consume(), capacity
+/// 4096.
 const std::vector<WarningKey>& reference_sequence(TimeSec gap_scale) {
   static std::map<TimeSec, std::vector<WarningKey>> cache;
   auto [it, inserted] = cache.try_emplace(gap_scale);
-  if (inserted) it->second = merged_sequence({gap_scale, 1, 0, 4096, false});
+  if (inserted) it->second = merged_sequence({gap_scale, 1, 1, 4096});
   return it->second;
 }
 
@@ -199,27 +193,26 @@ TEST_P(ShardedDeterminismGrid, MergedSequenceMatchesReferenceCell) {
 }
 
 std::string cell_name(const ::testing::TestParamInfo<CellParam>& info) {
-  const auto [gap_scale, shards, heartbeat, capacity, batched] = info.param;
+  const auto [gap_scale, shards, handoff, capacity] = info.param;
   std::string name = "gap" + std::to_string(gap_scale);
   name += "_shards" + std::to_string(shards);
-  name += "_heartbeat" + std::to_string(heartbeat);
+  name += "_handoff" + std::to_string(handoff);
   name += "_capacity" + std::to_string(capacity);
-  name += batched ? "_batch512" : "_serial";
   return name;
 }
 
 constexpr TimeSec kGapScales[] = {1, 10};
 constexpr std::size_t kShardCounts[] = {1, 2, 4};
-constexpr DurationSec kHeartbeats[] = {0, 1, 300};
+/// Events per consume call; 1 is consume().
+constexpr std::size_t kHandoffs[] = {1, 2, 7, 64, 512, 4096};
 constexpr std::size_t kCapacities[] = {4, 4096};
 
 INSTANTIATE_TEST_SUITE_P(
-    HeartbeatQueueFeed, ShardedDeterminismGrid,
+    HandoffQueue, ShardedDeterminismGrid,
     ::testing::Combine(::testing::ValuesIn(kGapScales),    // input
                        ::testing::ValuesIn(kShardCounts),  // shards
-                       ::testing::ValuesIn(kHeartbeats),   // heartbeat_interval
-                       ::testing::ValuesIn(kCapacities),   // queue_capacity
-                       ::testing::Bool()),                 // consume_batch
+                       ::testing::ValuesIn(kHandoffs),     // handoff size
+                       ::testing::ValuesIn(kCapacities)),  // queue_capacity
     cell_name);
 
 }  // namespace

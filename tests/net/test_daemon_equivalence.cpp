@@ -11,7 +11,6 @@
 #include <algorithm>
 #include <string>
 #include <thread>
-#include <tuple>
 #include <utility>
 #include <vector>
 
@@ -23,23 +22,13 @@
 #include "support/socket_fixture.hpp"
 #include "support/temp_dir.hpp"
 #include "support/test_fixtures.hpp"
+#include "support/warning_key.hpp"
 
 namespace dml::net {
 namespace {
 
-/// Stable identity of a warning for cross-plane multiset comparison —
-/// the same fields `dmlfp run --warnings` renders per line.
-using WarningKey = std::tuple<TimeSec, TimeSec, std::uint64_t, int,
-                              std::uint32_t, std::uint32_t>;
-
-WarningKey key_of(const predict::Warning& w) {
-  return {w.issued_at,
-          w.deadline,
-          w.rule_id,
-          static_cast<int>(w.source),
-          w.category.value_or(kInvalidCategory),
-          w.location ? w.location->packed() : 0xffffffffu};
-}
+using testing::key_of;
+using testing::WarningKey;
 
 online::DriverConfig equivalence_driver() {
   online::DriverConfig driver;

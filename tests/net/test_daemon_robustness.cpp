@@ -6,9 +6,11 @@
 // stream name that is not one plain path component or already holds a
 // repository, event time regression, a records frame the reactor's
 // check refuses) surface as typed ERROR frames, not as corrupted engine
-// state or a dead daemon.  The client frames raw records by bytes as well
-// as by count, refuses a record no frame can hold before it sends
-// anything, and pays one rewind for a burst of refused frames.
+// state or a dead daemon.  A stream whose pump fails tells its owner
+// why, and the daemon serves other streams on.  The client frames raw
+// records by bytes as well as by count, refuses a record no frame can
+// hold before it sends anything, and pays one rewind for a burst of
+// refused frames.
 #include <poll.h>
 #include <sys/socket.h>
 
@@ -26,7 +28,6 @@
 #include <utility>
 #include <string>
 #include <thread>
-#include <tuple>
 #include <vector>
 
 #include "common/failpoint.hpp"
@@ -39,6 +40,7 @@
 #include "support/socket_fixture.hpp"
 #include "support/temp_dir.hpp"
 #include "support/test_fixtures.hpp"
+#include "support/warning_key.hpp"
 
 namespace dml::net {
 namespace {
@@ -53,18 +55,8 @@ const std::vector<bgl::Event>& corpus() {
   return events;
 }
 
-/// Identity of a warning for multiset comparison across planes.
-using WarningKey = std::tuple<TimeSec, TimeSec, std::uint64_t, int,
-                              std::uint32_t, std::uint32_t>;
-
-WarningKey key_of(const predict::Warning& w) {
-  return {w.issued_at,
-          w.deadline,
-          w.rule_id,
-          static_cast<int>(w.source),
-          w.category.value_or(kInvalidCategory),
-          w.location ? w.location->packed() : 0xffffffffu};
-}
+using testing::key_of;
+using testing::WarningKey;
 
 /// Warnings the equivalent in-process engine emits on corpus() under
 /// the fixture's default flags, sorted — the oracle for "state was not
@@ -216,7 +208,6 @@ TEST(DaemonRobustnessTest, RefusedBurstCostsOneRewind) {
   testing::DaemonFixture fixture(std::move(config));
   ClientConfig client_config;
   client_config.batch_events = 64;
-  client_config.window_frames = 8;
   Client client("127.0.0.1", fixture.port(), client_config);
   const auto opened =
       client.open_stream("burst", kOpenIngest | kOpenSubscribe);
@@ -244,6 +235,61 @@ TEST(DaemonRobustnessTest, RefusedBurstCostsOneRewind) {
   EXPECT_EQ(stats.warnings_dropped, 0u);
   std::sort(served.begin(), served.end());
   EXPECT_EQ(served, expected);
+}
+
+TEST(DaemonRobustnessTest, PumpFailureReachesTheClientAndSparesOtherStreams) {
+  // The engine throws halfway through a stream.  The ERROR answering
+  // the owner's next INGEST_* or FINISH_STREAM (or its registered
+  // FINISH) carries the cause, the drain report keeps it, and a stream
+  // opened afterwards on the same daemon is served in full.
+  // Before arming: the in-process engine passes the same failpoint.
+  const auto& expected = reference_warnings();
+  auto& registry = common::FailpointRegistry::instance();
+  registry.reset();
+  ASSERT_TRUE(registry.arm_from_string(
+      "engine.feed=throw:after=" + std::to_string(corpus().size() / 2) +
+      ":max=1"));
+
+  testing::DaemonFixture fixture(testing::daemon_test_config(4, 2));
+  std::uint32_t failed_id = 0;
+  {
+    Client client("127.0.0.1", fixture.port());
+    const auto opened = client.open_stream("failing");
+    failed_id = opened.stream_id;
+    try {
+      send_all(client, opened.stream_id, corpus());
+      client.finish_stream(opened.stream_id);
+      FAIL() << "a stream whose engine threw finished cleanly";
+    } catch (const ClientError& e) {
+      EXPECT_NE(std::string(e.what()).find("failpoint triggered: engine.feed"),
+                std::string::npos)
+          << e.what();
+    }
+  }
+  EXPECT_EQ(registry.stats("engine.feed").triggers, 1u);
+  registry.reset();
+
+  Client client("127.0.0.1", fixture.port());
+  const auto opened =
+      client.open_stream("healthy", kOpenIngest | kOpenSubscribe);
+  send_all(client, opened.stream_id, corpus());
+  const StreamStatsMsg stats = client.finish_stream(opened.stream_id);
+  std::vector<WarningKey> served;
+  while (served.size() < stats.warnings_emitted) {
+    for (const auto& msg : client.wait_warnings()) {
+      served.push_back(key_of(msg.warning));
+    }
+  }
+  EXPECT_EQ(stats.events_ingested, corpus().size());
+  std::sort(served.begin(), served.end());
+  EXPECT_EQ(served, expected);
+  client.bye();
+
+  const auto failures = fixture.stop().stream_failures;
+  ASSERT_EQ(failures.size(), 1u);
+  ASSERT_TRUE(failures.contains(failed_id));
+  EXPECT_NE(failures.at(failed_id).find("failpoint triggered: engine.feed"),
+            std::string::npos);
 }
 
 /// Names of every thread of this process, from /proc.

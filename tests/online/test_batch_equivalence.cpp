@@ -9,7 +9,6 @@
 #include <algorithm>
 #include <functional>
 #include <mutex>
-#include <optional>
 #include <tuple>
 #include <vector>
 
@@ -20,23 +19,18 @@
 #include "online/sharded_engine.hpp"
 #include "predict/predictor.hpp"
 #include "support/test_fixtures.hpp"
+#include "support/warning_key.hpp"
 
 namespace dml::online {
 namespace {
 
-using WarningKey = std::tuple<TimeSec, TimeSec, std::optional<CategoryId>,
-                              std::optional<bgl::Location>, std::uint64_t,
-                              int>;
-
-WarningKey key(const predict::Warning& w) {
-  return {w.issued_at, w.deadline,           w.category,
-          w.location,  w.rule_id,            static_cast<int>(w.source)};
-}
+using testing::key_of;
+using testing::WarningKey;
 
 std::vector<WarningKey> keys(const std::vector<predict::Warning>& warnings) {
   std::vector<WarningKey> out;
   out.reserve(warnings.size());
-  for (const auto& w : warnings) out.push_back(key(w));
+  for (const auto& w : warnings) out.push_back(key_of(w));
   return out;
 }
 

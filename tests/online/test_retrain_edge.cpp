@@ -189,7 +189,7 @@ TEST_F(RetrainEdgeTest, EngineTearsDownCleanlyWithBuildInFlight) {
   config.engine.adoption_lag = kSecondsPerWeek;
   {
     // The engine (and with it the scheduler whose build slot the pool
-    // task fills, and the shards that adopt builds from AdoptMsg) dies
+    // task fills, and the shards that adopt the builds it hands on) dies
     // while the build is still on the pool.  The destructor's finish()
     // must join first.
     ShardedEngine engine(config, nullptr);

@@ -312,11 +312,12 @@ TEST(ShardedEngine, BoundaryTrainsOnlyOnEventsStrictlyBeforeIt) {
   }
 }
 
-TEST(ShardedEngine, HeartbeatsReleaseWarningsPastAQuietShard) {
+TEST(ShardedEngine, HandoffsReleaseWarningsPastAQuietShard) {
   // Only the busiest midplane's events: they all hash to one shard, so
-  // the other never receives a run.  The merger holds back every warning
-  // until all watermarks pass it; only the heartbeat flush delivered to
-  // the quiet shard too moves its watermark before finish().
+  // the other never receives an event.  The merger holds back every
+  // warning until all watermarks pass it; only the message each handoff
+  // pushes to the quiet shard too, with the time of the last event
+  // routed, moves its watermark before finish().
   const auto events = testing::weeks_of(testing::shared_store(), 0, 12);
   std::map<bgl::Location, std::size_t> per_midplane;
   for (const auto& event : events) {

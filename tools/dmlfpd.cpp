@@ -59,12 +59,14 @@ int usage() {
       "  --queue-frames 1..2^20 reactor->pump admission queue (default 64)\n"
       "  --subscriber-queue 1..2^24  per-subscriber warning queue\n"
       "                         (default 65536)\n"
-      "  --retry-ms 0..60000    RETRY_AFTER pacing hint (default 2)\n"
       "  --failpoint NAME=SPEC[,...]   fault injection (net.accept,\n"
       "                         net.read, net.write, storage.*, ...)\n"
       "  --failpoint-seed S>=0  RNG seed for probabilistic faults\n"
+      "A refused INGEST frame's RETRY_AFTER asks for a fixed 2 ms pause\n"
+      "(the --retry-ms flag is gone).\n"
       "SIGTERM/SIGINT drain gracefully: streams finish, durable segments\n"
-      "seal, subscribers get FINISHED, then a stats report prints.\n");
+      "seal, subscribers get FINISHED, then a stats report prints; a\n"
+      "stream whose pump failed is marked [failed: <cause>].\n");
   return 2;
 }
 
@@ -79,9 +81,14 @@ void print_stats(const net::DaemonStats& stats) {
       static_cast<unsigned long long>(stats.connections_closed),
       static_cast<unsigned long long>(stats.connections_failed));
   for (const auto& s : stats.streams) {
+    const auto failure = stats.stream_failures.find(s.stream_id);
+    const std::string failed =
+        failure == stats.stream_failures.end()
+            ? std::string()
+            : " [failed: " + failure->second + "]";
     std::printf(
         "  stream %u: ingested %llu, served %llu, rejected %llu, "
-        "warnings %llu (+%llu dropped), retrainings %llu, refused %llu%s\n",
+        "warnings %llu (+%llu dropped), retrainings %llu, refused %llu%s%s\n",
         s.stream_id, static_cast<unsigned long long>(s.events_ingested),
         static_cast<unsigned long long>(s.events_served),
         static_cast<unsigned long long>(s.records_rejected),
@@ -89,7 +96,7 @@ void print_stats(const net::DaemonStats& stats) {
         static_cast<unsigned long long>(s.warnings_dropped),
         static_cast<unsigned long long>(s.retrainings),
         static_cast<unsigned long long>(s.batches_refused),
-        s.finished ? "" : " [unfinished]");
+        s.finished ? "" : " [unfinished]", failed.c_str());
   }
   for (const auto& t : stats.threads) {
     if (t.stream_id != 0) {
@@ -113,7 +120,7 @@ int main(int argc, char** argv) {
   if (flags.has("help")) return usage();
   constexpr std::string_view kFlags[] = {
       "bind", "port", "port-file", "reactors", "queue-frames",
-      "subscriber-queue", "retry-ms", "repo", "shards"};
+      "subscriber-queue", "repo", "shards"};
   if (!flags.all_known("dmlfpd", {kFlags, tools::kEngineFlags,
                                   tools::kFailpointFlags})) {
     return 2;
@@ -134,8 +141,7 @@ int main(int argc, char** argv) {
       !flags.read("dmlfpd", "queue-frames", config.ingest_queue_frames, 1,
                   1 << 20) ||
       !flags.read("dmlfpd", "subscriber-queue",
-                  config.subscriber_queue_warnings, 1, 1 << 24) ||
-      !flags.read("dmlfpd", "retry-ms", config.retry_ms, 0, 60000)) {
+                  config.subscriber_queue_warnings, 1, 1 << 24)) {
     return 2;
   }
   config.bind_address = flags.get_or("bind", config.bind_address);
